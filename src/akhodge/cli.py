@@ -37,11 +37,14 @@ def _entry_or_none(args):
     return None
 
 
-def _parse_pq(text: str) -> tuple[int, int]:
+def _parse_pq(text: str, n: int) -> tuple[int, int]:
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError:
         raise SpecError(f"--pq expects 'p,q', got {text!r}")
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise SpecError(f"--pq {p},{q} is out of range: p and q must lie in "
+                        f"0..{n}")
     return p, q
 
 
@@ -78,7 +81,7 @@ def cmd_validate(args) -> int:
 
 def cmd_operators(args) -> int:
     spec = _load_spec(args)
-    pq = _parse_pq(args.pq)
+    pq = _parse_pq(args.pq, spec.n)
     matrix = ops.operator_matrix(spec, args.op, pq)
     payload = {"spec_name": spec.name, "engine_version": __version__,
                **matrix.to_dict()}
@@ -96,7 +99,7 @@ def cmd_operators(args) -> int:
 
 def cmd_harmonic(args) -> int:
     spec = _load_spec(args)
-    pq = _parse_pq(args.pq)
+    pq = _parse_pq(args.pq, spec.n)
     space = hodge.harmonic_space(spec, args.op, pq)
     payload = {"spec_name": spec.name, "engine_version": __version__,
                "check_id": f"harmonic:{args.op}:{pq[0]},{pq[1]}",

@@ -6,7 +6,7 @@ ordering convention (holomorphic factors first, each block ascending).
 Bidegrees are plain (p, q) tuples.
 
 The module also carries the real-coframe expansion used by complexification
-and by the Hodge star: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
+and realification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
 real indices, with real monomials stored as ascending index tuples.
 """
 
@@ -179,9 +179,6 @@ class Form:
         degs = self.bidegrees()
         return degs[0] if len(degs) == 1 else None
 
-    def max_index(self) -> int:
-        return max((max(m.holo + m.anti, default=0) for m in self._terms), default=0)
-
     def is_constant_coefficient(self) -> bool:
         return all(c.is_constant() for c in self._terms.values())
 
@@ -317,11 +314,6 @@ Pairing = tuple[tuple[int, int], ...]
 RealForm = dict[IndexTuple, SymScalar]
 
 
-def standard_pairing(n: int) -> Pairing:
-    """The intrinsic real frame of a coframe: j -> (2j-1, 2j)."""
-    return tuple((2 * j - 1, 2 * j) for j in range(1, n + 1))
-
-
 def check_pairing(pairing: Pairing, n: int) -> None:
     flat = [idx for pair in pairing for idx in pair]
     if len(pairing) != n or sorted(flat) != list(range(1, 2 * n + 1)):
@@ -391,13 +383,3 @@ def real_to_complex(rform: Mapping[IndexTuple, SymScalar], pairing: Pairing) -> 
         total = total + acc
     return total
 
-
-def render_real_form(rform: Mapping[IndexTuple, SymScalar]) -> str:
-    if not rform:
-        return "0"
-    parts = []
-    for mono in sorted(rform):
-        c = rform[mono].render()
-        name = "e{%s}" % "".join(map(str, mono))
-        parts.append(name if c == "1" else ("-" + name if c == "-1" else f"{c}*{name}"))
-    return " + ".join(parts).replace("+ -", "- ")

@@ -312,8 +312,6 @@ def primitive_subspace(spec, pq: Bidegree) -> Subspace:
     space = kernel_subspace(lam, pq, n)
     if k <= n:
         power = n - k + 1
-        full = Subspace.full(n, pq)
-        alt = full
         current = Matrix.identity(bidegree_dim(pq, n))
         src = pq
         for _ in range(power):

@@ -69,9 +69,6 @@ class Matrix:
         data = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
         return cls(rows, len(columns), data)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [list(r) for r in self.data])
-
     # -- elementwise ----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":

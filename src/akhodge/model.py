@@ -11,9 +11,10 @@ The DSL is line-oriented UTF-8 with `#` comments:
     d phi<j> = <sum of coeff * monomial>
     omega = <(1,1)-form expr>
 
-Monomials are written `phi{I,J}` (e.g. `phi{13,2}` for phi^13 wedge phibar^2);
-coefficients are rationals `a/b`, the unit `i`, and symbol factors with
-optional integer exponents (`E^-1`), joined by `*`, with unary `-`.
+Monomials are written `phi{I,J}` with one digit per index (e.g. `phi{13,2}`
+for phi^13 wedge phibar^2, hence 2n <= 18); coefficients are rationals `a/b`,
+the unit `i`, and symbol factors with optional integer exponents (`E^-1`),
+joined by `*`, with unary `-`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .exterior import (BasisMonomial, Bidegree, Form, Pairing, RealForm,
                        check_pairing, complex_to_real, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
                       SymScalar)
+
+
+MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
 
 
 class SpecError(Exception):
@@ -83,9 +87,6 @@ class ManifoldSpec:
             and all(f.is_constant_coefficient() for f in structure.values()))
         self.unitary_scale = _detect_unitary_scale(omega, n)
         self._domega_status, self.almost_kahler = _closedness_of_omega(self)
-
-    def generator_index(self, name: str) -> int:
-        return self.coframe.index(name) + 1
 
     def d_generator(self, j: int) -> Form:
         return self.structure.get(j, Form.zero())
@@ -285,6 +286,10 @@ def parse_spec(text: str) -> ManifoldSpec:
             if dim % 2 or dim < 2:
                 raise SpecSyntaxError(f"dim must be even and positive, got {dim}",
                                       line_no)
+            if dim > MAX_DIM:
+                raise SpecSyntaxError(
+                    f"dim {dim} exceeds the limit {MAX_DIM}: coframe indices "
+                    "are single digits 1..9", line_no)
             n = dim // 2
         elif head == "coframe":
             coframe = words[1:]

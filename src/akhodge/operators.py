@@ -3,8 +3,11 @@ Hodge star, L and its dual, the J-action, formal adjoints, Laplacians, the
 Hermitian pairing, and exact matrices of all of these between bidegree bases.
 
 Sign conventions all derive from the monomial order fixed in `exterior`.  The
-star is computed on the orthonormal real frame induced by the unitary coframe
-at scale 1 and multiplied by c^{n-k} on k-forms, so entries stay in Q(i) and
+unitary metric is a product over the n complex lines, so the star of a
+monomial is the product of per-line stars at scale 1 (1 -> (i/2) phi phibar,
+phi -> -i phi, phibar -> i phibar, phi phibar -> -2i), signed by the rule
+*(a ^ b) = (-1)^{deg b (2 - deg a)} *a ^ *b and by the reorderings between
+canonical and line order, times c^{n-k} on k-forms: entries stay in Q(i) and
 no square root of the scale ever materializes.  The dual Lefschetz operator
 is the metric adjoint of L, which on k-forms is (-1)^k * L * (the classical
 -*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
@@ -17,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .exterior import (BasisMonomial, Bidegree, Form, basis_of, bidegree_dim,
-                       bidegrees_of_degree, complex_to_real, merge_indices,
-                       real_to_complex, standard_pairing)
-from .linalg import Matrix, Vector
-from .scalars import GaussianRational, ONE, ZERO, SymScalar, i_power
+from .exterior import (SCALAR_MONOMIAL, BasisMonomial, Bidegree, Form,
+                       basis_of, bidegree_dim, bidegrees_of_degree,
+                       wedge_monomials)
+from .linalg import Matrix
+from .scalars import GaussianRational, I, ONE, ZERO, SymScalar, i_power
 
 if TYPE_CHECKING:
     from .model import ManifoldSpec
@@ -176,35 +179,51 @@ def _require_unitary(spec) -> Fraction:
     return spec.unitary_scale
 
 
+# The C-linear star of one complex line at scale 1, keyed by which of
+# phi^j, phibar^j the factor holds: (coefficient, factors of the image).
+# On the real frame phi^j = e^a + i e^b this is *1 = e^{ab}, *e^a = e^b,
+# *e^b = -e^a, *e^{ab} = 1.
+_LINE_STAR = {
+    (False, False): (I / 2, (True, True)),
+    (True, False): (-I, (True, False)),
+    (False, True): (I, (False, True)),
+    (True, True): (-2 * I, (False, False)),
+}
+
+
+def _line_factor(j: int, holo: bool, anti: bool) -> BasisMonomial:
+    return BasisMonomial((j,) if holo else (), (j,) if anti else ())
+
+
 def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
                                                        BasisMonomial]:
+    """(factor, target) with *mono = factor * target: mono = +-a_1 ^ ... ^ a_n
+    with a_j on line j, each a_j starred by _LINE_STAR."""
     key = ("star_mono", mono)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
     n = spec.n
     scale = _require_unitary(spec)
-    pairing = standard_pairing(n)
-    everything = range(1, 2 * n + 1)
-    real = complex_to_real(Form.monomial(mono), pairing)
-    starred = {}
-    for rmono, coeff in real.items():
-        comp = tuple(idx for idx in everything if idx not in rmono)
-        sign, _ = merge_indices(rmono, comp)
-        value = coeff if sign == 1 else -coeff
-        cur = starred.get(comp)
-        cur = value if cur is None else cur + value
-        if cur:
-            starred[comp] = cur
-        else:
-            starred.pop(comp, None)
-    back = real_to_complex(starred, pairing)
-    terms = back.terms()
-    assert len(terms) == 1, f"star of {mono} is not a single monomial"
-    target, value = terms[0]
-    factor = value.constant_value() * Fraction(scale) ** (n - mono.degree)
-    spec._cache[key] = (factor, target)
-    return factor, target
+    sign = 1
+    value = ONE
+    ordered = starred = SCALAR_MONOMIAL
+    after = mono.degree
+    for j in range(1, n + 1):
+        line = (j in mono.holo, j in mono.anti)
+        deg = line[0] + line[1]
+        after -= deg
+        coeff, image = _LINE_STAR[line]
+        s, ordered = wedge_monomials(ordered, _line_factor(j, *line))
+        t, starred = wedge_monomials(starred, _line_factor(j, *image))
+        # s, t: reorderings into and out of line order; then the product
+        # sign *(a_j ^ rest) = (-1)^{deg rest (2 - deg a_j)} *a_j ^ *rest
+        sign *= s * t * (-1 if (after * deg) % 2 else 1)
+        value = value * coeff
+    factor = (value if sign == 1 else -value) * \
+        Fraction(scale) ** (n - mono.degree)
+    spec._cache[key] = (factor, starred)
+    return factor, starred
 
 
 def hodge_star(spec, form: Form) -> Form:
@@ -346,40 +365,28 @@ def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
     return sorted(pq for pq in cands if _valid(pq, n))
 
 
-def _coords(form: Form, blocks: list[Bidegree], n: int,
-            offsets: dict[BasisMonomial, int], total: int) -> Vector:
-    vec = [ZERO] * total
-    for mono, coeff in form.terms():
-        idx = offsets.get(mono)
-        if idx is None:
-            raise ValueError(f"monomial {mono} of bidegree {mono.bidegree} "
-                             f"falls outside target blocks {blocks}")
-        vec[idx] = coeff.constant_value()
-    return vec
-
-
-def _block_offsets(blocks: list[Bidegree], n: int
-                   ) -> tuple[dict[BasisMonomial, int], int]:
-    offsets: dict[BasisMonomial, int] = {}
-    total = 0
-    for pq in blocks:
-        for mono in basis_of(pq, n):
-            offsets[mono] = total
-            total += 1
-    return offsets, total
-
-
-def _application_matrix(spec, op: str, sources: list[Bidegree],
+def _application_matrix(spec, op: str, pq: Bidegree,
                         targets: list[Bidegree]) -> Matrix:
+    """Columns: op applied to each basis monomial of pq, in the coordinates
+    of the concatenated target bases."""
     n = spec.n
-    offsets, total = _block_offsets(targets, n)
+    offsets: dict[BasisMonomial, int] = {}
+    for target in targets:
+        for mono in basis_of(target, n):
+            offsets[mono] = len(offsets)
     fn = _applier(op)
     columns = []
-    for pq in sources:
-        for mono in basis_of(pq, n):
-            image = fn(spec, Form.monomial(mono))
-            columns.append(_coords(image, targets, n, offsets, total))
-    return Matrix.from_columns(columns, total)
+    for mono in basis_of(pq, n):
+        column = [ZERO] * len(offsets)
+        for image, coeff in fn(spec, Form.monomial(mono)).terms():
+            idx = offsets.get(image)
+            if idx is None:
+                raise ValueError(f"monomial {image} of bidegree "
+                                 f"{image.bidegree} falls outside target "
+                                 f"blocks {targets}")
+            column[idx] = coeff.constant_value()
+        columns.append(column)
+    return Matrix.from_columns(columns, len(offsets))
 
 
 def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
@@ -393,10 +400,7 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
         raise NotConstantCoefficientError(
             f"spec {spec.name!r} has symbolic coefficients; operator matrices "
             "need constant coefficients")
-    n = spec.n
-    targets = op_targets(op, pq, n)
-    sources = [pq] if _valid(pq, n) else []
-    matrix = _application_matrix(spec, op, sources, targets)
+    matrix = _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
     spec._cache[key] = matrix
     return matrix
 
@@ -426,18 +430,27 @@ def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
 
 
 def full_degree_matrix(spec, op: str, k: int) -> Matrix:
-    """Matrix of d or d* from the whole degree-k space (all bidegrees)."""
+    """Matrix of d or d* from the whole degree-k space (all bidegrees),
+    assembled from the cached bidegree blocks."""
     key = ("full", op, k)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
-    n = spec.n
-    sources = bidegrees_of_degree(k, n)
-    shift = 1 if op == "d" else -1
-    targets = bidegrees_of_degree(k + shift, n)
     if not spec.constant_coefficient:
         raise NotConstantCoefficientError(spec.name)
-    matrix = _application_matrix(spec, op, sources, targets)
+    n = spec.n
+    # a block's rows run over its valid targets in ascending order, a
+    # subsequence of the degree-(k +- 1) bidegrees; absent targets are zero
+    blocks = [(operator_block(spec, op, pq), op_targets(op, pq, n))
+              for pq in bidegrees_of_degree(k, n)]
+    block_rows = [iter(block.data) for block, _ in blocks]
+    data = []
+    for target in bidegrees_of_degree(k + (1 if op == "d" else -1), n):
+        for _ in range(bidegree_dim(target, n)):
+            data.append([x for (block, hit), rows in zip(blocks, block_rows)
+                         for x in (next(rows) if target in hit
+                                   else [ZERO] * block.cols)])
+    matrix = Matrix(len(data), sum(block.cols for block, _ in blocks), data)
     spec._cache[key] = matrix
     return matrix
 

@@ -309,9 +309,6 @@ class SymScalar:
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
         return sorted(self._terms.items())
 
-    def symbol_names(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

@@ -4,16 +4,24 @@ Nothing here shares code with the package: wedges are bubble-sorted letter
 tuples, signs come from counting swaps, linear algebra is sympy's.  Complex
 monomials are encoded as ascending tuples of letters 1..2n, where letters
 1..n are the holomorphic generators and n+1..2n their conjugates.
+
+Two oracles check a fast path against the slow route it replaced instead:
+the real-frame Hodge star (built on the package's real-coframe expansion,
+which the complexify round-trip tests check, and on none of its star code)
+and the degree-k matrices of d and d* taken one monomial at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy
 from sympy import I, Matrix, Rational
 
-from akhodge.exterior import BasisMonomial, Form, basis_of
+from akhodge import operators as ops
+from akhodge.exterior import (BasisMonomial, Form, basis_of, complex_to_real,
+                              real_to_complex)
 from akhodge.scalars import GaussianRational
 
 
@@ -129,3 +137,40 @@ def same_row_space(A: Matrix, B: Matrix) -> bool:
         return False
     stacked = A.col_join(B)
     return (A.rank() == B.rank() == stacked.rank())
+
+
+def real_frame_star(spec, mono: BasisMonomial):
+    """(factor, target) with *mono = factor * target, by the real frame:
+    expand phi^j = e^{2j-1} + i e^{2j}, send each real monomial to its
+    oriented complement, substitute back, and multiply by c^{n-k}."""
+    n = spec.n
+    pairing = tuple((2 * j - 1, 2 * j) for j in range(1, n + 1))
+    starred = {}
+    for rmono, coeff in complex_to_real(Form.monomial(mono), pairing).items():
+        comp = tuple(idx for idx in range(1, 2 * n + 1) if idx not in rmono)
+        sign, _ = sort_sign(rmono + comp)
+        starred[comp] = coeff if sign == 1 else -coeff
+    (target, value), = real_to_complex(starred, pairing).terms()
+    scale = Fraction(spec.unitary_scale) ** (n - mono.degree)
+    return value.constant_value() * scale, target
+
+
+def full_degree_oracle(spec, op: str, k: int) -> Matrix:
+    """sympy matrix of d (op "d") or d* (op "d_star") on the whole degree-k
+    space, applying ext_d / apply_adjoint to one monomial at a time."""
+    n = spec.n
+
+    def degree_basis(deg):
+        return [m for p in range(n + 1) for m in basis_of((p, deg - p), n)]
+
+    src = degree_basis(k)
+    tgt = degree_basis(k + 1 if op == "d" else k - 1)
+    index = {m: i for i, m in enumerate(tgt)}
+    M = sympy.zeros(len(tgt), len(src))
+    for col, mono in enumerate(src):
+        form = Form.monomial(mono)
+        image = (ops.ext_d(spec, form) if op == "d"
+                 else ops.apply_adjoint(spec, "d", form))
+        for m, c in image.terms():
+            M[index[m], col] = gr_to_sympy(c.constant_value())
+    return M

@@ -181,3 +181,26 @@ def test_human_output_subset_of_json_facts(capsys):
     for result in payload["results"]:
         assert result["check_id"] in human_out
         assert result["status"] in human_out
+
+
+@pytest.mark.parametrize("argv", [
+    ("harmonic", "--entry", "kt4", "--op", "delbar", "--pq", "7,0"),
+    ("harmonic", "--entry", "kt4", "--op", "delbar", "--pq=-1,0"),
+    ("operators", "--entry", "kt4", "--op", "L", "--pq", "7,0"),
+    ("operators", "--entry", "kt4", "--op", "star", "--pq", "0,3"),
+])
+def test_out_of_range_bidegree_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "0..2" in err
+
+
+def test_validate_oversized_dimension_exit_2(capsys, tmp_path):
+    big = tmp_path / "big.akspec"
+    coframe = " ".join(f"phi{j}" for j in range(1, 13))
+    big.write_text(f"manifold big\ndim 24\ncoframe {coframe}\n"
+                   "omega = 1/2*i*phi{1,1}\n")
+    code, out, err = run(capsys, "validate", "--spec", str(big))
+    assert code == 2
+    assert "line 2" in err and "limit 18" in err

@@ -164,3 +164,25 @@ def test_parse_form_standalone():
 def test_odd_dimension_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_spec("manifold x\ndim 5\ncoframe a b\nomega = i*phi{1,1}")
+
+
+def big_spec_text(n):
+    coframe = " ".join(f"phi{j}" for j in range(1, n + 1))
+    omega = " + ".join(f"1/2*i*phi{{{j},{j}}}" for j in range(1, min(n, 9) + 1))
+    return (f"manifold big\ndim {2 * n}\ncoframe {coframe}\n"
+            f"omega = {omega}\n")
+
+
+def test_dimension_above_single_digit_indices_rejected():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(big_spec_text(12))
+    assert err.value.line == 2
+    assert "limit 18" in str(err.value)
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(big_spec_text(10))
+    assert err.value.line == 2
+
+
+def test_dimension_at_limit_accepted():
+    spec = parse_spec(big_spec_text(9))
+    assert spec.n == 9 and spec.unitary_scale == 1

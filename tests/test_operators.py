@@ -11,7 +11,8 @@ from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
-from oracles import brute_component_matrix, matrix_to_sympy
+from oracles import (brute_component_matrix, full_degree_oracle,
+                     matrix_to_sympy, real_frame_star)
 
 
 def F(text, spec):
@@ -174,6 +175,37 @@ def test_star_bidegree_shift(cc_entries):
             for m in basis_of((p, q), n):
                 img = ops.hodge_star(spec, Form.monomial(m))
                 assert img.pure_bidegree() == (n - q, n - p)
+
+
+def flat_spec(n, scale):
+    """Flat coframe of complex dimension n with omega = (i c/2) sum phi^{jj}."""
+    half = Fraction(scale) / 2
+    omega = " + ".join(f"{half}*i*phi{{{j},{j}}}" for j in range(1, n + 1))
+    coframe = " ".join(f"phi{j}" for j in range(1, n + 1))
+    return parse_spec(f"manifold flat{n}\ndim {2 * n}\ncoframe {coframe}\n"
+                      f"omega = {omega}\n")
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_star_matches_real_frame_oracle(n, scale):
+    spec = flat_spec(n, scale)
+    assert spec.unitary_scale == scale
+    for pq in all_bidegrees(n):
+        for m in basis_of(pq, n):
+            assert ops._star_monomial(spec, m) == real_frame_star(spec, m)
+
+
+def test_full_degree_matrix_matches_per_monomial_oracle(cc_entries):
+    assert cc_entries
+    for entry in cc_entries.values():
+        spec = entry.spec
+        for op in ("d", "d_star"):
+            for k in range(2 * spec.n + 1):
+                mine = ops.full_degree_matrix(spec, op, k)
+                oracle = full_degree_oracle(spec, op, k)
+                assert (mine.rows, mine.cols) == oracle.shape
+                assert matrix_to_sympy(mine) == oracle
 
 
 def test_lambda_of_omega_is_n(cc_entries):
