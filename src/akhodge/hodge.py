@@ -210,26 +210,18 @@ def _require_theorem_mode(spec) -> None:
         raise ops.NotUnitaryModeError(spec.name)
 
 
+@ops.spec_memo
 def harmonic_space(spec, D: str, pq: Bidegree) -> Subspace:
     """Exact kernel of Delta_D on invariant (p,q)-forms, with the
     two-equation characterization as a mandatory cross-check."""
-    key = ("harmonic_space", D, pq)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
+    ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
-    n = spec.n
-    if D == "d":
-        lap = ops.laplacian_d_matrix(spec, pq)
-    else:
-        lap = ops.laplacian_matrix(spec, D, pq)
-    space = kernel_subspace(lap, pq, n)
+    space = kernel_subspace(ops.laplacian_matrix(spec, D, pq), pq, spec.n)
     cross = _characterization_kernel(spec, D, pq)
     if space != cross:
         raise CrossCheckMismatchError(
             f"{spec.name}: ker Delta_{D} on {pq} disagrees with the "
             "closed-and-costar-closed characterization")
-    spec._cache[key] = space
     return space
 
 
@@ -299,12 +291,10 @@ def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
 # ---------------------------------------------------------------------------
 # Primitive forms
 
+@ops.spec_memo
 def primitive_subspace(spec, pq: Bidegree) -> Subspace:
     """ker Lambda on (p,q), cross-checked against ker L^{n-k+1} for k <= n."""
-    key = ("primitive", pq)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
+    ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
     n = spec.n
     k = pq[0] + pq[1]
@@ -322,7 +312,6 @@ def primitive_subspace(spec, pq: Bidegree) -> Subspace:
         if space != alt:
             raise CrossCheckMismatchError(
                 f"{spec.name}: ker Lambda != ker L^{power} on {pq}")
-    spec._cache[key] = space
     return space
 
 
@@ -343,13 +332,10 @@ class PrimitiveDecomposition:
         return total
 
 
+@ops.spec_memo
 def _decomposition_solver(spec, pq: Bidegree):
     """Cached exact solve-map for the block system
     {sum_r (1/r!) L^r beta_r = a, Lambda beta_r = 0}."""
-    key = ("decomp_solver", pq)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     n = spec.n
     p, q = pq
     k = p + q
@@ -387,7 +373,6 @@ def _decomposition_solver(spec, pq: Bidegree):
     solver, residual = system.solve_map()
     meta = (r_values, [b[1] for b in col_blocks],
             [bidegree_dim(b[1], n) for b in col_blocks], total_rows)
-    spec._cache[key] = (solver, residual, meta)
     return solver, residual, meta
 
 
@@ -793,8 +778,10 @@ _CHECKS: dict[str, tuple] = {
 CHECK_IDS = tuple(_CHECKS)
 
 
+@ops.spec_memo
 def verify(spec, check_id: str) -> VerificationReport:
-    """Run one theorem check; Inapplicable when preconditions fail."""
+    """Run one theorem check; Inapplicable when preconditions fail.  The
+    report is cached per spec and shared: callers must not mutate it."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; "
                          f"known: {', '.join(CHECK_IDS)}")

@@ -201,7 +201,9 @@ class Matrix:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Matrix":
-        """Rows span ker(self); canonical (RREF of the standard basis)."""
+        """Rows span ker(self): one vector per free column, with 1 there and
+        0 at the other free columns.  Not echelonized; `hodge.Subspace`
+        makes a basis canonical."""
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -214,8 +216,7 @@ class Matrix:
                 if coeff:
                     vec[pc] = -coeff
             rows.append(vec)
-        basis = Matrix.from_rows(rows, self.cols)
-        return basis.rref()[0].drop_zero_rows()
+        return Matrix.from_rows(rows, self.cols)
 
     def drop_zero_rows(self) -> "Matrix":
         rows = [r for r in self.data if any(r)]

@@ -12,10 +12,15 @@ no square root of the scale ever materializes.  The dual Lefschetz operator
 is the metric adjoint of L, which on k-forms is (-1)^k * L * (the classical
 -*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
 by [L, Lambda] = (k - n) id).
+
+Every per-spec cache of the engine, down to the theorem-check reports of
+`hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
+shared by every later caller and must not be mutated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
@@ -50,6 +55,20 @@ class NotConstantCoefficientError(OperatorError):
     pass
 
 
+def spec_memo(fn: Callable) -> Callable:
+    """Memoize fn(spec, *args) in spec._cache under the key (fn, *args); a
+    call that raises stores nothing."""
+    head = (fn,)
+
+    def memo(spec, *args):
+        key = head + args
+        value = spec._cache.get(key)
+        if value is None:
+            value = spec._cache[key] = fn(spec, *args)
+        return value
+    return functools.wraps(fn)(memo)
+
+
 COMPONENT_SHIFTS: dict[str, Bidegree] = {
     "mu": (2, -1), "del": (1, 0), "delbar": (0, 1), "mubar": (-1, 2)}
 
@@ -72,20 +91,13 @@ def _d_generator(spec, j: int) -> Form:
     return spec.d_generator(j)
 
 
+@spec_memo
 def _d_generator_conj(spec, j: int) -> Form:
-    key = ("dgen_conj", j)
-    cached = spec._cache.get(key)
-    if cached is None:
-        cached = spec.d_generator(j).conj(spec.symbols)
-        spec._cache[key] = cached
-    return cached
+    return spec.d_generator(j).conj(spec.symbols)
 
 
+@spec_memo
 def _d_monomial(spec, mono: BasisMonomial) -> Form:
-    key = ("d_mono", mono)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     factors = [(True, j) for j in mono.holo] + [(False, j) for j in mono.anti]
     total = Form.zero()
     for i, (is_holo, j) in enumerate(factors):
@@ -102,7 +114,6 @@ def _d_monomial(spec, mono: BasisMonomial) -> Form:
             tuple(g for h, g in suffix if not h)))
         term = pre.wedge(df).wedge(suf)
         total = total + (term if i % 2 == 0 else -term)
-    spec._cache[key] = total
     return total
 
 
@@ -195,14 +206,11 @@ def _line_factor(j: int, holo: bool, anti: bool) -> BasisMonomial:
     return BasisMonomial((j,) if holo else (), (j,) if anti else ())
 
 
+@spec_memo
 def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
                                                        BasisMonomial]:
     """(factor, target) with *mono = factor * target: mono = +-a_1 ^ ... ^ a_n
     with a_j on line j, each a_j starred by _LINE_STAR."""
-    key = ("star_mono", mono)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     n = spec.n
     scale = _require_unitary(spec)
     sign = 1
@@ -222,7 +230,6 @@ def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
         value = value * coeff
     factor = (value if sign == 1 else -value) * \
         Fraction(scale) ** (n - mono.degree)
-    spec._cache[key] = (factor, starred)
     return factor, starred
 
 
@@ -237,13 +244,9 @@ def hodge_star(spec, form: Form) -> Form:
     return Form(out)
 
 
+@spec_memo
 def volume_form(spec) -> Form:
-    key = "volume"
-    cached = spec._cache.get(key)
-    if cached is None:
-        cached = hodge_star(spec, Form.one())
-        spec._cache[key] = cached
-    return cached
+    return hodge_star(spec, Form.one())
 
 
 def lefschetz_L(spec, form: Form) -> Form:
@@ -292,16 +295,12 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
     return wedge.coeff(top) * vol_coeff.inverse()
 
 
+@spec_memo
 def gram_diagonal(spec, pq: Bidegree) -> list[GaussianRational]:
     """Squared norms of the basis monomials (the pairing is diagonal on the
     unitary coframe)."""
-    key = ("gram", pq)
-    cached = spec._cache.get(key)
-    if cached is None:
-        cached = [inner_product(spec, Form.monomial(m), Form.monomial(m))
-                  .constant_value() for m in basis_of(pq, spec.n)]
-        spec._cache[key] = cached
-    return cached
+    return [inner_product(spec, Form.monomial(m), Form.monomial(m))
+            .constant_value() for m in basis_of(pq, spec.n)]
 
 
 def is_integrable(spec) -> bool:
@@ -337,6 +336,11 @@ def _applier(op: str) -> Callable:
 
 def _valid(pq: Bidegree, n: int) -> bool:
     return 0 <= pq[0] <= n and 0 <= pq[1] <= n
+
+
+def require_bidegree(spec, pq: Bidegree) -> None:
+    if not _valid(pq, spec.n):
+        raise ValueError(f"bidegree {tuple(pq)} is outside 0..{spec.n}")
 
 
 def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
@@ -389,30 +393,23 @@ def _application_matrix(spec, op: str, pq: Bidegree,
     return Matrix.from_columns(columns, len(offsets))
 
 
+@spec_memo
 def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
     """Matrix of a non-Laplacian operator from Lambda^{p,q} into the
     concatenation of its valid target bidegrees (cached)."""
-    key = ("block", op, pq)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
+    require_bidegree(spec, pq)
     if not spec.constant_coefficient:
         raise NotConstantCoefficientError(
             f"spec {spec.name!r} has symbolic coefficients; operator matrices "
             "need constant coefficients")
-    matrix = _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
-    spec._cache[key] = matrix
-    return matrix
+    return _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
 
 
+@spec_memo
 def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
     """Delta_D = D D* + D* D on Lambda^{p,q} for a bidegree-pure D."""
     if D == "d":
         return laplacian_d_matrix(spec, pq)
-    key = ("laplacian", D, pq)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     s, t = COMPONENT_SHIFTS[D]
     p, q = pq
     up = (p + s, q + t)
@@ -424,18 +421,13 @@ def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
     B_star = operator_block(spec, D + "_star", pq)
     B = (operator_block(spec, D, down) if _valid(down, n)
          else Matrix.zeros(bidegree_dim(pq, n), 0))
-    result = A_star * A + B * B_star
-    spec._cache[key] = result
-    return result
+    return A_star * A + B * B_star
 
 
+@spec_memo
 def full_degree_matrix(spec, op: str, k: int) -> Matrix:
     """Matrix of d or d* from the whole degree-k space (all bidegrees),
     assembled from the cached bidegree blocks."""
-    key = ("full", op, k)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     if not spec.constant_coefficient:
         raise NotConstantCoefficientError(spec.name)
     n = spec.n
@@ -450,17 +442,12 @@ def full_degree_matrix(spec, op: str, k: int) -> Matrix:
             data.append([x for (block, hit), rows in zip(blocks, block_rows)
                          for x in (next(rows) if target in hit
                                    else [ZERO] * block.cols)])
-    matrix = Matrix(len(data), sum(block.cols for block, _ in blocks), data)
-    spec._cache[key] = matrix
-    return matrix
+    return Matrix(len(data), sum(block.cols for block, _ in blocks), data)
 
 
+@spec_memo
 def laplacian_d_full(spec, k: int) -> Matrix:
     """Delta_d as an endomorphism of the whole degree-k space."""
-    key = ("laplacian_d_full", k)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
     n = spec.n
     dim_k = sum(bidegree_dim(pq, n) for pq in bidegrees_of_degree(k, n))
     if k < 2 * n:
@@ -475,9 +462,7 @@ def laplacian_d_full(spec, k: int) -> Matrix:
         second = down * down_star
     else:
         second = Matrix.zeros(dim_k, dim_k)
-    result = first + second
-    spec._cache[key] = result
-    return result
+    return first + second
 
 
 def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
@@ -523,15 +508,12 @@ def operator_matrix(spec, op: str, pq: Bidegree) -> OperatorMatrix:
     if not spec.constant_coefficient:
         raise NotConstantCoefficientError(
             f"spec {spec.name!r} has symbolic coefficients")
+    require_bidegree(spec, pq)
     n = spec.n
     if op.startswith("Delta_"):
         D = op[6:]
-        if D == "d":
-            matrix = laplacian_d_matrix(spec, pq)
-            targets = tuple(bidegrees_of_degree(pq[0] + pq[1], n))
-        else:
-            matrix = laplacian_matrix(spec, D, pq)
-            targets = (pq,)
-        return OperatorMatrix(op, pq, targets, matrix)
+        targets = (tuple(bidegrees_of_degree(pq[0] + pq[1], n)) if D == "d"
+                   else (pq,))
+        return OperatorMatrix(op, pq, targets, laplacian_matrix(spec, D, pq))
     matrix = operator_block(spec, op, pq)
     return OperatorMatrix(op, pq, tuple(op_targets(op, pq, n)), matrix)

@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from akhodge.cli import main
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv):
@@ -170,6 +174,10 @@ def test_report_byte_identical(capsys):
     _, out1, _ = run(capsys, "report", "--json")
     _, out2, _ = run(capsys, "report", "--json")
     assert out1 == out2
+    # the same digest the benchmark checks its catalog_report runs against
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == \
+        expected["catalog_report_sha256"]
 
 
 def test_human_output_subset_of_json_facts(capsys):

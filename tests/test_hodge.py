@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -5,7 +6,7 @@ from math import comb
 import pytest
 import sympy
 
-from akhodge import catalog, hodge, operators as ops
+from akhodge import catalog, hodge, operators as ops, reports
 from akhodge.exterior import BasisMonomial, Form, basis_of
 from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
@@ -339,3 +340,42 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}
     assert not spec.almost_kahler
     assert hodge.verify(spec, "thm34").status == "Inapplicable"
     assert hodge.verify(spec, "cor33").status in ("Holds", "Fails")
+
+
+def test_report_runs_each_theorem_check_once_per_spec(monkeypatch):
+    # a fresh spec, so the session-wide catalog.get entries stay untouched
+    spec = parse_spec(catalog.dsl_source("kt4"))
+    entry = dataclasses.replace(catalog.get("kt4"), spec=spec)
+    calls = {check_id: 0 for check_id in hodge.CHECK_IDS}
+
+    def counted(check_id, fn):
+        def run(spec):
+            calls[check_id] += 1
+            return fn(spec)
+        return run
+
+    for check_id, (fn, needs_ak) in list(hodge._CHECKS.items()):
+        monkeypatch.setitem(hodge._CHECKS, check_id,
+                            (counted(check_id, fn), needs_ak))
+    hodge.verify_all(spec)
+    rows = reports.run_entry_expectations(entry)
+    assert any(row["check_id"].startswith("verify:") for row in rows)
+    assert sum(calls.values()) > 0
+    assert max(calls.values()) == 1, calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, pq: ops.operator_block(spec, "d", pq),
+    lambda spec, pq: ops.operator_matrix(spec, "delbar", pq),
+    lambda spec, pq: ops.operator_matrix(spec, "Delta_d", pq),
+    lambda spec, pq: ops.operator_matrix(spec, "Delta_del", pq),
+    lambda spec, pq: hodge.harmonic_space(spec, "delbar", pq),
+    lambda spec, pq: hodge.harmonic_space(spec, "d", pq),
+    lambda spec, pq: hodge.primitive_subspace(spec, pq),
+], ids=["operator_block", "operator_matrix", "Delta_d", "Delta_del",
+        "harmonic_space", "harmonic_space_d", "primitive_subspace"])
+@pytest.mark.parametrize("pq", [(7, 0), (-1, 0), (0, 3), (2, -1)])
+def test_out_of_range_bidegree_raises(cc_entries, call, pq):
+    spec = cc_entries["kt4"].spec
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        call(spec, pq)

@@ -559,3 +559,31 @@ def test_matrix_mode_guards(entries):
     non_unitary = entries["torus6_f"].spec
     with pytest.raises(ops.NotUnitaryModeError):
         ops.hodge_star(non_unitary, Form.generator(1))
+
+
+def test_spec_memo_keys_by_function():
+    spec = parse_spec(catalog.dsl_source("kt4"))
+    first = ops.spec_memo(lambda spec, x: ("first", x))
+    second = ops.spec_memo(lambda spec, x: ("second", x))
+    before = len(spec._cache)
+    assert first(spec, 1) == ("first", 1)
+    assert second(spec, 1) == ("second", 1)
+    assert first(spec, 1) == ("first", 1)
+    assert len(spec._cache) == before + 2
+
+
+def test_spec_memo_returns_the_cached_object():
+    spec = parse_spec(catalog.dsl_source("kt4"))
+    block = ops.operator_block(spec, "delbar", (1, 0))
+    assert ops.operator_block(spec, "delbar", (1, 0)) is block
+    assert ops.operator_block(spec, "del", (1, 0)) is not block
+
+
+def test_spec_memo_stores_nothing_when_the_call_raises():
+    spec = parse_spec(catalog.dsl_source("torus6_f"))
+    mono = BasisMonomial((1,), ())
+    before = dict(spec._cache)
+    for _ in range(2):
+        with pytest.raises(ops.NotUnitaryModeError):
+            ops._star_monomial(spec, mono)
+        assert spec._cache == before
