@@ -31,6 +31,17 @@ def _load_spec(args) -> ManifoldSpec:
     return model.parse_spec(text)
 
 
+def _load_matrix_spec(args) -> ManifoldSpec:
+    """The spec of a command that builds operator matrices; a spec above the
+    work bound is an error located at its source."""
+    spec = _load_spec(args)
+    try:
+        ops.require_work_bound(spec)
+    except ops.OperatorError as exc:
+        raise SpecError(f"{args.spec or args.entry}: {exc}") from None
+    return spec
+
+
 def _entry_or_none(args):
     if getattr(args, "entry", None):
         return catalog.get(args.entry)
@@ -80,7 +91,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_operators(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_matrix_spec(args)
     pq = _parse_pq(args.pq, spec.n)
     matrix = ops.operator_matrix(spec, args.op, pq)
     payload = {"spec_name": spec.name, "engine_version": __version__,
@@ -98,7 +109,7 @@ def cmd_operators(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_matrix_spec(args)
     pq = _parse_pq(args.pq, spec.n)
     space = hodge.harmonic_space(spec, args.op, pq)
     payload = {"spec_name": spec.name, "engine_version": __version__,
@@ -170,7 +181,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_matrix_spec(args)
     check_ids = hodge.CHECK_IDS if args.all else [args.check]
     results = [hodge.verify(spec, check_id) for check_id in check_ids]
     payload = {"spec_name": spec.name, "engine_version": __version__,
@@ -191,7 +202,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_matrix_spec(args)
     table = hodge.hodge_table(spec, args.op)
     payload = {"spec_name": spec.name, "engine_version": __version__,
                "check_id": f"hodge_table:{args.op}",

@@ -149,12 +149,8 @@ class Subspace:
         # solve x.U = y.V: kernel of the (cols x (a+b)) matrix [U^T | -V^T]
         stacked = self.basis.transpose().stack_beside(-other.basis.transpose())
         kernel = stacked.nullspace()
-        rows = []
-        for z in kernel.data:
-            x = Matrix.from_rows([z[:a]], a)
-            rows.append((x * self.basis).data[0])
-        return Subspace(self.ambient, self.n,
-                        Matrix.from_rows(rows, self.basis.cols))
+        left = Matrix.from_rows([z[:a] for z in kernel.data], a)
+        return Subspace(self.ambient, self.n, left * self.basis)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

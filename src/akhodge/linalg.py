@@ -1,34 +1,51 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-Elimination is fraction-free (rows are scaled into Z[i], updates are
-cross-multiplications, each row is reduced by its rational content) with a
-final normalization pass to the unique reduced row echelon form.  Pivoting is
-deterministic: first nonzero entry in column order, rows scanned top-down, so
-every echelon basis is canonical and subspace equality is syntactic.
+`Matrix` stores dense rows of `GaussianRational`.  Elimination (`rref`, and
+through it `nullspace` and `solve_map`) runs on sparse rows over Z[i]
+instead: each row is scaled by the lcm of its denominators into a dict
+col -> (re, im) of plain ints; updates are fraction-free cross-multiplications
+over the pivot row's nonzero columns, after which the row is divided by the
+integer gcd of its parts (the integer-preserving elimination of E. H.
+Bareiss, Math. Comp. 22, 1968, with the gcd in place of his exact division);
+only the final pass divides every pivot row by its pivot, giving the unique
+reduced row echelon form.  Pivoting is deterministic: first nonzero entry in
+column order, rows scanned top-down, so every echelon basis is canonical and
+subspace equality is syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import GaussianRational, ONE, ZERO
 
 Vector = list[GaussianRational]
+SparseRow = dict[int, tuple[int, int]]
 
 
-def _row_content(row: Vector) -> Fraction:
-    """Positive rational g with row/g having coprime integer parts."""
-    num = 0
+def _gaussian_integer_row(row: Vector) -> SparseRow:
+    """Nonzero entries of row, scaled by the lcm of their denominators and
+    reduced by the integer gcd, as col -> (re, im) plain ints."""
+    nonzero = [(j, entry) for j, entry in enumerate(row) if entry]
     den = 1
-    for entry in row:
-        for part in (entry.re, entry.im):
-            if part:
-                num = gcd(num, abs(part.numerator))
-                den = den * part.denominator // gcd(den, part.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
+    for _, entry in nonzero:
+        den = lcm(den, entry.re.denominator, entry.im.denominator)
+    return _primitive({j: (entry.re.numerator * (den // entry.re.denominator),
+                           entry.im.numerator * (den // entry.im.denominator))
+                       for j, entry in nonzero})
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """row divided by the gcd of all its integer parts."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    if g == 0:
+        return row
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
 
 
 class Matrix:
@@ -156,46 +173,63 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Unique reduced row echelon form and pivot columns."""
-        work = []
-        for row in self.data:
-            row = list(row)
-            content = _row_content(row)
-            if content != 1:
-                inv = 1 / content
-                row = [a * inv for a in row]
-            work.append(row)
+        work = [_gaussian_integer_row(row) for row in self.data]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
             pivot_row = None
             for k in range(r, self.rows):
-                if work[k][c]:
+                if c in work[k]:
                     pivot_row = k
                     break
             if pivot_row is None:
                 continue
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            piv = work[r][c]
+            pivot = work[r]
+            pr, pi = pivot[c]
             for k in range(self.rows):
-                if k == r or not work[k][c]:
+                row = work[k]
+                if k == r or c not in row:
                     continue
-                f = work[k][c]
-                # cross-multiplied update keeps rows in Z[i]
-                work[k] = [piv * a - f * b for a, b in zip(work[k], work[r])]
-                content = _row_content(work[k])
-                if content not in (0, 1):
-                    inv = 1 / content
-                    work[k] = [a * inv for a in work[k]]
+                # row <- p*row - f*pivot_row stays in Z[i]; the subtraction
+                # visits only the pivot row's nonzero columns
+                fr, fi = row[c]
+                if pi:
+                    row = {j: (pr * a - pi * b, pr * b + pi * a)
+                           for j, (a, b) in row.items()}
+                elif pr != 1:
+                    row = {j: (pr * a, pr * b) for j, (a, b) in row.items()}
+                for j, (a, b) in pivot.items():
+                    sr = fr * a - fi * b
+                    si = fr * b + fi * a
+                    if j in row:
+                        xr, xi = row[j]
+                        xr -= sr
+                        xi -= si
+                        if xr or xi:
+                            row[j] = (xr, xi)
+                        else:
+                            del row[j]
+                    else:
+                        row[j] = (-sr, -si)
+                work[k] = _primitive(row)
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        for idx, c in enumerate(pivots):
-            inv = work[idx][c].inverse()
-            work[idx] = [a * inv for a in work[idx]]
+        data = []
+        for row, c in zip(work, pivots):
+            # divide by the pivot p: x / p = x * conj(p) / |p|^2
+            pr, pi = row[c]
+            norm = pr * pr + pi * pi
+            dense = [ZERO] * self.cols
+            for j, (a, b) in row.items():
+                dense[j] = GaussianRational(Fraction(a * pr + b * pi, norm),
+                                            Fraction(b * pr - a * pi, norm))
+            data.append(dense)
         # zero rows sink to the bottom in canonical order
-        reduced = Matrix(self.rows, self.cols, work)
-        return reduced, tuple(pivots)
+        data.extend([ZERO] * self.cols for _ in range(self.rows - len(pivots)))
+        return Matrix(self.rows, self.cols, data), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -343,6 +343,24 @@ def require_bidegree(spec, pq: Bidegree) -> None:
         raise ValueError(f"bidegree {tuple(pq)} is outside 0..{spec.n}")
 
 
+# Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
+# n = 6, where the delbar Hodge table of the H(1,2)-type nilmanifold takes
+# about 13 s (2-vCPU Linux VM, CPython 3.11).  At n = 7 it has 1225.
+MAX_BIDEGREE_DIM = 400
+
+
+def require_work_bound(spec) -> None:
+    """Raise OperatorError when the largest bidegree space of spec,
+    Lambda^{k,k} with k = n // 2, is larger than MAX_BIDEGREE_DIM."""
+    k = spec.n // 2
+    largest = bidegree_dim((k, k), spec.n)
+    if largest > MAX_BIDEGREE_DIM:
+        raise OperatorError(
+            f"dim {2 * spec.n}: bidegree ({k}, {k}) has dimension {largest}, "
+            f"above the limit MAX_BIDEGREE_DIM = {MAX_BIDEGREE_DIM} of the "
+            "matrix commands (dim 12 at most)")
+
+
 def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
     """Target bidegrees of a (non-Laplacian) operator at (p,q), ascending."""
     p, q = pq

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from akhodge import model
+from akhodge import operators as ops
 from akhodge.cli import main
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -212,3 +215,36 @@ def test_validate_oversized_dimension_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--spec", str(big))
     assert code == 2
     assert "line 2" in err and "limit 18" in err
+
+
+def flat_spec_text(dim):
+    n = dim // 2
+    return (f"manifold flat{dim}\ndim {dim}\n"
+            f"coframe {' '.join(f'phi{j}' for j in range(1, n + 1))}\n"
+            "omega = " + " + ".join(f"1/2*i*phi{{{j},{j}}}"
+                                    for j in range(1, n + 1)) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--op", "delbar"),
+    ("operators", "--op", "Delta_delbar", "--pq", "3,3"),
+    ("harmonic", "--op", "del", "--pq", "1,1"),
+    ("verify", "--all"),
+])
+def test_matrix_commands_refuse_dim_14(capsys, tmp_path, argv):
+    path = tmp_path / "flat14.akspec"
+    path.write_text(flat_spec_text(14))
+    started = time.monotonic()
+    code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "dim 14" in err
+    assert f"MAX_BIDEGREE_DIM = {ops.MAX_BIDEGREE_DIM}" in err
+
+
+def test_work_bound_admits_dim_12():
+    assert ops.MAX_BIDEGREE_DIM == 400
+    ops.require_work_bound(model.parse_spec(flat_spec_text(12)))
+    with pytest.raises(ops.OperatorError, match="dimension 1225"):
+        ops.require_work_bound(model.parse_spec(flat_spec_text(14)))

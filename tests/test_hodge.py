@@ -204,6 +204,25 @@ def test_subspace_intersect_self(cc_entries):
     assert V.contains(V)
 
 
+def test_subspace_intersect_matches_dimension_formula():
+    # random subspaces of Lambda^{1,1} at n = 3 (dimension 9), with a shared
+    # part so the intersection is nontrivial; dim(U ^ V) is checked against
+    # sympy ranks and every basis vector must lie in both spaces
+    rng = random.Random(5)
+    for trial in range(12):
+        def rows(k):
+            return [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                     for _ in range(9)] for _ in range(k)]
+        shared = rows(trial % 3)
+        U = hodge.Subspace((1, 1), 3, Matrix.from_rows(shared + rows(3), 9))
+        V = hodge.Subspace((1, 1), 3, Matrix.from_rows(rows(4) + shared, 9))
+        meet = U.intersect(V)
+        both = matrix_to_sympy(U.basis).col_join(matrix_to_sympy(V.basis))
+        assert meet.dim == U.dim + V.dim - both.rank()
+        assert U.contains(meet) and V.contains(meet)
+        assert meet == V.intersect(U)
+
+
 def test_membership_criterion2_engine_value(entries):
     # The spec froze `member = false` from the paper; exact arithmetic shows
     # eta = (eta + i g1) + L(phi3) IS in the direct sum (paper erratum), and

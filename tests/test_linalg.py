@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from akhodge import catalog, hodge, model
+from akhodge import operators as ops
 from akhodge.linalg import Matrix, vec_is_zero
 from akhodge.scalars import GaussianRational, ONE, ZERO
 
-from oracles import matrix_to_sympy
+from oracles import dense_rref, matrix_to_sympy
 
 
 def random_matrix(rng, rows, cols, rank_deficient=False):
@@ -101,3 +105,144 @@ def test_conj_transpose():
     assert H.rows == 2 and H.cols == 1
     assert H.data[0][0] == GaussianRational(1, -2)
     assert H.data[1][0] == GaussianRational(0, 1)
+
+
+def assert_rref_matches_sympy(M):
+    reduced, pivots = M.rref()
+    sy_rref, sy_pivots = matrix_to_sympy(M).rref()
+    assert pivots == tuple(sy_pivots)
+    assert (reduced.rows, reduced.cols) == (M.rows, M.cols)
+    assert matrix_to_sympy(reduced) == sy_rref
+
+
+def sparse_matrix(rng, rows, cols, density=0.1):
+    def entry():
+        if rng.random() >= density:
+            return ZERO
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    return Matrix(rows, cols, [[entry() for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+def test_rref_matches_sympy_on_sparse_matrices():
+    rng = random.Random(23)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
+        assert_rref_matches_sympy(sparse_matrix(rng, rows, cols))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
+def test_rref_of_empty_and_zero_matrices(shape):
+    rows, cols = shape
+    M = Matrix.zeros(rows, cols)
+    reduced, pivots = M.rref()
+    assert pivots == ()
+    assert reduced == M
+    assert M.nullspace() == Matrix.identity(cols)
+
+
+def test_rref_sinks_zero_rows_between_nonzero_rows():
+    g = GaussianRational
+    M = Matrix.from_rows([[ZERO, ZERO, ZERO],
+                          [ZERO, g(0, 3), g(1)],
+                          [ZERO, ZERO, ZERO],
+                          [g(2), ZERO, g(0, -1)]])
+    assert_rref_matches_sympy(M)
+    reduced, pivots = M.rref()
+    assert pivots == (0, 1)
+    assert all(not a for row in reduced.data[2:] for a in row)
+
+
+def test_rref_with_imaginary_and_non_unit_gaussian_pivots():
+    g = GaussianRational
+    cases = [
+        # purely imaginary pivots
+        [[g(0, 3), g(1), g(0, 2)], [g(0, -1), g(0, 1), g(5)]],
+        [[g(0, Fraction(1, 2)), g(0, 7)], [g(0, 2), g(0, 28)]],
+        # 2+i, 1-2i, 3+4i: nonunits of Z[i] as pivots
+        [[g(2, 1), g(1), g(0, 1)], [g(1, -2), g(3, 4), g(2)],
+         [g(3, 4), g(0), g(1, 1)]],
+        [[g(2, 1), g(5), g(2, -1)], [g(1, 2), g(0, 5), g(1, -2)]],
+    ]
+    for rows in cases:
+        assert_rref_matches_sympy(Matrix.from_rows(rows))
+
+
+def test_rref_with_mixed_denominators():
+    g = GaussianRational
+    F = Fraction
+    M = Matrix.from_rows([
+        [g(F(1, 2), F(1, 3)), g(F(2, 5)), g(0, F(-7, 4)), g(F(1, 6), F(5, 9))],
+        [g(F(3, 7), F(-1, 8)), g(F(1, 9), F(1, 2)), g(F(5, 3)), g(0)],
+        [g(F(1, 4), F(1, 6)), g(F(1, 5)), g(0, F(-7, 8)),
+         g(F(1, 12), F(5, 18))],
+    ])
+    assert_rref_matches_sympy(M)
+    assert M.rank() == 2
+
+
+def test_solve_map_rejects_rank_deficient_matrices():
+    g = GaussianRational
+    deficient = [
+        Matrix.from_rows([[g(1), g(2)], [g(0, 1), g(0, 2)], [g(3), g(6)]]),
+        Matrix.zeros(3, 2),
+        Matrix.from_rows([[g(1), g(0), g(1)]]),
+    ]
+    for M in deficient:
+        with pytest.raises(ValueError, match="full column rank"):
+            M.solve_map()
+
+
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_entries = st.one_of(st.just(ZERO), st.just(ZERO),
+                     st.builds(GaussianRational, _parts, _parts))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return Matrix(rows, cols, [[draw(_entries) for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+@given(matrices(), st.randoms(use_true_random=False),
+       st.builds(GaussianRational, _parts, _parts), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_rref_is_a_canonical_form(M, rnd, factor, target):
+    reduced, pivots = M.rref()
+    assert reduced.rref() == (reduced, pivots)
+    perm = list(range(M.rows))
+    rnd.shuffle(perm)
+    assert Matrix.from_rows([M.data[i] for i in perm], M.cols).rref() == \
+        (reduced, pivots)
+    if M.rows and factor:
+        scaled = [list(row) for row in M.data]
+        k = target % M.rows
+        scaled[k] = [a * factor for a in scaled[k]]
+        assert Matrix(M.rows, M.cols, scaled).rref() == (reduced, pivots)
+
+
+def test_rref_equals_dense_oracle_over_catalog(monkeypatch):
+    """Every elimination of verify_all and of the delbar Hodge table, on
+    fresh specs of all catalog entries, equals the dense reference."""
+    kernel = Matrix.rref
+    calls = 0
+
+    def checked(self):
+        nonlocal calls
+        reduced, pivots = kernel(self)
+        assert (reduced, pivots) == dense_rref(self)
+        calls += 1
+        return reduced, pivots
+
+    monkeypatch.setattr(Matrix, "rref", checked)
+    for key in catalog.keys():
+        spec = model.parse_spec(catalog.dsl_source(key))
+        hodge.verify_all(spec)
+        if spec.constant_coefficient:
+            hodge.hodge_table(spec, "delbar")
+        else:
+            with pytest.raises(ops.NotConstantCoefficientError):
+                hodge.hodge_table(spec, "delbar")
+    assert calls > 2000
