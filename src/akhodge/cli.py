@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import __version__, catalog, hodge, model, reports
 from . import operators as ops
-from .exterior import basis_of
 from .model import ManifoldSpec, SpecError
 from .scalars import NotInvertible
 
@@ -27,17 +26,25 @@ from .scalars import NotInvertible
 def _load_spec(args) -> ManifoldSpec:
     if getattr(args, "entry", None):
         return catalog.get(args.entry).spec
-    text = Path(args.spec).read_text(encoding="utf-8")
+    try:
+        text = Path(args.spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{args.spec}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
+    except OSError as exc:
+        raise SpecError(f"{args.spec}: {exc.strerror}") from None
     return model.parse_spec(text)
 
 
 def _load_matrix_spec(args) -> ManifoldSpec:
     """The spec of a command that builds operator matrices; a spec above the
-    work bound is an error located at its source."""
+    work bound, or one that `validate` rejects (d^2 != 0), is an error
+    located at its source."""
     spec = _load_spec(args)
     try:
         ops.require_work_bound(spec)
-    except ops.OperatorError as exc:
+        model.validate(spec)
+    except (ops.OperatorError, SpecError) as exc:
         raise SpecError(f"{args.spec or args.entry}: {exc}") from None
     return spec
 
@@ -158,8 +165,11 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_matrix_spec(args)
     form = model.parse_form(args.form, spec.n, spec.symbols)
+    if not form.is_constant_coefficient():
+        raise SpecError(f"--form {args.form!r} has symbolic coefficients; "
+                        "decompose needs constant ones")
     decomposition = hodge.primitive_decompose(spec, form)
     exact = decomposition.reconstruct(spec) == form
     payload = {"spec_name": spec.name, "engine_version": __version__,
@@ -379,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (SpecError, ops.OperatorError, catalog.UnknownKeyError,
             hodge.AmbientMismatchError, hodge.CrossCheckMismatchError,
-            NotInvertible, FileNotFoundError) as exc:
+            NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ positive statements it is a consistency verification, not a re-proof.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -18,7 +19,7 @@ from . import operators as ops
 from .exterior import (BasisMonomial, Bidegree, Form, basis_of, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, Vector, vec_is_zero
-from .scalars import GaussianRational, Nonzeroness, ONE, ZERO, SymScalar
+from .scalars import Nonzeroness, ZERO, SymScalar
 
 
 class AmbientMismatchError(ValueError):
@@ -54,32 +55,27 @@ def vector_to_form(vec: Vector, pq: Bidegree, n: int) -> Form:
     return Form({m: SymScalar.const(c) for m, c in zip(monos, vec) if c})
 
 
-_BASIS_INDEX_CACHE: dict = {}
-
-
+@functools.cache
 def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
-    key = (pq, n)
-    cached = _BASIS_INDEX_CACHE.get(key)
-    if cached is None:
-        cached = {m: i for i, m in enumerate(basis_of(pq, n))}
-        _BASIS_INDEX_CACHE[key] = cached
-    return cached
+    return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
 class Subspace:
     """A linear subspace of Lambda^{p,q} with a canonical echelon basis.
 
     Two subspaces are equal iff their reduced-echelon bases are identical,
-    so equality is a syntactic check.
+    so equality is a syntactic check.  `pivots` holds the pivot column of
+    each basis row.
     """
 
-    __slots__ = ("ambient", "n", "basis")
+    __slots__ = ("ambient", "n", "basis", "pivots")
 
     def __init__(self, ambient: Bidegree, n: int, basis: Matrix):
         self.ambient = ambient
         self.n = n
-        reduced, _ = basis.rref()
-        self.basis = reduced.drop_zero_rows()
+        reduced, self.pivots = basis.rref()
+        self.basis = Matrix(len(self.pivots), reduced.cols,
+                            reduced.data[:len(self.pivots)])
 
     @classmethod
     def from_forms(cls, n: int, pq: Bidegree, forms: list[Form]) -> "Subspace":
@@ -107,34 +103,23 @@ class Subspace:
             raise AmbientMismatchError(
                 f"ambient {self.ambient} != {other.ambient}")
 
-    def reduce_vector(self, vec: Vector) -> Vector:
-        """Residual of vec after elimination against the echelon basis."""
-        vec = list(vec)
-        for row in self.basis.data:
-            pivot = next(i for i, a in enumerate(row) if a)
-            if vec[pivot]:
-                f = vec[pivot]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
     def member(self, element: Form | Vector) -> bool:
-        if isinstance(element, Form):
-            element = form_to_vector(element, self.ambient, self.n)
-        return vec_is_zero(self.reduce_vector(element))
+        return self.coordinates_of(element) is not None
 
     def coordinates_of(self, element: Form | Vector) -> Vector | None:
-        """Coefficients w.r.t. the echelon basis, or None if not a member."""
+        """Coefficients w.r.t. the echelon basis, or None if not a member:
+        a member's coefficient on a basis row is its entry at that row's
+        pivot, and a non-member leaves a nonzero residual."""
         if isinstance(element, Form):
             element = form_to_vector(element, self.ambient, self.n)
-        vec = list(element)
-        coords = []
-        for row in self.basis.data:
-            pivot = next(i for i, a in enumerate(row) if a)
-            c = vec[pivot]
-            coords.append(c)
+        coords = [element[c] for c in self.pivots]
+        residual = list(element)
+        for c, row in zip(coords, self.basis.data):
             if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return coords if vec_is_zero(vec) else None
+                for j, b in enumerate(row):
+                    if b:
+                        residual[j] = residual[j] - c * b
+        return coords if vec_is_zero(residual) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -177,16 +162,11 @@ def kernel_subspace(matrix: Matrix, pq: Bidegree, n: int) -> Subspace:
 
 
 def L_power_image(spec, subspace: Subspace, r: int) -> Subspace:
-    """Image of a subspace under L^r (exact, echelonized)."""
-    current = subspace
-    for _ in range(r):
-        p, q = current.ambient
-        target = (p + 1, q + 1)
-        if not (target[0] <= spec.n and target[1] <= spec.n):
-            return Subspace.zero(spec.n, target)
-        block = ops.operator_block(spec, "L", current.ambient)
-        current = current.image_under(block, target)
-    return current
+    """Image of a subspace of Lambda^{p,q} under L^r (exact, echelonized);
+    the zero subspace of (p+r, q+r) when that lies outside 0..n."""
+    p, q = subspace.ambient
+    return subspace.image_under(
+        ops.lefschetz_power_block(spec, (p, q), r), (p + r, q + r))
 
 
 def line_of(spec, form: Form) -> Subspace:
@@ -200,10 +180,8 @@ def line_of(spec, form: Form) -> Subspace:
 # Harmonic spaces
 
 def _require_theorem_mode(spec) -> None:
-    if not spec.constant_coefficient:
-        raise ops.NotConstantCoefficientError(spec.name)
-    if spec.unitary_scale is None:
-        raise ops.NotUnitaryModeError(spec.name)
+    ops.require_constant_coefficient(spec)
+    ops.require_unitary(spec)
 
 
 @ops.spec_memo
@@ -298,17 +276,18 @@ def primitive_subspace(spec, pq: Bidegree) -> Subspace:
     space = kernel_subspace(lam, pq, n)
     if k <= n:
         power = n - k + 1
-        current = Matrix.identity(bidegree_dim(pq, n))
-        src = pq
-        for _ in range(power):
-            block = ops.operator_block(spec, "L", src)
-            current = block * current
-            src = (src[0] + 1, src[1] + 1)
-        alt = kernel_subspace(current, pq, n)
+        alt = kernel_subspace(ops.lefschetz_power_block(spec, pq, power),
+                              pq, n)
         if space != alt:
             raise CrossCheckMismatchError(
                 f"{spec.name}: ker Lambda != ker L^{power} on {pq}")
     return space
+
+
+@ops.spec_memo
+def primitive_harmonic(spec, D: str, pq: Bidegree) -> Subspace:
+    """H_D cap P on (p,q): the D-harmonic forms that are also primitive."""
+    return harmonic_space(spec, D, pq).intersect(primitive_subspace(spec, pq))
 
 
 @dataclass
@@ -331,7 +310,8 @@ class PrimitiveDecomposition:
 @ops.spec_memo
 def _decomposition_solver(spec, pq: Bidegree):
     """Cached exact solve-map for the block system
-    {sum_r (1/r!) L^r beta_r = a, Lambda beta_r = 0}."""
+    {sum_r (1/r!) L^r beta_r = a, Lambda beta_r = 0}, and the r values of
+    its column blocks (beta_r has bidegree (p-r, q-r))."""
     n = spec.n
     p, q = pq
     k = p + q
@@ -340,36 +320,22 @@ def _decomposition_solver(spec, pq: Bidegree):
     # decomposition ranges over r >= max(k-n, 0) only
     r_values = [r for r in range(max(k - n, 0), min(p, q) + 1)
                 if bidegree_dim((p - r, q - r), n)]
-    col_blocks = []
-    for r in r_values:
-        src = (p - r, q - r)
-        lift = Matrix.identity(bidegree_dim(src, n))
-        here = src
-        for _ in range(r):
-            lift = ops.operator_block(spec, "L", here) * lift
-            here = (here[0] + 1, here[1] + 1)
-        top = lift.scale(Fraction(1, factorial(r)))
-        lam = ops.operator_block(spec, "Lambda", src)
-        col_blocks.append((r, src, top, lam))
-    total_rows = bidegree_dim(pq, n) + sum(b[3].rows for b in col_blocks)
-    columns_matrices = []
-    for idx, (r, src, top, lam) in enumerate(col_blocks):
-        pad_before = sum(col_blocks[i][3].rows for i in range(idx))
-        pad_after = total_rows - bidegree_dim(pq, n) - pad_before - lam.rows
-        block = top
-        if pad_before:
-            block = block.stack_below(Matrix.zeros(pad_before, top.cols))
-        block = block.stack_below(lam)
-        if pad_after:
-            block = block.stack_below(Matrix.zeros(pad_after, top.cols))
-        columns_matrices.append(block)
-    system = columns_matrices[0]
-    for extra in columns_matrices[1:]:
-        system = system.stack_beside(extra)
-    solver, residual = system.solve_map()
-    meta = (r_values, [b[1] for b in col_blocks],
-            [bidegree_dim(b[1], n) for b in col_blocks], total_rows)
-    return solver, residual, meta
+    lifts = [ops.lefschetz_power_block(spec, (p - r, q - r), r)
+             .scale(Fraction(1, factorial(r))) for r in r_values]
+    lams = [ops.operator_block(spec, "Lambda", (p - r, q - r))
+            for r in r_values]
+    # rows: the [L^r / r!] blocks side by side, then the Lambda blocks on
+    # the block diagonal
+    width = sum(lift.cols for lift in lifts)
+    rows = [[x for lift in lifts for x in lift.data[i]]
+            for i in range(bidegree_dim(pq, n))]
+    offset = 0
+    for lam in lams:
+        rows.extend([ZERO] * offset + row + [ZERO] * (width - offset - lam.cols)
+                    for row in lam.data)
+        offset += lam.cols
+    solver, residual = Matrix.from_rows(rows, width).solve_map()
+    return solver, residual, r_values
 
 
 def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
@@ -378,16 +344,17 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     n = spec.n
     components: dict[int, Form] = {}
     for pq, comp in form.components().items():
-        solver, residual, meta = _decomposition_solver(spec, pq)
-        r_values, sources, dims, total_rows = meta
+        solver, residual, r_values = _decomposition_solver(spec, pq)
         rhs = form_to_vector(comp, pq, n)
-        rhs = rhs + [ZERO] * (total_rows - len(rhs))
+        rhs = rhs + [ZERO] * (solver.cols - len(rhs))
         if not vec_is_zero(residual.apply(rhs)):
             raise SolveFailureError(
                 f"inconsistent primitive decomposition on {pq}")
         solution = solver.apply(rhs)
         offset = 0
-        for r, src, width in zip(r_values, sources, dims):
+        for r in r_values:
+            src = (pq[0] - r, pq[1] - r)
+            width = bidegree_dim(src, n)
             beta = vector_to_form(solution[offset:offset + width], src, n)
             offset += width
             if beta.is_zero():
@@ -473,9 +440,8 @@ def _check_prop31(spec) -> VerificationReport:
         for pq in [(p, 0) for p in range(n + 1)] + \
                   [(0, q) for q in range(1, n + 1)]:
             H = harmonic_space(spec, D, pq)
-            P = primitive_subspace(spec, pq)
             dims[f"h_{D}{pq}"] = H.dim
-            if H != H.intersect(P):
+            if H != primitive_harmonic(spec, D, pq):
                 return _fails(spec, "prop31",
                               f"H^{pq}_{D} is not entirely primitive",
                               [f.render() for f in H.forms()], dims)
@@ -490,9 +456,8 @@ def _check_prop32(spec) -> VerificationReport:
     for D_high, D_low in pairs:
         for p in range(n + 1):
             lhs = harmonic_space(spec, D_high, (n, n - p))
-            base = harmonic_space(spec, D_low, (p, 0)).intersect(
-                primitive_subspace(spec, (p, 0)))
-            rhs = L_power_image(spec, base, n - p)
+            rhs = L_power_image(spec, primitive_harmonic(spec, D_low, (p, 0)),
+                                n - p)
             dims[f"{D_high}(n,{n - p})"] = lhs.dim
             if lhs != rhs:
                 return _fails(spec, "prop32",
@@ -500,9 +465,8 @@ def _check_prop32(spec) -> VerificationReport:
                               f"L^{n - p}(H^({p},0)_{D_low} cap P)", dims=dims)
         for q in range(n + 1):
             lhs = harmonic_space(spec, D_high, (n - q, n))
-            base = harmonic_space(spec, D_low, (0, q)).intersect(
-                primitive_subspace(spec, (0, q)))
-            rhs = L_power_image(spec, base, n - q)
+            rhs = L_power_image(spec, primitive_harmonic(spec, D_low, (0, q)),
+                                n - q)
             dims[f"{D_high}({n - q},n)"] = lhs.dim
             if lhs != rhs:
                 return _fails(spec, "prop32",
@@ -552,25 +516,23 @@ def _check_direct_sum_with_line(spec, check_id: str, H: Subspace,
 
 
 def _check_thm34(spec) -> VerificationReport:
-    H = harmonic_space(spec, "delbar", (1, 1))
-    prim = H.intersect(primitive_subspace(spec, (1, 1)))
     return _check_direct_sum_with_line(
-        spec, "thm34", H, spec.omega, prim,
+        spec, "thm34", harmonic_space(spec, "delbar", (1, 1)), spec.omega,
+        primitive_harmonic(spec, "delbar", (1, 1)),
         "H^{1,1}_delbar = C.omega + (H^{1,1}_delbar cap P^{1,1})")
 
 
 def _check_cor35(spec) -> VerificationReport:
     n = spec.n
-    H_del = harmonic_space(spec, "del", (1, 1))
-    prim_del = H_del.intersect(primitive_subspace(spec, (1, 1)))
+    prim_del = primitive_harmonic(spec, "del", (1, 1))
     first = _check_direct_sum_with_line(
-        spec, "cor35", H_del, spec.omega, prim_del,
+        spec, "cor35", harmonic_space(spec, "del", (1, 1)), spec.omega,
+        prim_del,
         "H^{1,1}_del = C.omega + (H^{1,1}_del cap P^{1,1})")
     if first.status != "Holds":
         return first
     omega_power = _omega_power_form(spec, n - 1)
-    H_delbar = harmonic_space(spec, "delbar", (1, 1))
-    prim_delbar = H_delbar.intersect(primitive_subspace(spec, (1, 1)))
+    prim_delbar = primitive_harmonic(spec, "delbar", (1, 1))
     dims = dict(first.dimensions)
     for D, prim in (("delbar", prim_del), ("del", prim_delbar)):
         H_top = harmonic_space(spec, D, (n - 1, n - 1))
@@ -605,9 +567,9 @@ def _check_prop41(spec) -> VerificationReport:
 def _check_lemma44(spec) -> VerificationReport:
     H_delbar = harmonic_space(spec, "delbar", (1, 1))
     H_del = harmonic_space(spec, "del", (1, 1))
-    P = primitive_subspace(spec, (1, 1))
     eq_full = H_delbar == H_del
-    eq_prim = H_delbar.intersect(P) == H_del.intersect(P)
+    eq_prim = (primitive_harmonic(spec, "delbar", (1, 1))
+               == primitive_harmonic(spec, "del", (1, 1)))
     dims = {"h(1,1)_delbar": H_delbar.dim, "h(1,1)_del": H_del.dim}
     if eq_full != eq_prim:
         return _fails(spec, "lemma44",
@@ -643,8 +605,7 @@ def _check_lemma46(spec) -> VerificationReport:
 
 def _check_lemma47(spec) -> VerificationReport:
     n = spec.n
-    H = harmonic_space(spec, "delbar", (1, 1))
-    space = H.intersect(primitive_subspace(spec, (1, 1)))
+    space = primitive_harmonic(spec, "delbar", (1, 1))
     d_star = ops.operator_block(spec, "d_star", (1, 1))
     for row in space.basis.data:
         if not vec_is_zero(d_star.apply(row)):
@@ -656,9 +617,7 @@ def _check_lemma47(spec) -> VerificationReport:
 
 
 def _check_lemma48(spec) -> VerificationReport:
-    n = spec.n
-    H = harmonic_space(spec, "delbar", (1, 1))
-    space = H.intersect(primitive_subspace(spec, (1, 1)))
+    space = primitive_harmonic(spec, "delbar", (1, 1))
     operators_to_check = ("d", "mu", "del", "delbar", "mubar")
     for form in space.forms():
         for op in operators_to_check:
@@ -700,9 +659,8 @@ def _check_hd_lefschetz(spec) -> VerificationReport:
             H = harmonic_space(spec, "d", (p, q))
             parts = []
             for r in range(0, min(p, q) + 1):
-                base = harmonic_space(spec, "d", (p - r, q - r)).intersect(
-                    primitive_subspace(spec, (p - r, q - r)))
-                parts.append(L_power_image(spec, base, r))
+                parts.append(L_power_image(
+                    spec, primitive_harmonic(spec, "d", (p - r, q - r)), r))
             total = parts[0]
             for part in parts[1:]:
                 total = total.sum(part)
@@ -731,9 +689,8 @@ def _check_h10_identity(spec) -> VerificationReport:
 
 
 def _check_inclusion21(spec) -> VerificationReport:
-    n = spec.n
     H = harmonic_space(spec, "delbar", (2, 1))
-    prim_part = H.intersect(primitive_subspace(spec, (2, 1)))
+    prim_part = primitive_harmonic(spec, "delbar", (2, 1))
     lifted = L_power_image(spec, harmonic_space(spec, "delbar", (1, 0)), 1)
     total = prim_part.sum(lifted)
     dims = {"harmonic": H.dim, "primitive_part": prim_part.dim,

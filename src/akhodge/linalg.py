@@ -252,10 +252,6 @@ class Matrix:
             rows.append(vec)
         return Matrix.from_rows(rows, self.cols)
 
-    def drop_zero_rows(self) -> "Matrix":
-        rows = [r for r in self.data if any(r)]
-        return Matrix.from_rows(rows, self.cols)
-
     def solve_map(self) -> tuple["Matrix", "Matrix"]:
         """For a full-column-rank matrix M, return (R, K) with R (cols x rows)
         satisfying R @ b = x for every consistent system M x = b, and K whose

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import operators
-from .exterior import (BasisMonomial, Bidegree, Form, Pairing, RealForm,
+from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, complex_to_real, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
                       SymScalar)
@@ -214,7 +214,12 @@ def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
                 raise SpecSyntaxError(f"missing '*' before {tok.text!r}",
                                       line, tok.col)
             if tok.kind == "number":
-                coeff = coeff * SymScalar.const(Fraction(tok.text))
+                try:
+                    value = Fraction(tok.text)
+                except ZeroDivisionError:
+                    raise SpecSyntaxError(f"zero denominator in {tok.text!r}",
+                                          line, tok.col) from None
+                coeff = coeff * SymScalar.const(value)
             elif tok.kind == "name" and tok.text == "i":
                 coeff = coeff * SymScalar.const(I)
             elif tok.kind == "name":
@@ -268,6 +273,7 @@ def parse_spec(text: str) -> ManifoldSpec:
     structure: dict[int, Form] = {}
     omega: Form | None = None
     pending_derivatives: list[tuple[str, str, int]] = []
+    declared_at: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -304,7 +310,9 @@ def parse_spec(text: str) -> ManifoldSpec:
             if n is None:
                 raise SpecSyntaxError("dim must precede symbol declarations",
                                       line_no)
-            _parse_symbol_line(line, line_no, symbols, pending_derivatives)
+            sym_name = _parse_symbol_line(line, line_no, symbols,
+                                          pending_derivatives)
+            declared_at[sym_name] = line_no
         elif head == "d":
             if n is None or not coframe:
                 raise SpecSyntaxError("coframe must precede structure equations",
@@ -352,7 +360,10 @@ def parse_spec(text: str) -> ManifoldSpec:
     if omega is None:
         raise SpecSyntaxError("missing omega line")
 
-    symbols.check_involution()
+    for sym in symbols:
+        error = symbols.involution_error(sym)
+        if error is not None:
+            raise SpecSyntaxError(error, declared_at[sym.name])
     for sym_name, expr, line_no in pending_derivatives:
         form = parse_form(expr, n, symbols, line_no)
         if any(p + q != 1 for p, q in form.bidegrees()):
@@ -367,7 +378,8 @@ def parse_spec(text: str) -> ManifoldSpec:
 
 
 def _parse_symbol_line(line: str, line_no: int, symbols: SymbolTable,
-                       pending: list[tuple[str, str, int]]) -> None:
+                       pending: list[tuple[str, str, int]]) -> str:
+    """Declare the symbol of one `symbol` line and return its name."""
     m = re.match(r"symbol\s+([A-Za-z_]\w*)\s*(.*)$", line)
     if m is None:
         raise SpecSyntaxError("expected: symbol <name> [...]", line_no)
@@ -404,10 +416,14 @@ def _parse_symbol_line(line: str, line_no: int, symbols: SymbolTable,
         else:
             raise SpecSyntaxError(f"unknown symbol attribute {word!r}", line_no)
         idx += 1
-    symbols.declare(FunctionSymbol(sym_name, conj_name, nonzero=nonzero,
-                                   invertible=invertible, derivative=None))
+    try:
+        symbols.declare(FunctionSymbol(sym_name, conj_name, nonzero=nonzero,
+                                       invertible=invertible, derivative=None))
+    except ValueError as exc:  # declared twice
+        raise SpecSyntaxError(str(exc), line_no) from None
     if derivative_expr is not None:
         pending.append((sym_name, derivative_expr, line_no))
+    return sym_name
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +475,7 @@ def render_spec(spec: ManifoldSpec) -> str:
         if sym.derivative is None:
             attrs.append("d = opaque")
         elif sym.derivative.is_zero():
-            pass  # a vanishing derivative cannot be written; treat as opaque
+            attrs.append("d = 0*phi{1,}")  # parses back to the zero 1-form
         else:
             attrs.append("d = " + render_form_dsl(sym.derivative))
         lines.append(f"symbol {sym.name} " + " ".join(attrs))

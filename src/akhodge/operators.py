@@ -76,8 +76,6 @@ COMPONENT_SHIFTS: dict[str, Bidegree] = {
 STAR_PARTNERS = {"d": "d", "mu": "mubar", "del": "delbar",
                  "delbar": "del", "mubar": "mu"}
 
-DIFFERENTIALS = ("d", "mu", "del", "delbar", "mubar")
-
 OPERATOR_IDS = ("d", "mu", "del", "delbar", "mubar", "dc", "star", "L",
                 "Lambda", "J", "d_star", "mu_star", "del_star",
                 "delbar_star", "mubar_star", "Delta_d", "Delta_mu",
@@ -182,12 +180,19 @@ def dc(spec, form: Form) -> Form:
 # ---------------------------------------------------------------------------
 # Star, Lefschetz operators, J
 
-def _require_unitary(spec) -> Fraction:
+def require_unitary(spec) -> Fraction:
     if spec.unitary_scale is None:
         raise NotUnitaryModeError(
             f"spec {spec.name!r} is not in unitary mode "
             "(omega != (i c/2) sum phi^{j jbar})")
     return spec.unitary_scale
+
+
+def require_constant_coefficient(spec) -> None:
+    if not spec.constant_coefficient:
+        raise NotConstantCoefficientError(
+            f"spec {spec.name!r} has symbolic coefficients; operator matrices "
+            "need constant coefficients")
 
 
 # The C-linear star of one complex line at scale 1, keyed by which of
@@ -212,7 +217,7 @@ def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
     """(factor, target) with *mono = factor * target: mono = +-a_1 ^ ... ^ a_n
     with a_j on line j, each a_j starred by _LINE_STAR."""
     n = spec.n
-    scale = _require_unitary(spec)
+    scale = require_unitary(spec)
     sign = 1
     value = ONE
     ordered = starred = SCALAR_MONOMIAL
@@ -285,7 +290,7 @@ def apply_adjoint(spec, op: str, form: Form) -> Form:
 
 def inner_product(spec, a: Form, b: Form) -> SymScalar:
     """Hermitian pairing <a,b> with <a,b> vol = a wedge *(conj b)."""
-    _require_unitary(spec)
+    require_unitary(spec)
     if a.is_zero() or b.is_zero():
         return SymScalar.zero()
     n = spec.n
@@ -416,11 +421,22 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
     """Matrix of a non-Laplacian operator from Lambda^{p,q} into the
     concatenation of its valid target bidegrees (cached)."""
     require_bidegree(spec, pq)
-    if not spec.constant_coefficient:
-        raise NotConstantCoefficientError(
-            f"spec {spec.name!r} has symbolic coefficients; operator matrices "
-            "need constant coefficients")
+    require_constant_coefficient(spec)
     return _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
+
+
+@spec_memo
+def lefschetz_power_block(spec, pq: Bidegree, r: int) -> Matrix:
+    """Matrix of L^r from Lambda^{p,q} into Lambda^{p+r,q+r}: the product of
+    the "L" blocks, the identity when r = 0; it has no rows when p + r or
+    q + r exceeds n (cached)."""
+    p, q = pq
+    if p + r > spec.n or q + r > spec.n:
+        return Matrix.zeros(0, bidegree_dim(pq, spec.n))
+    power = Matrix.identity(bidegree_dim(pq, spec.n))
+    for s in range(r):
+        power = operator_block(spec, "L", (p + s, q + s)) * power
+    return power
 
 
 @spec_memo
@@ -446,8 +462,7 @@ def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
 def full_degree_matrix(spec, op: str, k: int) -> Matrix:
     """Matrix of d or d* from the whole degree-k space (all bidegrees),
     assembled from the cached bidegree blocks."""
-    if not spec.constant_coefficient:
-        raise NotConstantCoefficientError(spec.name)
+    require_constant_coefficient(spec)
     n = spec.n
     # a block's rows run over its valid targets in ascending order, a
     # subsequence of the degree-(k +- 1) bidegrees; absent targets are zero
@@ -523,9 +538,7 @@ def operator_matrix(spec, op: str, pq: Bidegree) -> OperatorMatrix:
     """Public matrix constructor for every OperatorId."""
     if op not in OPERATOR_IDS:
         raise ValueError(f"unknown operator id {op!r}")
-    if not spec.constant_coefficient:
-        raise NotConstantCoefficientError(
-            f"spec {spec.name!r} has symbolic coefficients")
+    require_constant_coefficient(spec)
     require_bidegree(spec, pq)
     n = spec.n
     if op.startswith("Delta_"):

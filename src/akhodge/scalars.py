@@ -195,15 +195,22 @@ class SymbolTable:
             raise ValueError(f"symbol {sym.name!r} declared twice")
         self._symbols[sym.name] = sym
 
+    def involution_error(self, sym: FunctionSymbol) -> str | None:
+        """Why sym's conjugate pairing is broken, or None if it is not."""
+        partner = self._symbols.get(sym.conj_name)
+        if partner is None:
+            return (f"symbol {sym.name!r} pairs with undeclared "
+                    f"{sym.conj_name!r}")
+        if partner.conj_name != sym.name:
+            return (f"conjugate pairing {sym.name!r} <-> {sym.conj_name!r} "
+                    "is not involutive")
+        return None
+
     def check_involution(self) -> None:
         for sym in self._symbols.values():
-            partner = self._symbols.get(sym.conj_name)
-            if partner is None:
-                raise ValueError(f"symbol {sym.name!r} pairs with undeclared "
-                                 f"{sym.conj_name!r}")
-            if partner.conj_name != sym.name:
-                raise ValueError(f"conjugate pairing {sym.name!r} <-> "
-                                 f"{sym.conj_name!r} is not involutive")
+            error = self.involution_error(sym)
+            if error is not None:
+                raise ValueError(error)
 
     def __getitem__(self, name: str) -> FunctionSymbol:
         return self._symbols[name]

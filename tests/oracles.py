@@ -9,15 +9,12 @@ Two oracles check a fast path against the slow route it replaced instead:
 the real-frame Hodge star (built on the package's real-coframe expansion,
 which the complexify round-trip tests check, and on none of its star code)
 and the degree-k matrices of d and d* taken one monomial at a time.
-`dense_rref` is the dense `GaussianRational` elimination that the sparse
-Gaussian-integer kernel of `Matrix.rref` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import sympy
 from sympy import I, Matrix, Rational
@@ -25,7 +22,6 @@ from sympy import I, Matrix, Rational
 from akhodge import operators as ops
 from akhodge.exterior import (BasisMonomial, Form, basis_of, complex_to_real,
                               real_to_complex)
-from akhodge.linalg import Matrix as EngineMatrix
 from akhodge.scalars import GaussianRational
 
 
@@ -178,60 +174,3 @@ def full_degree_oracle(spec, op: str, k: int) -> Matrix:
         for m, c in image.terms():
             M[index[m], col] = gr_to_sympy(c.constant_value())
     return M
-
-
-def _row_content(row) -> Fraction:
-    """Positive rational g with row/g having coprime integer parts."""
-    num = 0
-    den = 1
-    for entry in row:
-        for part in (entry.re, entry.im):
-            if part:
-                num = gcd(num, abs(part.numerator))
-                den = den * part.denominator // gcd(den, part.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
-
-
-def dense_rref(M: EngineMatrix) -> tuple[EngineMatrix, tuple[int, ...]]:
-    """(reduced, pivots) by fraction-free elimination on dense rows of
-    GaussianRational: cross-multiplied updates, rational content removed
-    after each, every pivot row divided by its pivot at the end."""
-    work = []
-    for row in M.data:
-        row = list(row)
-        content = _row_content(row)
-        if content != 1:
-            inv = 1 / content
-            row = [a * inv for a in row]
-        work.append(row)
-    pivots = []
-    r = 0
-    for c in range(M.cols):
-        pivot_row = None
-        for k in range(r, M.rows):
-            if work[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for k in range(M.rows):
-            if k == r or not work[k][c]:
-                continue
-            f = work[k][c]
-            work[k] = [piv * a - f * b for a, b in zip(work[k], work[r])]
-            content = _row_content(work[k])
-            if content not in (0, 1):
-                inv = 1 / content
-                work[k] = [a * inv for a in work[k]]
-        pivots.append(c)
-        r += 1
-        if r == M.rows:
-            break
-    for idx, c in enumerate(pivots):
-        inv = work[idx][c].inverse()
-        work[idx] = [a * inv for a in work[idx]]
-    return EngineMatrix(M.rows, M.cols, work), tuple(pivots)

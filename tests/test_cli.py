@@ -230,6 +230,7 @@ def flat_spec_text(dim):
     ("operators", "--op", "Delta_delbar", "--pq", "3,3"),
     ("harmonic", "--op", "del", "--pq", "1,1"),
     ("verify", "--all"),
+    ("decompose", "--form", "phi{1,1}"),
 ])
 def test_matrix_commands_refuse_dim_14(capsys, tmp_path, argv):
     path = tmp_path / "flat14.akspec"
@@ -248,3 +249,81 @@ def test_work_bound_admits_dim_12():
     ops.require_work_bound(model.parse_spec(flat_spec_text(12)))
     with pytest.raises(ops.OperatorError, match="dimension 1225"):
         ops.require_work_bound(model.parse_spec(flat_spec_text(14)))
+
+
+SPEC_HEAD = "manifold t\ndim 4\ncoframe phi1 phi2\n"
+UNITARY_OMEGA = "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n"
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("symbol F conj G\n", 4, "undeclared 'G'"),
+    ("symbol F conj i\n", 4, "undeclared 'i'"),
+    ("symbol F real\nsymbol F real\n", 5, "declared twice"),
+    ("d phi1 = 1/0*phi{2,2}\n", 4, "zero denominator"),
+])
+def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
+                                                   line, message):
+    path = tmp_path / "bad.akspec"
+    path.write_text(SPEC_HEAD + body + UNITARY_OMEGA)
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}") and message in err
+
+
+def test_non_utf8_spec_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.akspec"
+    path.write_bytes((SPEC_HEAD + UNITARY_OMEGA).encode() + b"# caf\xe9\n")
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8")
+
+
+def test_spec_path_that_is_a_directory_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "validate", "--spec", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--form", "phi{1,1}"),
+    ("harmonic", "--op", "delbar", "--pq", "1,1"),
+])
+def test_theorem_mode_errors_name_the_condition(capsys, tmp_path, argv):
+    code, _, err = run(capsys, argv[0], "--entry", "torus6_g", *argv[1:])
+    assert code == 2
+    assert "symbolic coefficients" in err
+    path = tmp_path / "nonunitary.akspec"
+    path.write_text(SPEC_HEAD + "omega = i*phi{1,1} + 1/2*i*phi{2,2}\n")
+    code, _, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert code == 2
+    assert "not in unitary mode" in err
+
+
+def test_decompose_of_a_symbolic_form_exit_2(capsys, tmp_path):
+    path = tmp_path / "symbol.akspec"
+    path.write_text(SPEC_HEAD + "symbol F real d = opaque\n" + UNITARY_OMEGA)
+    code, out, err = run(capsys, "decompose", "--spec", str(path),
+                         "--form", "F*phi{1,1}")
+    assert code == 2
+    assert out == ""
+    assert "symbolic coefficients" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("operators", "--op", "L", "--pq", "0,0"),
+    ("harmonic", "--op", "delbar", "--pq", "1,1"),
+    ("verify", "--all"),
+    ("table", "--op", "delbar"),
+    ("decompose", "--form", "phi{1,1}"),
+])
+def test_commands_refuse_a_spec_that_validate_rejects(capsys, tmp_path, argv):
+    path = tmp_path / "dsquared.akspec"
+    path.write_text(SPEC_HEAD + "d phi1 = phi{2,1}\nd phi2 = phi{1,1}\n"
+                    + UNITARY_OMEGA)
+    assert run(capsys, "validate", "--spec", str(path))[0] == 2
+    code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: d^2(phi1)")

@@ -1,0 +1,164 @@
+"""Property tests of the front door: generated DSL text always ends in a
+result or a SpecError (exit 2 from the CLI), and generated valid specs
+round-trip through render_spec."""
+
+import contextlib
+import io
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from akhodge import catalog
+from akhodge.cli import main
+from akhodge.model import SpecError, parse_form, parse_spec, render_spec
+
+DSL_WORDS = (
+    "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
+    "nonzero", "invertible", "opaque", "i", "*", "+", "-", "/", "^", "^-1",
+    "^2", "^-0", "#", "phi1", "phi2", "phi3", "F", "G", "E", "0", "1", "2",
+    "3", "4", "6", "18", "20", "1/2", "1/0", "-3/4", "phi{1,1}", "phi{12,}",
+    "phi{,2}", "phi{21,1}", "phi{,}", "phi{9,9}", "phi{1,2}", "phi{2,1}",
+    "{", "}", ",", "\t", "é", "φ",
+    # phrases that reach past the first word of a directive
+    "symbol F", "symbol G conj", "symbol E real", "d phi1 =", "d phi2 =",
+    "omega =", "dim 4", "coframe phi1 phi2", "d = opaque", "d =")
+
+_token = st.one_of(st.sampled_from(DSL_WORDS),
+                   st.text(st.characters(blacklist_categories=("Cs",)),
+                           max_size=3))
+_line = st.builds(lambda sep, words: sep.join(words),
+                  st.sampled_from((" ", "", "*")),
+                  st.lists(_token, max_size=8))
+_PREFIXES = (
+    "",
+    "manifold m\ndim 4\ncoframe phi1 phi2\n",
+    "manifold m\ndim 6\ncoframe phi1 phi2 phi3\nsymbol F real d = opaque\n"
+    "symbol G conj E nonzero\nsymbol E conj G d = phi{1,}\n",
+)
+_OMEGAS = ("", "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n",
+           "omega = i*F*phi{1,1}\n")
+spec_texts = st.builds(lambda head, lines, omega: head + "\n".join(lines)
+                       + "\n" + omega,
+                       st.sampled_from(_PREFIXES), st.lists(_line, max_size=6),
+                       st.sampled_from(_OMEGAS))
+
+
+@given(spec_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_spec_ends_in_a_spec_or_a_spec_error(text):
+    try:
+        parse_spec(text)
+    except SpecError:
+        pass
+
+
+@given(_line, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_parse_form_ends_in_a_form_or_a_spec_error(text, n):
+    symbols = catalog.get("torus6_f").spec.symbols
+    try:
+        parse_form(text, n, symbols)
+    except SpecError:
+        pass
+
+
+@given(spec_texts)
+@settings(max_examples=100, deadline=None)
+def test_cli_validate_exits_0_1_or_2_with_a_message(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.akspec"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--spec", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert out.getvalue().startswith("spec ")
+
+
+# -- generated valid specs -----------------------------------------------------
+
+_SYMBOL_NAMES = ("A", "B", "E", "F", "G", "H")
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _term(draw, n, degree, symbols):
+    """One DSL term coefficient*phi{I,J} of total degree `degree`: a nonzero
+    rational, times i or not, times a symbol power or not."""
+    factors = [str(draw(_rationals.filter(bool)))]
+    if draw(st.booleans()):
+        factors.append("i")
+    if symbols and draw(st.booleans()):
+        name = draw(st.sampled_from(symbols))
+        exponent = draw(st.sampled_from((1, 2, -1)))
+        factors.append(name if exponent == 1 else f"{name}^{exponent}")
+    p = draw(st.integers(max(0, degree - n), min(degree, n)))
+    holo = draw(st.sets(st.integers(1, n), min_size=p, max_size=p))
+    anti = draw(st.sets(st.integers(1, n), min_size=degree - p,
+                        max_size=degree - p))
+    monomial = ("phi{" + "".join(map(str, sorted(holo))) + ","
+                + "".join(map(str, sorted(anti))) + "}")
+    return (monomial, "*".join(factors))
+
+
+@st.composite
+def _form(draw, n, degree, symbols):
+    """A sum of terms on distinct monomials as DSL text (never zero)."""
+    terms = dict(draw(st.lists(_term(n, degree, symbols), min_size=1,
+                               max_size=3)))
+    return " + ".join(f"{coeff}*{mono}" for mono, coeff in terms.items())
+
+
+@st.composite
+def valid_spec_texts(draw):
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(_SYMBOL_NAMES), unique=True,
+                          max_size=4))
+    conj = {}
+    while names:
+        name = names.pop()
+        if names and draw(st.booleans()):
+            partner = names.pop()
+            conj[name], conj[partner] = partner, name
+        else:
+            conj[name] = name
+    symbols = sorted(conj)
+    lines = [f"manifold gen{draw(st.integers(0, 99))}", f"dim {2 * n}",
+             "coframe " + " ".join(f"phi{j}" for j in range(1, n + 1))]
+    for name in symbols:
+        attrs = ["real" if conj[name] == name else f"conj {conj[name]}"]
+        attrs += draw(st.lists(st.sampled_from(("nonzero", "invertible")),
+                               unique=True, max_size=2))
+        derivative = draw(st.sampled_from(("", "opaque", "0*phi{1,}",
+                                           "form")))
+        if derivative == "form":
+            derivative = draw(_form(n, 1, symbols))
+        if derivative:
+            attrs.append(f"d = {derivative}")
+        lines.append(f"symbol {name} " + " ".join(attrs))
+    for j in range(1, n + 1):
+        if draw(st.booleans()):
+            lines.append(f"d phi{j} = " + draw(_form(n, 2, symbols)))
+    real = [name for name in symbols if conj[name] == name]
+    if real and draw(st.booleans()):
+        lines.append(f"omega = i*{real[0]}*phi{{1,1}}")
+    else:
+        scale = draw(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                  max_denominator=4).filter(bool))
+        lines.append("omega = " + " + ".join(
+            f"{scale / 2}*i*phi{{{j},{j}}}" for j in range(1, n + 1)))
+    return "\n".join(lines) + "\n"
+
+
+@given(valid_spec_texts())
+@settings(max_examples=150, deadline=None)
+def test_render_spec_round_trips_generated_specs(text):
+    spec = parse_spec(text)
+    rendered = render_spec(spec)
+    assert parse_spec(rendered) == spec
+    assert render_spec(parse_spec(rendered)) == rendered

@@ -249,6 +249,62 @@ def test_L_image_of_h10(entries):
     assert lifted == hodge.line_of(spec, F("phi{13,1} + phi{23,2}", spec))
 
 
+def test_L_power_image_out_of_range_is_zero_at_the_final_bidegree(entries):
+    spec = entries["iwasawa_ak"].spec
+    h10 = hodge.harmonic_space(spec, "delbar", (1, 0))
+    assert hodge.L_power_image(spec, h10, 0) == h10
+    assert hodge.L_power_image(spec, h10, 2).dim == 1
+    beyond = hodge.L_power_image(spec, h10, 3)
+    assert beyond.ambient == (4, 3) and beyond.dim == 0
+    assert beyond == hodge.Subspace.zero(3, (4, 3))
+
+
+def test_primitive_harmonic_is_the_cached_intersection(cc_entries):
+    for entry in cc_entries.values():
+        spec = entry.spec
+        for D in ("delbar", "del", "d"):
+            for pq in all_bidegrees(spec.n):
+                space = hodge.primitive_harmonic(spec, D, pq)
+                assert space == hodge.harmonic_space(spec, D, pq).intersect(
+                    hodge.primitive_subspace(spec, pq))
+                assert hodge.primitive_harmonic(spec, D, pq) is space
+
+
+def test_coordinates_of_matches_sympy():
+    # random subspaces of Lambda^{2,0} at n = 4 (dimension 6); members are
+    # random combinations of the spanning rows, non-members random vectors
+    rng = random.Random(17)
+
+    def vector():
+        return [GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                 rng.randint(-2, 2)) for _ in range(6)]
+
+    members = non_members = 0
+    for _ in range(30):
+        rows = [vector() for _ in range(rng.randint(0, 5))]
+        space = hodge.Subspace((2, 0), 4, Matrix.from_rows(rows, 6))
+        basis = matrix_to_sympy(space.basis)
+        assert basis.rank() == space.dim == \
+            matrix_to_sympy(Matrix.from_rows(rows, 6)).rank()
+        weights = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                   for _ in rows]
+        member = [sum((w * row[j] for w, row in zip(weights, rows)),
+                      GaussianRational(0)) for j in range(6)]
+        for vec in (member, vector()):
+            target = matrix_to_sympy(Matrix.from_rows([vec], 6))
+            inside = basis.col_join(target).rank() == space.dim
+            coords = space.coordinates_of(vec)
+            assert space.member(vec) == inside == (coords is not None)
+            if inside:
+                members += 1
+                combo = matrix_to_sympy(Matrix.from_rows([coords], space.dim))
+                product = combo * basis if space.dim else sympy.zeros(1, 6)
+                assert (product - target).expand().is_zero_matrix
+            else:
+                non_members += 1
+    assert members >= 30 and non_members >= 20
+
+
 def test_ambient_mismatch():
     spec = catalog.get("torus6_flat").spec
     a = hodge.Subspace.full(3, (1, 1))

@@ -6,11 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from akhodge import catalog, hodge, model
-from akhodge import operators as ops
 from akhodge.linalg import Matrix, vec_is_zero
 from akhodge.scalars import GaussianRational, ONE, ZERO
 
-from oracles import dense_rref, matrix_to_sympy
+from oracles import matrix_to_sympy
 
 
 def random_matrix(rng, rows, cols, rank_deficient=False):
@@ -223,26 +222,29 @@ def test_rref_is_a_canonical_form(M, rnd, factor, target):
         assert Matrix(M.rows, M.cols, scaled).rref() == (reduced, pivots)
 
 
-def test_rref_equals_dense_oracle_over_catalog(monkeypatch):
-    """Every elimination of verify_all and of the delbar Hodge table, on
-    fresh specs of all catalog entries, equals the dense reference."""
+def test_rref_equals_sympy_over_catalog(monkeypatch, cc_entries):
+    """Every distinct elimination input of verify_all and of the delbar
+    Hodge table, on fresh specs of the constant-coefficient catalog
+    entries, reduces to sympy's rref (matrix and pivots)."""
     kernel = Matrix.rref
-    calls = 0
+    inputs = {}
 
-    def checked(self):
-        nonlocal calls
-        reduced, pivots = kernel(self)
-        assert (reduced, pivots) == dense_rref(self)
-        calls += 1
-        return reduced, pivots
+    def recorded(self):
+        key = (self.rows, self.cols,
+               tuple(tuple((a.re, a.im) for a in row) for row in self.data))
+        inputs.setdefault(key, self)
+        return kernel(self)
 
-    monkeypatch.setattr(Matrix, "rref", checked)
-    for key in catalog.keys():
+    monkeypatch.setattr(Matrix, "rref", recorded)
+    for key in cc_entries:
         spec = model.parse_spec(catalog.dsl_source(key))
         hodge.verify_all(spec)
-        if spec.constant_coefficient:
-            hodge.hodge_table(spec, "delbar")
-        else:
-            with pytest.raises(ops.NotConstantCoefficientError):
-                hodge.hodge_table(spec, "delbar")
-    assert calls > 2000
+        hodge.hodge_table(spec, "delbar")
+    monkeypatch.undo()
+    assert len(inputs) > 400
+    assert max(M.rows * M.cols for M in inputs.values()) > 3000
+    for M in inputs.values():
+        reduced, pivots = M.rref()
+        sy_rref, sy_pivots = matrix_to_sympy(M).rref()
+        assert pivots == tuple(sy_pivots)
+        assert matrix_to_sympy(reduced) == sy_rref

@@ -232,6 +232,37 @@ def test_iwasawa_L_of_eta(entries):
     assert image == expected and not image.is_zero()
 
 
+def test_lefschetz_power_block_matches_repeated_L(cc_entries):
+    # oracle: wedge each basis monomial with omega r times, one at a time
+    cases = 0
+    for entry in cc_entries.values():
+        spec = entry.spec
+        n = spec.n
+        for p, q in all_bidegrees(n):
+            for r in range(n - max(p, q) + 1):
+                target = basis_of((p + r, q + r), n)
+                index = {m: i for i, m in enumerate(target)}
+                columns = []
+                for mono in basis_of((p, q), n):
+                    image = Form.monomial(mono)
+                    for _ in range(r):
+                        image = ops.lefschetz_L(spec, image)
+                    column = [GaussianRational(0)] * len(target)
+                    for m, c in image.terms():
+                        column[index[m]] = c.constant_value()
+                    columns.append(column)
+                block = ops.lefschetz_power_block(spec, (p, q), r)
+                assert block == Matrix.from_columns(columns, len(target))
+                cases += 1
+    assert cases == 2 * 14 + 2 * 30 + 55  # n = 2, 2, 3, 3, 4
+
+
+def test_lefschetz_power_block_out_of_range_has_no_rows(cc_entries):
+    spec = cc_entries["kt4"].spec
+    assert ops.lefschetz_power_block(spec, (1, 0), 2) == Matrix.zeros(0, 2)
+    assert ops.lefschetz_power_block(spec, (2, 2), 1) == Matrix.zeros(0, 1)
+
+
 def test_lambda_parity_corrected_star_formula(cc_entries):
     # Lambda = (-1)^k * L * on k-forms (equals -*L* exactly on odd degrees)
     for entry in cc_entries.values():
