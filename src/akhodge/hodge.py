@@ -74,8 +74,7 @@ class Subspace:
         self.ambient = ambient
         self.n = n
         reduced, self.pivots = basis.rref()
-        self.basis = Matrix(len(self.pivots), reduced.cols,
-                            reduced.data[:len(self.pivots)])
+        self.basis = reduced.row_slice(0, len(self.pivots))
 
     @classmethod
     def from_forms(cls, n: int, pq: Bidegree, forms: list[Form]) -> "Subspace":
@@ -95,8 +94,8 @@ class Subspace:
         return self.basis.rows
 
     def forms(self) -> list[Form]:
-        return [vector_to_form(row, self.ambient, self.n)
-                for row in self.basis.data]
+        return [vector_to_form(self.basis.row(i), self.ambient, self.n)
+                for i in range(self.dim)]
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.n != other.n:
@@ -109,17 +108,14 @@ class Subspace:
     def coordinates_of(self, element: Form | Vector) -> Vector | None:
         """Coefficients w.r.t. the echelon basis, or None if not a member:
         a member's coefficient on a basis row is its entry at that row's
-        pivot, and a non-member leaves a nonzero residual."""
+        pivot, and a non-member differs from that combination of rows."""
         if isinstance(element, Form):
             element = form_to_vector(element, self.ambient, self.n)
         coords = [element[c] for c in self.pivots]
-        residual = list(element)
-        for c, row in zip(coords, self.basis.data):
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        residual[j] = residual[j] - c * b
-        return coords if vec_is_zero(residual) else None
+        combination = Matrix.from_rows([coords], self.dim) * self.basis
+        if combination != Matrix.from_rows([element], self.basis.cols):
+            return None
+        return coords
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -134,17 +130,16 @@ class Subspace:
         # solve x.U = y.V: kernel of the (cols x (a+b)) matrix [U^T | -V^T]
         stacked = self.basis.transpose().stack_beside(-other.basis.transpose())
         kernel = stacked.nullspace()
-        left = Matrix.from_rows([z[:a] for z in kernel.data], a)
-        return Subspace(self.ambient, self.n, left * self.basis)
+        return Subspace(self.ambient, self.n,
+                        kernel.column_slice(0, a) * self.basis)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.member(row) for row in other.basis.data)
+        return all(self.member(other.basis.row(i)) for i in range(other.dim))
 
     def image_under(self, matrix: Matrix, target: Bidegree) -> "Subspace":
-        rows = [matrix.apply(row) for row in self.basis.data]
-        return Subspace(target, self.n,
-                        Matrix.from_rows(rows, bidegree_dim(target, self.n)))
+        # row i of basis * matrix^T is matrix applied to basis row i
+        return Subspace(target, self.n, self.basis * matrix.transpose())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -326,15 +321,14 @@ def _decomposition_solver(spec, pq: Bidegree):
             for r in r_values]
     # rows: the [L^r / r!] blocks side by side, then the Lambda blocks on
     # the block diagonal
-    width = sum(lift.cols for lift in lifts)
-    rows = [[x for lift in lifts for x in lift.data[i]]
-            for i in range(bidegree_dim(pq, n))]
+    system = functools.reduce(Matrix.stack_beside, lifts)
     offset = 0
     for lam in lams:
-        rows.extend([ZERO] * offset + row + [ZERO] * (width - offset - lam.cols)
-                    for row in lam.data)
+        system = system.stack_below(
+            Matrix.zeros(lam.rows, offset).stack_beside(lam).stack_beside(
+                Matrix.zeros(lam.rows, system.cols - offset - lam.cols)))
         offset += lam.cols
-    solver, residual = Matrix.from_rows(rows, width).solve_map()
+    solver, residual = system.solve_map()
     return solver, residual, r_values
 
 
@@ -590,8 +584,9 @@ def _check_lemma46(spec) -> VerificationReport:
                                          pq, n)
                 space = closed.intersect(P)
                 adj_block = ops.operator_block(spec, adj, pq)
-                for row in space.basis.data:
+                for i in range(space.dim):
                     checked += 1
+                    row = space.basis.row(i)
                     if not vec_is_zero(adj_block.apply(row)):
                         witness = vector_to_form(row, pq, n)
                         return _fails(
@@ -607,7 +602,8 @@ def _check_lemma47(spec) -> VerificationReport:
     n = spec.n
     space = primitive_harmonic(spec, "delbar", (1, 1))
     d_star = ops.operator_block(spec, "d_star", (1, 1))
-    for row in space.basis.data:
+    for i in range(space.dim):
+        row = space.basis.row(i)
         if not vec_is_zero(d_star.apply(row)):
             return _fails(spec, "lemma47", "d* does not vanish",
                           [vector_to_form(row, (1, 1), n).render()])

@@ -13,6 +13,16 @@ is the metric adjoint of L, which on k-forms is (-1)^k * L * (the classical
 -*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
 by [L, Lambda] = (k - n) id).
 
+Matrices: the blocks of d, d^c, *, L and J apply the operator to one basis
+monomial at a time; every other block derives from these.  The four
+components of d are row slices of the cached "d" block.  The pairing is
+diagonal on the monomial basis (`gram_diagonal`, in closed form from the
+star), so each metric adjoint is a scaled conjugate transpose of a cached
+forward block: [D*] = G_src^-1 [D]^H G_tgt for D in {mu, del, delbar, mubar},
+Lambda = G^-1 [L]^H G, and d* is the four component adjoints stacked.  The
+pointwise `apply_adjoint` and `dual_Lambda` (D* = -*(Dbar)*) stay for single
+forms and are the blocks' test oracle.
+
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
 shared by every later caller and must not be mutated.
@@ -27,9 +37,9 @@ from typing import TYPE_CHECKING, Callable
 
 from .exterior import (SCALAR_MONOMIAL, BasisMonomial, Bidegree, Form,
                        basis_of, bidegree_dim, bidegrees_of_degree,
-                       wedge_monomials)
+                       conj_monomial, wedge_monomials)
 from .linalg import Matrix
-from .scalars import GaussianRational, I, ONE, ZERO, SymScalar, i_power
+from .scalars import GaussianRational, I, ONE, SymScalar, i_power
 
 if TYPE_CHECKING:
     from .model import ManifoldSpec
@@ -302,10 +312,16 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
 
 @spec_memo
 def gram_diagonal(spec, pq: Bidegree) -> list[GaussianRational]:
-    """Squared norms of the basis monomials (the pairing is diagonal on the
-    unitary coframe)."""
-    return [inner_product(spec, Form.monomial(m), Form.monomial(m))
-            .constant_value() for m in basis_of(pq, spec.n)]
+    """Squared norms <m, m> of the basis monomials (the pairing is diagonal
+    on the unitary coframe), in closed form: m ^ *conj(m) = <m, m> vol."""
+    vol, _ = _star_monomial(spec, SCALAR_MONOMIAL)
+    norms = []
+    for mono in basis_of(pq, spec.n):
+        sign, conj = conj_monomial(mono)
+        factor, starred = _star_monomial(spec, conj)
+        wedge_sign, _ = wedge_monomials(mono, starred)
+        norms.append(factor * (sign * wedge_sign) / vol)
+    return norms
 
 
 def is_integrable(spec) -> bool:
@@ -317,26 +333,20 @@ def is_integrable(spec) -> bool:
 # ---------------------------------------------------------------------------
 # Matrices
 
-_APPLIERS: dict[str, Callable] = {}
+# Blocks built by applying the operator to each basis monomial; the d
+# components, the adjoints and Lambda derive from these (`operator_block`).
+# The names are looked up at call time, so a wrapper installed on this
+# module later (as the benchmark's tracer does) sees every call.
+_APPLIERS: dict[str, Callable] = {
+    "d": lambda spec, f: ext_d(spec, f),
+    "dc": lambda spec, f: dc(spec, f),
+    "star": lambda spec, f: hodge_star(spec, f),
+    "L": lambda spec, f: lefschetz_L(spec, f),
+    "J": lambda spec, f: j_action(f),
+}
 
-
-def _applier(op: str) -> Callable:
-    if not _APPLIERS:
-        _APPLIERS.update({
-            "d": ext_d,
-            "dc": dc,
-            "star": hodge_star,
-            "L": lefschetz_L,
-            "Lambda": dual_Lambda,
-            "J": lambda spec, f: j_action(f),
-        })
-        for name in COMPONENT_SHIFTS:
-            _APPLIERS[name] = (lambda nm: lambda spec, f:
-                               component(spec, nm, f))(name)
-        for name in STAR_PARTNERS:
-            _APPLIERS[name + "_star"] = (lambda nm: lambda spec, f:
-                                         apply_adjoint(spec, nm, f))(name)
-    return _APPLIERS[op]
+# The metric adjoints and the forward operator each is the adjoint of
+_ADJOINT_OF = {**{D + "_star": D for D in COMPONENT_SHIFTS}, "Lambda": "L"}
 
 
 def _valid(pq: Bidegree, n: int) -> bool:
@@ -350,7 +360,7 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the delbar Hodge table of the H(1,2)-type nilmanifold takes
-# about 13 s (2-vCPU Linux VM, CPython 3.11).  At n = 7 it has 1225.
+# about 3.5 s (2-vCPU Linux VM, CPython 3.11).  At n = 7 it has 1225.
 MAX_BIDEGREE_DIM = 400
 
 
@@ -401,27 +411,69 @@ def _application_matrix(spec, op: str, pq: Bidegree,
     for target in targets:
         for mono in basis_of(target, n):
             offsets[mono] = len(offsets)
-    fn = _applier(op)
-    columns = []
-    for mono in basis_of(pq, n):
-        column = [ZERO] * len(offsets)
+    fn = _APPLIERS[op]
+    rows: list[dict[int, GaussianRational]] = [{} for _ in offsets]
+    source = basis_of(pq, n)
+    for col, mono in enumerate(source):
         for image, coeff in fn(spec, Form.monomial(mono)).terms():
             idx = offsets.get(image)
             if idx is None:
                 raise ValueError(f"monomial {image} of bidegree "
                                  f"{image.bidegree} falls outside target "
                                  f"blocks {targets}")
-            column[idx] = coeff.constant_value()
-        columns.append(column)
-    return Matrix.from_columns(columns, len(offsets))
+            rows[idx][col] = coeff.constant_value()
+    return Matrix.from_dicts(rows, len(source))
+
+
+def _component_block(spec, op: str, pq: Bidegree) -> Matrix:
+    """The rows of the "d" block of pq that lie in op's target bidegree."""
+    n = spec.n
+    s, t = COMPONENT_SHIFTS[op]
+    want = (pq[0] + s, pq[1] + t)
+    d_block = operator_block(spec, "d", pq)
+    start = 0
+    for target in op_targets("d", pq, n):
+        stop = start + bidegree_dim(target, n)
+        if target == want:
+            return d_block.row_slice(start, stop)
+        start = stop
+    return Matrix.zeros(0, d_block.cols)
+
+
+def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
+    """The metric adjoint A* of A = _ADJOINT_OF[op] on Lambda^{p,q}.  The
+    pairing is diagonal on the monomial bases, so with G the Gram diagonal,
+    [A*] = G_src^-1 [A]^H G_tgt, where A runs from src into (p,q)."""
+    require_unitary(spec)
+    n = spec.n
+    sources = op_targets(op, pq, n)
+    if not sources:
+        return Matrix.zeros(0, bidegree_dim(pq, n))
+    (src,) = sources
+    forward = operator_block(spec, _ADJOINT_OF[op], src)
+    src_inverse = Matrix.diagonal([g.inverse()
+                                   for g in gram_diagonal(spec, src)])
+    return src_inverse * forward.conj_transpose() * \
+        Matrix.diagonal(gram_diagonal(spec, pq))
 
 
 @spec_memo
 def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
     """Matrix of a non-Laplacian operator from Lambda^{p,q} into the
-    concatenation of its valid target bidegrees (cached)."""
+    concatenation of its valid target bidegrees (cached).  A component of d
+    is a row slice of the "d" block, an adjoint or Lambda the scaled
+    conjugate transpose of its forward block (`_adjoint_block`), and d* the
+    four component adjoints stacked."""
     require_bidegree(spec, pq)
     require_constant_coefficient(spec)
+    if op in COMPONENT_SHIFTS:
+        return _component_block(spec, op, pq)
+    if op in _ADJOINT_OF:
+        return _adjoint_block(spec, op, pq)
+    if op == "d_star":
+        # the targets pq - shift ascend in COMPONENT_SHIFTS order
+        return functools.reduce(Matrix.stack_below, [
+            operator_block(spec, D + "_star", pq) for D in COMPONENT_SHIFTS])
     return _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
 
 
@@ -464,18 +516,24 @@ def full_degree_matrix(spec, op: str, k: int) -> Matrix:
     assembled from the cached bidegree blocks."""
     require_constant_coefficient(spec)
     n = spec.n
-    # a block's rows run over its valid targets in ascending order, a
-    # subsequence of the degree-(k +- 1) bidegrees; absent targets are zero
-    blocks = [(operator_block(spec, op, pq), op_targets(op, pq, n))
-              for pq in bidegrees_of_degree(k, n)]
-    block_rows = [iter(block.data) for block, _ in blocks]
-    data = []
-    for target in bidegrees_of_degree(k + (1 if op == "d" else -1), n):
-        for _ in range(bidegree_dim(target, n)):
-            data.append([x for (block, hit), rows in zip(blocks, block_rows)
-                         for x in (next(rows) if target in hit
-                                   else [ZERO] * block.cols)])
-    return Matrix(len(data), sum(block.cols for block, _ in blocks), data)
+    targets = bidegrees_of_degree(k + (1 if op == "d" else -1), n)
+    full = Matrix.zeros(sum(bidegree_dim(t, n) for t in targets), 0)
+    for pq in bidegrees_of_degree(k, n):
+        # a block's rows run over its valid targets in ascending order, a
+        # subsequence of `targets`; absent targets are zero
+        block = operator_block(spec, op, pq)
+        hit = op_targets(op, pq, n)
+        column = Matrix.zeros(0, block.cols)
+        start = 0
+        for target in targets:
+            dim = bidegree_dim(target, n)
+            if target in hit:
+                column = column.stack_below(block.row_slice(start, start + dim))
+                start += dim
+            else:
+                column = column.stack_below(Matrix.zeros(dim, block.cols))
+        full = full.stack_beside(column)
+    return full
 
 
 @spec_memo
@@ -509,9 +567,7 @@ def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
         if block == pq:
             break
         offset += bidegree_dim(block, n)
-    width = bidegree_dim(pq, n)
-    rows = [row[offset:offset + width] for row in full.data]
-    return Matrix.from_rows(rows, width)
+    return full.column_slice(offset, offset + bidegree_dim(pq, n))
 
 
 @dataclass

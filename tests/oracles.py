@@ -128,8 +128,7 @@ def brute_component_matrix(spec, op: str, p: int, q: int) -> Matrix:
 
 def matrix_to_sympy(M) -> Matrix:
     return Matrix(M.rows, M.cols,
-                  [gr_to_sympy(M.data[i][j]) for i in range(M.rows)
-                   for j in range(M.cols)])
+                  [gr_to_sympy(a) for row in M.data for a in row])
 
 
 def same_row_space(A: Matrix, B: Matrix) -> bool:

@@ -327,3 +327,17 @@ def test_commands_refuse_a_spec_that_validate_rejects(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: d^2(phi1)")
+
+
+def test_adjoint_operators_on_a_non_unitary_spec_exit_2(capsys, tmp_path):
+    path = tmp_path / "skewed.akspec"
+    path.write_text("manifold flat_skewed\n"
+                    "dim 4\n"
+                    "coframe phi1 phi2\n"
+                    "omega = 1/2*i*phi{1,1} + i*phi{2,2}\n", encoding="utf-8")
+    for op in ("del_star", "Lambda", "Delta_delbar"):
+        code, out, err = run(capsys, "operators", "--spec", str(path),
+                             "--op", op, "--pq", "1,1")
+        assert code == 2 and out == ""
+        assert err == ("error: spec 'flat_skewed' is not in unitary mode "
+                       "(omega != (i c/2) sum phi^{j jbar})\n")

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy
@@ -454,3 +456,22 @@ def test_out_of_range_bidegree_raises(cc_entries, call, pq):
     spec = cc_entries["kt4"].spec
     with pytest.raises(ValueError, match=r"outside 0\.\.2"):
         call(spec, pq)
+
+
+# -- the benchmark's H(1,2)-type ladder ------------------------------------------
+
+RECORDED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "expected.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ladder_delbar_tables_match_recorded(ladder, n):
+    assert hodge.hodge_table(ladder(n), "delbar") == \
+        RECORDED["ladder_table"][str(n)]
+
+
+def test_ladder_n4_verify_all_has_no_fails(ladder):
+    statuses = {r.check_id: r.status for r in hodge.verify_all(ladder(4))}
+    assert "Fails" not in statuses.values()
+    assert statuses["prop41"] == "Inapplicable"  # needs n = 2
+    assert list(statuses.values()).count("Holds") == len(statuses) - 1

@@ -9,18 +9,17 @@ from akhodge import catalog, hodge, model
 from akhodge.linalg import Matrix, vec_is_zero
 from akhodge.scalars import GaussianRational, ONE, ZERO
 
-from oracles import matrix_to_sympy
+from oracles import gr_to_sympy, matrix_to_sympy
 
 
 def random_matrix(rng, rows, cols, rank_deficient=False):
     data = [[GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                               Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
              for _ in range(cols)] for _ in range(rows)]
-    M = Matrix(rows, cols, data)
     if rank_deficient and rows >= 2:
         # duplicate a row combination to force nontrivial kernels
-        M.data[rows - 1] = [a + b for a, b in zip(M.data[0], M.data[1 % rows])]
-    return M
+        data[rows - 1] = [a + b for a, b in zip(data[0], data[1 % rows])]
+    return Matrix(rows, cols, data)
 
 
 def test_rref_matches_sympy_on_random_matrices():
@@ -248,3 +247,127 @@ def test_rref_equals_sympy_over_catalog(monkeypatch, cc_entries):
         sy_rref, sy_pivots = matrix_to_sympy(M).rref()
         assert pivots == tuple(sy_pivots)
         assert matrix_to_sympy(reduced) == sy_rref
+
+
+# -- sparse storage against sympy ----------------------------------------------
+
+def sparse_rows(rng, rows, cols, density=0.3):
+    """Dense rows of a random sparse matrix with mixed denominators."""
+    def entry():
+        if rng.random() >= density:
+            return ZERO
+        return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 12)),
+                                Fraction(rng.randint(-6, 6), rng.randint(1, 12)))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def expanded(S):
+    return S.applyfunc(sympy.expand)
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7)]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_sparse_arithmetic_matches_sympy(density):
+    rng = random.Random(int(density * 10) + 41)
+    for rows, cols in SHAPES:
+        for inner in (0, 1, 3):
+            a_rows = sparse_rows(rng, rows, cols, density)
+            A = Matrix.from_rows(a_rows, cols)
+            B = Matrix.from_rows(sparse_rows(rng, rows, cols, density), cols)
+            C = Matrix.from_rows(sparse_rows(rng, cols, inner, density), inner)
+            SA, SB, SC = (matrix_to_sympy(M) for M in (A, B, C))
+            assert A.data == a_rows and len(A.data) == rows
+            assert A.data[1:3] == a_rows[1:3]
+            assert Matrix.from_rows(list(A.data), cols) == A
+            assert matrix_to_sympy(A * C) == expanded(SA * SC)
+            assert matrix_to_sympy(A + B) == expanded(SA + SB)
+            assert matrix_to_sympy(A - B) == expanded(SA - SB)
+            assert matrix_to_sympy(-A) == -SA
+            assert (A == B) == (SA == SB)
+            assert A - A == Matrix.zeros(rows, cols) and (A - A).is_zero()
+            assert (A + B).is_zero() == (expanded(SA + SB) == sympy.zeros(rows, cols))
+            assert matrix_to_sympy(A.conj_transpose()) == SA.H
+            assert matrix_to_sympy(A.transpose()) == SA.T
+            assert matrix_to_sympy(A.stack_below(B)) == SA.col_join(SB)
+            D = Matrix.from_rows(sparse_rows(rng, rows, inner, density), inner)
+            assert matrix_to_sympy(A.stack_beside(D)) == \
+                SA.row_join(matrix_to_sympy(D))
+            factor = GaussianRational(Fraction(rng.randint(-3, 3), 7),
+                                      Fraction(rng.randint(-3, 3), 5))
+            assert matrix_to_sympy(A.scale(factor)) == \
+                expanded(SA * gr_to_sympy(factor))
+            assert A.scale(Fraction(0)) == Matrix.zeros(rows, cols)
+            x = sparse_rows(rng, 1, cols, 0.7)[0]
+            Sx = sympy.Matrix(cols, 1, [gr_to_sympy(a) for a in x])
+            assert sympy.Matrix(rows, 1, [gr_to_sympy(a) for a in A.apply(x)]) \
+                == expanded(SA * Sx)
+            if rows >= 2 and cols >= 2:
+                assert matrix_to_sympy(A.row_slice(1, rows)) == SA[1:, :]
+                assert matrix_to_sympy(A.column_slice(1, cols)) == SA[:, 1:]
+
+
+def test_all_zero_and_diagonal_matrices():
+    g = GaussianRational
+    Z = Matrix.zeros(3, 4)
+    assert Z.is_zero() and Z.data == [[ZERO] * 4] * 3
+    assert Z.transpose() == Matrix.zeros(4, 3)
+    assert Z * Matrix.identity(4) == Z
+    diag = Matrix.diagonal([g(1, 2), ZERO, g(Fraction(-1, 3))])
+    assert diag.data == [[g(1, 2), ZERO, ZERO], [ZERO, ZERO, ZERO],
+                         [ZERO, ZERO, g(Fraction(-1, 3))]]
+    assert Matrix.identity(3).data == \
+        [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+
+
+def test_dense_view_is_read_only():
+    g = GaussianRational
+    M = Matrix.from_rows([[g(1), g(0, 2)], [ZERO, g(Fraction(1, 3))]])
+    with pytest.raises(TypeError):
+        M.data[0] = [ZERO, ZERO]
+    row = M.data[0]
+    row[0] = g(5)
+    assert M.data[0] == [g(1), g(0, 2)]
+    assert M.row(1) == [ZERO, g(Fraction(1, 3))]
+
+
+def test_constructors_reject_rows_longer_than_cols():
+    g = GaussianRational
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[g(1), g(2), g(3)]], 2)
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[g(1), g(2)], [g(1), g(2), g(3)]])
+    with pytest.raises(ValueError):
+        Matrix(1, 2, [[g(1), g(2), g(3)]])
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [[g(1), g(2)]])
+    with pytest.raises(ValueError):
+        Matrix.from_columns([[g(1), g(2), g(3)]], 2)
+    with pytest.raises(ValueError):
+        Matrix.from_dicts([{2: g(1)}], 2)
+
+
+@st.composite
+def chains(draw):
+    """Three matrices with shapes a x b, b x c, c x d."""
+    a, b, c, d = (draw(st.integers(0, 4)) for _ in range(4))
+
+    def matrix(rows, cols):
+        return Matrix.from_rows([[draw(_entries) for _ in range(cols)]
+                                 for _ in range(rows)], cols)
+    return matrix(a, b), matrix(b, c), matrix(c, d)
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_dense_view_round_trips(M):
+    assert Matrix.from_rows(list(M.data), M.cols) == M
+    assert Matrix(M.rows, M.cols, M.data[:]) == M
+
+
+@given(chains())
+@settings(max_examples=150, deadline=None)
+def test_products_are_associative(chain):
+    A, B, C = chain
+    assert (A * B) * C == A * (B * C)

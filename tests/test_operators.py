@@ -412,6 +412,93 @@ def test_adjoint_vs_gram_conjugate_transpose(cc_entries):
                 assert lhs == expect
 
 
+# -- derived blocks against per-monomial oracles ---------------------------------
+
+def _per_monomial_block(spec, fn, op: str, pq) -> Matrix:
+    """Columns: fn applied to each basis monomial of pq, in the coordinates
+    of op's concatenated targets."""
+    n = spec.n
+    target = [m for t in ops.op_targets(op, pq, n) for m in basis_of(t, n)]
+    index = {m: i for i, m in enumerate(target)}
+    columns = []
+    for mono in basis_of(pq, n):
+        column = [GaussianRational(0)] * len(target)
+        for m, c in fn(Form.monomial(mono)).terms():
+            column[index[m]] = c.constant_value()
+        columns.append(column)
+    return Matrix.from_columns(columns, len(target))
+
+
+@pytest.fixture(scope="module")
+def block_specs(cc_entries, ladder):
+    """Fresh specs of the constant-coefficient entries and the n = 3, 4
+    ladder."""
+    specs = [parse_spec(catalog.dsl_source(key)) for key in cc_entries]
+    return specs + [ladder(3), ladder(4)]
+
+
+def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
+    cases = 0
+    for spec in block_specs:
+        for pq in all_bidegrees(spec.n):
+            for D in ("mu", "del", "delbar", "mubar", "d"):
+                oracle = _per_monomial_block(
+                    spec, lambda f: ops.apply_adjoint(spec, D, f),
+                    D + "_star", pq)
+                assert ops.operator_block(spec, D + "_star", pq) == oracle, \
+                    (spec.name, D, pq)
+            oracle = _per_monomial_block(
+                spec, lambda f: ops.dual_Lambda(spec, f), "Lambda", pq)
+            assert ops.operator_block(spec, "Lambda", pq) == oracle, \
+                (spec.name, pq)
+            cases += 1
+    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4
+    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25
+
+
+def test_component_blocks_match_per_monomial_component(block_specs):
+    for spec in block_specs:
+        for pq in all_bidegrees(spec.n):
+            for op in ops.COMPONENT_SHIFTS:
+                oracle = _per_monomial_block(
+                    spec, lambda f: ops.component(spec, op, f), op, pq)
+                assert ops.operator_block(spec, op, pq) == oracle, \
+                    (spec.name, op, pq)
+
+
+def test_gram_diagonal_matches_inner_product(cc_entries, ladder_dsl):
+    half = parse_spec(ladder_dsl(3).replace("1/2*i*", "1/4*i*"))
+    assert half.unitary_scale == Fraction(1, 2)
+    specs = [parse_spec(catalog.dsl_source(key)) for key in cc_entries]
+    scales = set()
+    for spec in specs + [half]:
+        scales.add(spec.unitary_scale)
+        for pq in all_bidegrees(spec.n):
+            norms = [ops.inner_product(spec, Form.monomial(m),
+                                       Form.monomial(m)).constant_value()
+                     for m in basis_of(pq, spec.n)]
+            assert ops.gram_diagonal(spec, pq) == norms, (spec.name, pq)
+    assert {1, Fraction(1, 2)} <= scales
+
+
+NON_UNITARY = ("manifold flat_skewed\n"
+               "dim 4\n"
+               "coframe phi1 phi2\n"
+               "omega = 1/2*i*phi{1,1} + i*phi{2,2}\n")
+
+
+def test_adjoint_blocks_refuse_a_non_unitary_spec():
+    spec = parse_spec(NON_UNITARY)
+    assert spec.constant_coefficient and spec.unitary_scale is None
+    for op in ("del_star", "Lambda", "d_star", "mu_star"):
+        for pq in ((0, 0), (1, 1), (2, 2)):
+            with pytest.raises(ops.NotUnitaryModeError,
+                               match="is not in unitary mode"):
+                ops.operator_block(spec, op, pq)
+    # the forward blocks need no metric
+    assert ops.operator_block(spec, "del", (1, 1)).is_zero()
+
+
 def test_inner_product_values(cc_entries):
     flat = cc_entries["torus6_flat"].spec
     f12 = F("phi{1,2}", flat)
