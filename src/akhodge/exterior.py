@@ -65,6 +65,11 @@ class BasisMonomial(tuple):
             raise ValueError(f"antiholomorphic indices not ascending: {anti}")
         return tuple.__new__(cls, (holo, anti))
 
+    @classmethod
+    def ordered(cls, holo: IndexTuple, anti: IndexTuple) -> "BasisMonomial":
+        """From index tuples known to be strictly ascending, unchecked."""
+        return tuple.__new__(cls, (holo, anti))
+
     @property
     def holo(self) -> IndexTuple:
         return self[0]
@@ -104,14 +109,14 @@ def wedge_monomials(a: BasisMonomial, b: BasisMonomial
     sign_a, anti = ma
     # b's holomorphic block crosses a's antiholomorphic block
     sign = sign_h * sign_a * (-1 if (len(a.anti) * len(b.holo)) % 2 else 1)
-    return sign, BasisMonomial(holo, anti)
+    return sign, BasisMonomial.ordered(holo, anti)
 
 
 def conj_monomial(m: BasisMonomial) -> tuple[int, BasisMonomial]:
     """Conjugate of a monomial: (I,J) -> (-1)^{pq} (J,I)."""
     p, q = m.bidegree
     sign = -1 if (p * q) % 2 else 1
-    return sign, BasisMonomial(m.anti, m.holo)
+    return sign, BasisMonomial.ordered(m.anti, m.holo)
 
 
 class Form:
@@ -286,7 +291,7 @@ def basis_of(pq: Bidegree, n: int) -> list[BasisMonomial]:
     p, q = pq
     if not (0 <= p <= n and 0 <= q <= n):
         return []
-    return [BasisMonomial(holo, anti)
+    return [BasisMonomial.ordered(holo, anti)
             for holo in combinations(range(1, n + 1), p)
             for anti in combinations(range(1, n + 1), q)]
 

@@ -2,26 +2,43 @@
 Hodge star, L and its dual, the J-action, formal adjoints, Laplacians, the
 Hermitian pairing, and exact matrices of all of these between bidegree bases.
 
-Sign conventions all derive from the monomial order fixed in `exterior`.  The
-unitary metric is a product over the n complex lines, so the star of a
-monomial is the product of per-line stars at scale 1 (1 -> (i/2) phi phibar,
-phi -> -i phi, phibar -> i phibar, phi phibar -> -2i), signed by the rule
-*(a ^ b) = (-1)^{deg b (2 - deg a)} *a ^ *b and by the reorderings between
-canonical and line order, times c^{n-k} on k-forms: entries stay in Q(i) and
-no square root of the scale ever materializes.  The dual Lefschetz operator
-is the metric adjoint of L, which on k-forms is (-1)^k * L * (the classical
--*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
-by [L, Lambda] = (k - n) id).
+Sign conventions all derive from the monomial order fixed in `exterior`.
 
-Matrices: the blocks of d, d^c, *, L and J apply the operator to one basis
-monomial at a time; every other block derives from these.  The four
-components of d are row slices of the cached "d" block.  The pairing is
-diagonal on the monomial basis (`gram_diagonal`, in closed form from the
-star), so each metric adjoint is a scaled conjugate transpose of a cached
-forward block: [D*] = G_src^-1 [D]^H G_tgt for D in {mu, del, delbar, mubar},
-Lambda = G^-1 [L]^H G, and d* is the four component adjoints stacked.  The
-pointwise `apply_adjoint` and `dual_Lambda` (D* = -*(Dbar)*) stay for single
-forms and are the blocks' test oracle.
+Closed forms on one basis monomial m = a_0 ^ ... ^ a_{k-1}:
+
+- d(m) = sum_i (-1)^i d(a_i) ^ (m without a_i), and L(m) = omega ^ m.  Each
+  d(a_i) and omega is a 2-form, so both are 2-form terms wedged onto a
+  monomial, one `wedge_monomials` call per term of the memoized term lists
+  of d(phi^j), d(phibar^j) and omega.  Coefficients are Q(i) values on a
+  constant-coefficient spec and symbolic otherwise; `ext_d` serves single
+  symbolic forms through the same per-monomial terms.
+- The unitary metric is a product over the n complex lines, so the star
+  follows the complement rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k}
+  phi^{~J} phibar^{~I} (~ the complement in 1..n): each line contributes
+  its scale-1 star (1 -> (i/2) phi phibar, phi -> -i phi, phibar -> i
+  phibar, phi phibar -> -2i), and the sign is an integer parity, from the
+  reorderings between canonical and line order on both sides and from
+  *(x ^ y) = (-1)^{deg y (2 - deg x)} *x ^ *y.  Entries stay in Q(i) and no
+  square root of the scale ever materializes.
+- The pairing is diagonal on the monomial basis, and it is a scalar on each
+  degree: with omega = (i c/2) sum phi^{j jbar}, |phi^j|^2 = 2/c, and the
+  pairing is the product one, so <m, m> = (2/c)^k on every k-form monomial
+  (`gram_diagonal`).
+
+Matrices: the blocks of d, L and * are written straight from these closed
+forms into sparse rows.  Every other block derives from them: the four
+components of d are row slices of the cached "d" block, d^c =
+i (delbar - del + mu - mubar) is that block with each target's rows scaled
+by +-i, and J is i^{p-q} times the identity.  Since the Gram matrix is a
+scalar per degree, each metric adjoint is a scaled conjugate transpose of a
+cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H for A from src
+to tgt, for A in {mu, del, delbar, mubar} and for Lambda, the adjoint of L;
+d* is the four component adjoints stacked.  The dual Lefschetz operator on
+single forms is (-1)^k * L * on k-forms (the classical -*L* formula holds
+verbatim on odd degrees only; the adjoint sign is forced by
+[L, Lambda] = (k - n) id).  The pointwise `apply_adjoint`, `dual_Lambda`,
+`component`, `dc`, `lefschetz_L` and `j_action` stay for single forms and
+are the blocks' test oracles.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
@@ -35,11 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .exterior import (SCALAR_MONOMIAL, BasisMonomial, Bidegree, Form,
-                       basis_of, bidegree_dim, bidegrees_of_degree,
-                       conj_monomial, wedge_monomials)
+from .exterior import (BasisMonomial, Bidegree, Form, basis_of,
+                       bidegree_dim, bidegrees_of_degree, wedge_monomials)
 from .linalg import Matrix
-from .scalars import GaussianRational, I, ONE, SymScalar, i_power
+from .scalars import GaussianRational, I, SymScalar, i_power
 
 if TYPE_CHECKING:
     from .model import ManifoldSpec
@@ -95,34 +111,61 @@ OPERATOR_IDS = ("d", "mu", "del", "delbar", "mubar", "dc", "star", "L",
 # ---------------------------------------------------------------------------
 # The exterior derivative and its components
 
-def _d_generator(spec, j: int) -> Form:
-    return spec.d_generator(j)
+def _terms(spec, form: Form) -> tuple:
+    """The (monomial, coefficient) terms of form, with Q(i) coefficients on
+    a constant-coefficient spec and SymScalar ones otherwise."""
+    if spec.constant_coefficient:
+        return tuple((m, c.constant_value()) for m, c in form.terms())
+    return tuple(form.terms())
 
 
 @spec_memo
-def _d_generator_conj(spec, j: int) -> Form:
-    return spec.d_generator(j).conj(spec.symbols)
+def _generator_terms(spec, j: int, holo: bool) -> tuple:
+    """Terms of d(phi^j) when holo, else of d(phibar^j)."""
+    df = spec.d_generator(j)
+    return _terms(spec, df if holo else df.conj(spec.symbols))
+
+
+@spec_memo
+def _omega_terms(spec) -> tuple:
+    return _terms(spec, spec.omega)
+
+
+def _wedge_onto(terms, mono: BasisMonomial, negate: bool, out: dict) -> dict:
+    """out += (-1)^negate (sum of c t over terms) ^ mono, one target
+    monomial per term; cancelled entries stay as zeros."""
+    for t, c in terms:
+        hit = wedge_monomials(t, mono)
+        if hit is None:
+            continue
+        sign, target = hit
+        if (sign < 0) != negate:
+            c = -c
+        cur = out.get(target)
+        out[target] = c if cur is None else cur + c
+    return out
+
+
+def _d_terms(spec, mono: BasisMonomial) -> dict:
+    """d(a_0 ^ ... ^ a_{k-1}) = sum_i (-1)^i d(a_i) ^ (mono without a_i):
+    each d(a_i) is a 2-form, so moving it to the front costs no sign."""
+    holo, anti = mono
+    p = len(holo)
+    out: dict = {}
+    for i, j in enumerate(holo):
+        _wedge_onto(_generator_terms(spec, j, True),
+                    BasisMonomial.ordered(holo[:i] + holo[i + 1:], anti),
+                    i % 2 == 1, out)
+    for i, j in enumerate(anti):
+        _wedge_onto(_generator_terms(spec, j, False),
+                    BasisMonomial.ordered(holo, anti[:i] + anti[i + 1:]),
+                    (p + i) % 2 == 1, out)
+    return out
 
 
 @spec_memo
 def _d_monomial(spec, mono: BasisMonomial) -> Form:
-    factors = [(True, j) for j in mono.holo] + [(False, j) for j in mono.anti]
-    total = Form.zero()
-    for i, (is_holo, j) in enumerate(factors):
-        df = _d_generator(spec, j) if is_holo else _d_generator_conj(spec, j)
-        if df.is_zero():
-            continue
-        prefix = factors[:i]
-        suffix = factors[i + 1:]
-        pre = Form.monomial(BasisMonomial(
-            tuple(g for h, g in prefix if h),
-            tuple(g for h, g in prefix if not h)))
-        suf = Form.monomial(BasisMonomial(
-            tuple(g for h, g in suffix if h),
-            tuple(g for h, g in suffix if not h)))
-        term = pre.wedge(df).wedge(suf)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    return Form(_d_terms(spec, mono))
 
 
 def _laurent_power_rule(mono, coeff: GaussianRational) -> list:
@@ -206,46 +249,57 @@ def require_constant_coefficient(spec) -> None:
 
 
 # The C-linear star of one complex line at scale 1, keyed by which of
-# phi^j, phibar^j the factor holds: (coefficient, factors of the image).
+# phi^j, phibar^j the factor holds: the exponents (a, b) of i^a 2^b in
+# 1 -> (i/2) phi phibar, phi -> -i phi, phibar -> i phibar, phi phibar -> -2i.
 # On the real frame phi^j = e^a + i e^b this is *1 = e^{ab}, *e^a = e^b,
 # *e^b = -e^a, *e^{ab} = 1.
 _LINE_STAR = {
-    (False, False): (I / 2, (True, True)),
-    (True, False): (-I, (True, False)),
-    (False, True): (I, (False, True)),
-    (True, True): (-2 * I, (False, False)),
+    (False, False): (1, -1),
+    (True, False): (3, 0),
+    (False, True): (1, 0),
+    (True, True): (3, 1),
 }
-
-
-def _line_factor(j: int, holo: bool, anti: bool) -> BasisMonomial:
-    return BasisMonomial((j,) if holo else (), (j,) if anti else ())
 
 
 @spec_memo
 def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
                                                        BasisMonomial]:
-    """(factor, target) with *mono = factor * target: mono = +-a_1 ^ ... ^ a_n
-    with a_j on line j, each a_j starred by _LINE_STAR."""
+    """(factor, target) with *mono = factor * target, by the complement
+    rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k} phi^{~J} phibar^{~I}, where
+    ~ is the complement in 1..n and a, b sum _LINE_STAR over the lines.
+    The sign is the parity of mono = +-a_1 ^ ... ^ a_n (a_j on line j) and
+    of *a_1 ^ ... ^ *a_n against canonical order, times the product rule
+    *(a_j ^ rest) = (-1)^{deg rest (2 - deg a_j)} *a_j ^ *rest."""
     n = spec.n
     scale = require_unitary(spec)
-    sign = 1
-    value = ONE
-    ordered = starred = SCALAR_MONOMIAL
-    after = mono.degree
+    holo, anti = mono
+    a = b = parity = 0
+    anti_before = holo_missing_before = degree_before = 0
     for j in range(1, n + 1):
-        line = (j in mono.holo, j in mono.anti)
-        deg = line[0] + line[1]
-        after -= deg
-        coeff, image = _LINE_STAR[line]
-        s, ordered = wedge_monomials(ordered, _line_factor(j, *line))
-        t, starred = wedge_monomials(starred, _line_factor(j, *image))
-        # s, t: reorderings into and out of line order; then the product
-        # sign *(a_j ^ rest) = (-1)^{deg rest (2 - deg a_j)} *a_j ^ *rest
-        sign *= s * t * (-1 if (after * deg) % 2 else 1)
-        value = value * coeff
-    factor = (value if sign == 1 else -value) * \
-        Fraction(scale) ** (n - mono.degree)
-    return factor, starred
+        h, t = j in holo, j in anti
+        da, db = _LINE_STAR[h, t]
+        a += da
+        b += db
+        # phibar^l (l < j) stands before phi^j in line order, on both sides
+        if h:
+            parity += anti_before
+        if not t:
+            parity += holo_missing_before
+        degree = h + t
+        parity += degree * degree_before
+        anti_before += t
+        holo_missing_before += not h
+        degree_before += degree
+    # i^e times a positive rational, with e = a + 2 parity
+    size = Fraction(2) ** b * Fraction(scale) ** (n - mono.degree)
+    e = (a + 2 * parity) % 4
+    if e >= 2:
+        size = -size
+    factor = GaussianRational(0, size) if e % 2 else GaussianRational(size)
+    target = BasisMonomial.ordered(
+        tuple(j for j in range(1, n + 1) if j not in anti),
+        tuple(j for j in range(1, n + 1) if j not in holo))
+    return factor, target
 
 
 def hodge_star(spec, form: Form) -> Form:
@@ -310,18 +364,17 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
     return wedge.coeff(top) * vol_coeff.inverse()
 
 
-@spec_memo
+def _norm(spec, k: int) -> Fraction:
+    """<m, m> of every monomial m of degree k: (2/c)^k, since
+    |phi^j|^2 = 2/c for omega = (i c/2) sum phi^{j jbar}."""
+    return (2 / Fraction(require_unitary(spec))) ** k
+
+
 def gram_diagonal(spec, pq: Bidegree) -> list[GaussianRational]:
-    """Squared norms <m, m> of the basis monomials (the pairing is diagonal
-    on the unitary coframe), in closed form: m ^ *conj(m) = <m, m> vol."""
-    vol, _ = _star_monomial(spec, SCALAR_MONOMIAL)
-    norms = []
-    for mono in basis_of(pq, spec.n):
-        sign, conj = conj_monomial(mono)
-        factor, starred = _star_monomial(spec, conj)
-        wedge_sign, _ = wedge_monomials(mono, starred)
-        norms.append(factor * (sign * wedge_sign) / vol)
-    return norms
+    """Squared norms <m, m> of the basis monomials of pq; the pairing is
+    diagonal on the unitary coframe and the same on every monomial."""
+    norm = GaussianRational(_norm(spec, pq[0] + pq[1]))
+    return [norm] * bidegree_dim(pq, spec.n)
 
 
 def is_integrable(spec) -> bool:
@@ -332,18 +385,6 @@ def is_integrable(spec) -> bool:
 
 # ---------------------------------------------------------------------------
 # Matrices
-
-# Blocks built by applying the operator to each basis monomial; the d
-# components, the adjoints and Lambda derive from these (`operator_block`).
-# The names are looked up at call time, so a wrapper installed on this
-# module later (as the benchmark's tracer does) sees every call.
-_APPLIERS: dict[str, Callable] = {
-    "d": lambda spec, f: ext_d(spec, f),
-    "dc": lambda spec, f: dc(spec, f),
-    "star": lambda spec, f: hodge_star(spec, f),
-    "L": lambda spec, f: lefschetz_L(spec, f),
-    "J": lambda spec, f: j_action(f),
-}
 
 # The metric adjoints and the forward operator each is the adjoint of
 _ADJOINT_OF = {**{D + "_star": D for D in COMPONENT_SHIFTS}, "Lambda": "L"}
@@ -360,7 +401,7 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the delbar Hodge table of the H(1,2)-type nilmanifold takes
-# about 3.5 s (2-vCPU Linux VM, CPython 3.11).  At n = 7 it has 1225.
+# about 0.4 s (2-vCPU Linux VM, CPython 3.11.7).  At n = 7 it has 1225.
 MAX_BIDEGREE_DIM = 400
 
 
@@ -402,48 +443,73 @@ def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
     return sorted(pq for pq in cands if _valid(pq, n))
 
 
-def _application_matrix(spec, op: str, pq: Bidegree,
-                        targets: list[Bidegree]) -> Matrix:
-    """Columns: op applied to each basis monomial of pq, in the coordinates
-    of the concatenated target bases."""
+def _target_rows(op: str, pq: Bidegree, n: int):
+    """(target, start, stop) for each target bidegree of op's block at pq:
+    its rows are start..stop-1."""
+    start = 0
+    for target in op_targets(op, pq, n):
+        stop = start + bidegree_dim(target, n)
+        yield target, start, stop
+        start = stop
+
+
+def _monomial_block(spec, pq: Bidegree, targets: list[Bidegree],
+                    image: Callable) -> Matrix:
+    """Columns: image(spec, mono), a dict {target monomial: Q(i) value},
+    for each basis monomial of pq, in the coordinates of the concatenated
+    target bases."""
     n = spec.n
     offsets: dict[BasisMonomial, int] = {}
     for target in targets:
         for mono in basis_of(target, n):
             offsets[mono] = len(offsets)
-    fn = _APPLIERS[op]
     rows: list[dict[int, GaussianRational]] = [{} for _ in offsets]
     source = basis_of(pq, n)
     for col, mono in enumerate(source):
-        for image, coeff in fn(spec, Form.monomial(mono)).terms():
-            idx = offsets.get(image)
-            if idx is None:
-                raise ValueError(f"monomial {image} of bidegree "
-                                 f"{image.bidegree} falls outside target "
-                                 f"blocks {targets}")
-            rows[idx][col] = coeff.constant_value()
+        for target, value in image(spec, mono).items():
+            rows[offsets[target]][col] = value
     return Matrix.from_dicts(rows, len(source))
+
+
+def _lefschetz_terms(spec, mono: BasisMonomial) -> dict:
+    return _wedge_onto(_omega_terms(spec), mono, False, {})
+
+
+def _star_terms(spec, mono: BasisMonomial) -> dict:
+    factor, target = _star_monomial(spec, mono)
+    return {target: factor}
+
+
+# The forward blocks written one basis monomial at a time
+_MONOMIAL_IMAGES = {"d": _d_terms, "L": _lefschetz_terms, "star": _star_terms}
 
 
 def _component_block(spec, op: str, pq: Bidegree) -> Matrix:
     """The rows of the "d" block of pq that lie in op's target bidegree."""
-    n = spec.n
     s, t = COMPONENT_SHIFTS[op]
     want = (pq[0] + s, pq[1] + t)
     d_block = operator_block(spec, "d", pq)
-    start = 0
-    for target in op_targets("d", pq, n):
-        stop = start + bidegree_dim(target, n)
+    for target, start, stop in _target_rows("d", pq, spec.n):
         if target == want:
             return d_block.row_slice(start, stop)
-        start = stop
     return Matrix.zeros(0, d_block.cols)
+
+
+def _dc_block(spec, pq: Bidegree) -> Matrix:
+    """d^c = i (delbar - del + mu - mubar): the "d" block with the rows of
+    the targets (p + s, q + 1 - s) scaled by i for even s, -i for odd."""
+    d_block = operator_block(spec, "d", pq)
+    out = Matrix.zeros(0, d_block.cols)
+    for target, start, stop in _target_rows("d", pq, spec.n):
+        unit = I if (target[0] - pq[0]) % 2 == 0 else -I
+        out = out.stack_below(d_block.row_slice(start, stop).scale(unit))
+    return out
 
 
 def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
     """The metric adjoint A* of A = _ADJOINT_OF[op] on Lambda^{p,q}.  The
-    pairing is diagonal on the monomial bases, so with G the Gram diagonal,
-    [A*] = G_src^-1 [A]^H G_tgt, where A runs from src into (p,q)."""
+    pairing is (2/c)^k times the identity on k-forms, so with A running
+    from src into (p,q), [A*] = (2/c)^{deg pq - deg src} [A]^H."""
     require_unitary(spec)
     n = spec.n
     sources = op_targets(op, pq, n)
@@ -451,10 +517,8 @@ def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
         return Matrix.zeros(0, bidegree_dim(pq, n))
     (src,) = sources
     forward = operator_block(spec, _ADJOINT_OF[op], src)
-    src_inverse = Matrix.diagonal([g.inverse()
-                                   for g in gram_diagonal(spec, src)])
-    return src_inverse * forward.conj_transpose() * \
-        Matrix.diagonal(gram_diagonal(spec, pq))
+    return forward.conj_transpose().scale(
+        _norm(spec, pq[0] + pq[1] - src[0] - src[1]))
 
 
 @spec_memo
@@ -474,7 +538,13 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
         # the targets pq - shift ascend in COMPONENT_SHIFTS order
         return functools.reduce(Matrix.stack_below, [
             operator_block(spec, D + "_star", pq) for D in COMPONENT_SHIFTS])
-    return _application_matrix(spec, op, pq, op_targets(op, pq, spec.n))
+    if op == "dc":
+        return _dc_block(spec, pq)
+    if op == "J":
+        return Matrix.identity(bidegree_dim(pq, spec.n)).scale(
+            i_power(pq[0] - pq[1]))
+    return _monomial_block(spec, pq, op_targets(op, pq, spec.n),
+                           _MONOMIAL_IMAGES[op])
 
 
 @spec_memo

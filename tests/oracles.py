@@ -5,10 +5,12 @@ tuples, signs come from counting swaps, linear algebra is sympy's.  Complex
 monomials are encoded as ascending tuples of letters 1..2n, where letters
 1..n are the holomorphic generators and n+1..2n their conjugates.
 
-Two oracles check a fast path against the slow route it replaced instead:
+Three oracles check a fast path against the slow route it replaced instead:
 the real-frame Hodge star (built on the package's real-coframe expansion,
-which the complexify round-trip tests check, and on none of its star code)
-and the degree-k matrices of d and d* taken one monomial at a time.
+which the complexify round-trip tests check, and on none of its star code),
+d of a monomial by whole-`Form` wedges (the Leibniz rule on the package's
+`Form` algebra, none of its term lists), and the degree-k matrices of d and
+d* taken one monomial at a time.
 """
 
 from __future__ import annotations
@@ -152,6 +154,49 @@ def real_frame_star(spec, mono: BasisMonomial):
     (target, value), = real_to_complex(starred, pairing).terms()
     scale = Fraction(spec.unitary_scale) ** (n - mono.degree)
     return value.constant_value() * scale, target
+
+
+def leibniz_d(spec, mono: BasisMonomial) -> Form:
+    """d(mono) as the sum of (-1)^i prefix ^ d(a_i) ^ suffix over the
+    factors a_i of mono, each a wedge of whole forms."""
+    factors = [(True, j) for j in mono.holo] + [(False, j) for j in mono.anti]
+    total = Form.zero()
+    for i, (is_holo, j) in enumerate(factors):
+        df = spec.d_generator(j)
+        if not is_holo:
+            df = df.conj(spec.symbols)
+        pre = Form.monomial(BasisMonomial(
+            tuple(g for h, g in factors[:i] if h),
+            tuple(g for h, g in factors[:i] if not h)))
+        suf = Form.monomial(BasisMonomial(
+            tuple(g for h, g in factors[i + 1:] if h),
+            tuple(g for h, g in factors[i + 1:] if not h)))
+        term = pre.wedge(df).wedge(suf)
+        total = total + (term if i % 2 == 0 else -term)
+    return total
+
+
+def real_frame_norms(spec) -> dict:
+    """{m: <m, m>} over every basis monomial m, from
+    m ^ *conj(m) = <m, m> vol, with the star and the volume form taken by
+    `real_frame_star` and the conjugation and the wedge done on letters."""
+    n = spec.n
+    vol, vol_mono = real_frame_star(spec, BasisMonomial((), ()))
+    assert vol_mono == BasisMonomial(tuple(range(1, n + 1)),
+                                     tuple(range(1, n + 1)))
+    norms = {}
+    for p, q in itertools.product(range(n + 1), repeat=2):
+        for letters in letter_basis(p, q, n):
+            sign, conj = sort_sign(tuple(l + n if l <= n else l - n
+                                         for l in letters))
+            factor, starred = real_frame_star(
+                spec, letters_to_basis_index(conj, n))
+            wedge_sign, top = sort_sign(letters + tuple(starred.holo)
+                                        + tuple(j + n for j in starred.anti))
+            assert top == tuple(range(1, 2 * n + 1))
+            norms[letters_to_basis_index(letters, n)] = \
+                factor * (sign * wedge_sign) / vol
+    return norms
 
 
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:

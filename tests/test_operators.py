@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +14,8 @@ from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
-from oracles import (brute_component_matrix, full_degree_oracle,
-                     matrix_to_sympy, real_frame_star)
+from oracles import (brute_component_matrix, full_degree_oracle, leibniz_d,
+                     matrix_to_sympy, real_frame_norms, real_frame_star)
 
 
 def F(text, spec):
@@ -89,6 +92,21 @@ def test_opaque_derivative_raises(entries):
     # F has an opaque derivative; differentiating F * phi3 needs it
     with pytest.raises(ops.OpaqueDerivativeError):
         ops.ext_d(spec, Form.generator(3) * SymScalar.symbol("F"))
+
+
+def test_closed_form_d_matches_leibniz_oracle(entries, ladder):
+    # every monomial of every catalog entry (symbolic ones included) and of
+    # the n = 3, 4 ladder, on fresh specs
+    specs = [parse_spec(catalog.dsl_source(key)) for key in entries]
+    specs += [ladder(3), ladder(4)]
+    symbolic = 0
+    for spec in specs:
+        for pq in all_bidegrees(spec.n):
+            for m in basis_of(pq, spec.n):
+                dm = ops._d_monomial(spec, m)
+                assert dm == leibniz_d(spec, m), (spec.name, m)
+                symbolic += not dm.is_constant_coefficient()
+    assert len(specs) == 9 and symbolic > 0
 
 
 def test_component_matrices_match_brute_force(cc_entries):
@@ -194,6 +212,21 @@ def test_star_matches_real_frame_oracle(n, scale):
     for pq in all_bidegrees(n):
         for m in basis_of(pq, n):
             assert ops._star_monomial(spec, m) == real_frame_star(spec, m)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1),
+                                   Fraction(2), Fraction(3)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_diagonal_matches_real_frame_norms(n, scale):
+    # <m, m> = m ^ *conj(m) / vol with the real-frame star, never the
+    # engine's: (2/c)^{p+q} on every monomial
+    spec = flat_spec(n, scale)
+    assert spec.unitary_scale == scale
+    norms = real_frame_norms(spec)
+    for p, q in all_bidegrees(n):
+        gram = ops.gram_diagonal(spec, (p, q))
+        assert gram == [norms[m] for m in basis_of((p, q), n)]
+        assert gram == [(2 / scale) ** (p + q)] * len(gram)
 
 
 def test_full_degree_matrix_matches_per_monomial_oracle(cc_entries):
@@ -430,14 +463,18 @@ def _per_monomial_block(spec, fn, op: str, pq) -> Matrix:
 
 
 @pytest.fixture(scope="module")
-def block_specs(cc_entries, ladder):
-    """Fresh specs of the constant-coefficient entries and the n = 3, 4
-    ladder."""
+def block_specs(cc_entries, ladder, ladder_dsl):
+    """Fresh specs of the constant-coefficient entries (iwasawa_ak at
+    scale 2), the n = 3, 4 ladder and the n = 3 ladder with omega halved
+    (scale 1/2)."""
     specs = [parse_spec(catalog.dsl_source(key)) for key in cc_entries]
-    return specs + [ladder(3), ladder(4)]
+    half = parse_spec(ladder_dsl(3).replace("1/2*i*", "1/4*i*"))
+    return specs + [ladder(3), ladder(4), half]
 
 
 def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
+    assert {spec.unitary_scale for spec in block_specs} == \
+        {1, 2, Fraction(1, 2)}
     cases = 0
     for spec in block_specs:
         for pq in all_bidegrees(spec.n):
@@ -452,8 +489,8 @@ def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
             assert ops.operator_block(spec, "Lambda", pq) == oracle, \
                 (spec.name, pq)
             cases += 1
-    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4
-    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25
+    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4, 3
+    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25 + 16
 
 
 def test_component_blocks_match_per_monomial_component(block_specs):
@@ -462,6 +499,20 @@ def test_component_blocks_match_per_monomial_component(block_specs):
             for op in ops.COMPONENT_SHIFTS:
                 oracle = _per_monomial_block(
                     spec, lambda f: ops.component(spec, op, f), op, pq)
+                assert ops.operator_block(spec, op, pq) == oracle, \
+                    (spec.name, op, pq)
+
+
+def test_forward_blocks_match_per_monomial_forms(block_specs):
+    # the "L", "dc" and "J" blocks against lefschetz_L, dc and j_action
+    # applied to one basis monomial at a time
+    appliers = {"L": ops.lefschetz_L, "dc": ops.dc,
+                "J": lambda spec, f: ops.j_action(f)}
+    for spec in block_specs:
+        for pq in all_bidegrees(spec.n):
+            for op, fn in appliers.items():
+                oracle = _per_monomial_block(
+                    spec, lambda f: fn(spec, f), op, pq)
                 assert ops.operator_block(spec, op, pq) == oracle, \
                     (spec.name, op, pq)
 
@@ -668,6 +719,31 @@ def test_operator_matrix_shapes_and_json(cc_entries):
     assert lap.matrix.rows == lap.matrix.cols == 9
     lap_d = ops.operator_matrix(spec, "Delta_d", (1, 1))
     assert lap_d.targets == ((0, 2), (1, 1), (2, 0))
+
+
+DIGESTS = Path(__file__).resolve().parent / "data" / \
+    "operator_matrix_digests.json"
+
+
+def test_operator_matrix_golden_digest(cc_entries):
+    # every operator matrix of every constant-coefficient entry, byte for
+    # byte as recorded before the blocks were built in closed form
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests = {}
+    count = 0
+    for key in cc_entries:
+        spec = parse_spec(catalog.dsl_source(key))
+        digest = hashlib.sha256()
+        for op in ops.OPERATOR_IDS:
+            for pq in all_bidegrees(spec.n):
+                payload = ops.operator_matrix(spec, op, pq).to_dict()
+                digest.update((json.dumps(payload, sort_keys=True,
+                                          separators=(",", ":"))
+                               + "\n").encode("utf-8"))
+                count += 1
+        digests[key] = digest.hexdigest()
+    assert count == golden["matrices"]
+    assert digests == golden["sha256"]
 
 
 def test_matrix_mode_guards(entries):
