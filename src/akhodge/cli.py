@@ -166,7 +166,7 @@ def cmd_harmonic(args) -> int:
 
 def cmd_decompose(args) -> int:
     spec = _load_matrix_spec(args)
-    form = model.parse_form(args.form, spec.n, spec.symbols)
+    form = model.parse_form(args.form, spec.n, spec.symbols, "--form")
     if not form.is_constant_coefficient():
         raise SpecError(f"--form {args.form!r} has symbolic coefficients; "
                         "decompose needs constant ones")

@@ -6,6 +6,13 @@ coframe), which makes every space finite-dimensional and every answer exact.
 Reports therefore speak about invariant forms only: for the counterexamples
 this is sufficient (invariant decompositions of invariant forms), for the
 positive statements it is a consistency verification, not a re-proof.
+
+Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
+with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
+thm34 (delbar) and cor35 (del) at (1,1), hd_lefschetz (d) everywhere,
+inclusion21 (delbar) at (2,1), prop31 (delbar, del) at the edges, where
+r = 0 only. With D2 the partner of D: prop32 at (n,n-p) and (n-q,n), top r
+only, and cor35 at (n-1,n-1), r in {n-2, n-1}.
 """
 
 from __future__ import annotations
@@ -159,6 +166,8 @@ def kernel_subspace(matrix: Matrix, pq: Bidegree, n: int) -> Subspace:
 def L_power_image(spec, subspace: Subspace, r: int) -> Subspace:
     """Image of a subspace of Lambda^{p,q} under L^r (exact, echelonized);
     the zero subspace of (p+r, q+r) when that lies outside 0..n."""
+    if r == 0:
+        return subspace
     p, q = subspace.ambient
     return subspace.image_under(
         ops.lefschetz_power_block(spec, (p, q), r), (p + r, q + r))
@@ -358,6 +367,46 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# The Lefschetz decomposition
+
+@dataclass(frozen=True)
+class LefschetzDecomposition:
+    """H^{p,q}_D, its parts L^r(H^{p-r,q-r}_{D2} cap P) by r, their sum, and
+    the basis forms of H outside the sum (StrictInclusion) or of the sum
+    outside H (NotContained); the first is the witness.  NotDirect (the
+    parts overlap) and Equal have none."""
+
+    status: str  # Equal | StrictInclusion | NotContained | NotDirect
+    harmonic: Subspace
+    parts: dict[int, Subspace]
+    total: Subspace
+    witnesses: list[Form] = field(default_factory=list)
+
+
+@ops.spec_memo
+def lefschetz_decomposition(spec, D: str, D2: str, pq: Bidegree,
+                            rs: tuple[int, ...] | None = None
+                            ) -> LefschetzDecomposition:
+    """Compare H^{p,q}_D with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P);
+    `rs` defaults to every r = 0..min(p, q)."""
+    p, q = pq
+    H = harmonic_space(spec, D, pq)
+    parts = {r: L_power_image(
+        spec, primitive_harmonic(spec, D2, (p - r, q - r)), r)
+        for r in (range(min(p, q) + 1) if rs is None else rs)}
+    total = functools.reduce(Subspace.sum, parts.values())
+    if total.dim != sum(part.dim for part in parts.values()):
+        return LefschetzDecomposition("NotDirect", H, parts, total)
+    if total == H:
+        return LefschetzDecomposition("Equal", H, parts, total)
+    extra = [f for f in total.forms() if not H.member(f)]
+    if extra:
+        return LefschetzDecomposition("NotContained", H, parts, total, extra)
+    missing = [f for f in H.forms() if not total.member(f)]
+    return LefschetzDecomposition("StrictInclusion", H, parts, total, missing)
+
+
+# ---------------------------------------------------------------------------
 # Derived tables
 
 def hodge_table(spec, D: str) -> list[list[int]]:
@@ -404,16 +453,17 @@ class VerificationReport:
         return out
 
 
-def _inapplicable(spec, check_id: str) -> VerificationReport | None:
-    if not spec.constant_coefficient:
-        return VerificationReport(spec.name, check_id, "Inapplicable",
-                                  "symbolic coefficients")
-    if spec.unitary_scale is None:
-        return VerificationReport(spec.name, check_id, "Inapplicable",
-                                  "not in unitary mode")
-    if spec.n < 2:
-        return VerificationReport(spec.name, check_id, "Inapplicable",
-                                  "theorem verification needs n >= 2")
+def _inapplicable(spec, check_id: str,
+                  needs_ak: bool) -> VerificationReport | None:
+    for blocked, reason in (
+            (not spec.constant_coefficient, "symbolic coefficients"),
+            (spec.unitary_scale is None, "not in unitary mode"),
+            (spec.n < 2, "theorem verification needs n >= 2"),
+            (needs_ak and not spec.almost_kahler,
+             "requires an almost-Kahler structure")):
+        if blocked:
+            return VerificationReport(spec.name, check_id, "Inapplicable",
+                                      reason)
     return None
 
 
@@ -427,46 +477,42 @@ def _holds(spec, check_id, detail="", dims=None, strict=None) -> VerificationRep
                               dimensions=dims or {}, strict=strict)
 
 
+def _cells_equal(spec, check_id: str, cells, detail: str, dims=None,
+                 witnesses: bool = False) -> VerificationReport:
+    """Holds when every cell (dims key, lefschetz_decomposition arguments,
+    failure detail) is Equal, else Fails at the first (H's basis as
+    witnesses if asked)."""
+    dims = dict(dims or {})
+    for key, args, failure in cells:
+        cell = lefschetz_decomposition(spec, *args)
+        dims[key] = cell.harmonic.dim
+        if cell.status != "Equal":
+            return _fails(spec, check_id, failure,
+                          [f.render() for f in cell.harmonic.forms()]
+                          if witnesses else (), dims)
+    return _holds(spec, check_id, detail, dims)
+
+
 def _check_prop31(spec) -> VerificationReport:
     n = spec.n
-    dims = {}
-    for D in ("delbar", "del"):
-        for pq in [(p, 0) for p in range(n + 1)] + \
-                  [(0, q) for q in range(1, n + 1)]:
-            H = harmonic_space(spec, D, pq)
-            dims[f"h_{D}{pq}"] = H.dim
-            if H != primitive_harmonic(spec, D, pq):
-                return _fails(spec, "prop31",
-                              f"H^{pq}_{D} is not entirely primitive",
-                              [f.render() for f in H.forms()], dims)
-    return _holds(spec, "prop31", "edge-bidegree harmonic forms are primitive",
-                  dims)
+    edges = [(p, 0) for p in range(n + 1)] + [(0, q) for q in range(1, n + 1)]
+    return _cells_equal(spec, "prop31", (
+        (f"h_{D}{pq}", (D, D, pq), f"H^{pq}_{D} is not entirely primitive")
+        for D in ("delbar", "del") for pq in edges),
+        "edge-bidegree harmonic forms are primitive", witnesses=True)
 
 
 def _check_prop32(spec) -> VerificationReport:
+    # (a, b) is (n, n-p) or (n-q, n); its top r leaves (p, 0) or (0, q)
     n = spec.n
-    dims = {}
-    pairs = [("delbar", "del"), ("del", "delbar")]
-    for D_high, D_low in pairs:
-        for p in range(n + 1):
-            lhs = harmonic_space(spec, D_high, (n, n - p))
-            rhs = L_power_image(spec, primitive_harmonic(spec, D_low, (p, 0)),
-                                n - p)
-            dims[f"{D_high}(n,{n - p})"] = lhs.dim
-            if lhs != rhs:
-                return _fails(spec, "prop32",
-                              f"H^({n},{n - p})_{D_high} != "
-                              f"L^{n - p}(H^({p},0)_{D_low} cap P)", dims=dims)
-        for q in range(n + 1):
-            lhs = harmonic_space(spec, D_high, (n - q, n))
-            rhs = L_power_image(spec, primitive_harmonic(spec, D_low, (0, q)),
-                                n - q)
-            dims[f"{D_high}({n - q},n)"] = lhs.dim
-            if lhs != rhs:
-                return _fails(spec, "prop32",
-                              f"H^({n - q},{n})_{D_high} != "
-                              f"L^{n - q}(H^(0,{q})_{D_low} cap P)", dims=dims)
-    return _holds(spec, "prop32", "star-dual edge decompositions hold", dims)
+    edges = ([((n, n - p), f"(n,{n - p})", p, 0) for p in range(n + 1)]
+             + [((n - q, n), f"({n - q},n)", 0, q) for q in range(n + 1)])
+    return _cells_equal(spec, "prop32", (
+        (D + key, (D, D2, (a, b), (min(a, b),)),
+         f"H^({a},{b})_{D} != L^{min(a, b)}(H^({s},{t})_{D2} cap P)")
+        for D, D2 in (("delbar", "del"), ("del", "delbar"))
+        for (a, b), key, s, t in edges),
+        "star-dual edge decompositions hold")
 
 
 def _check_cor33(spec) -> VerificationReport:
@@ -483,62 +529,39 @@ def _check_cor33(spec) -> VerificationReport:
                   dims)
 
 
-def _omega_power_form(spec, r: int) -> Form:
-    out = Form.one()
-    for _ in range(r):
-        out = spec.omega.wedge(out)
-    return out
-
-
-def _check_direct_sum_with_line(spec, check_id: str, H: Subspace,
-                                line_form: Form, primitive_part: Subspace,
-                                label: str) -> VerificationReport:
-    if not H.member(line_form):
+def _check_thm34(spec, check_id: str = "thm34",
+                 D: str = "delbar") -> VerificationReport:
+    """The D cell at (1,1), also run by cor35 for del; its r = 1 part is
+    C.omega, since H^{0,0} cap P^{0,0} = C."""
+    label = f"H^{{1,1}}_{D} = C.omega + (H^{{1,1}}_{D} cap P^{{1,1}})"
+    cell = lefschetz_decomposition(spec, D, D, (1, 1))
+    if cell.status == "NotContained":
         return _fails(spec, check_id,
                       f"{label}: the distinguished form is not harmonic",
-                      [line_form.render()])
-    total = line_of(spec, line_form).sum(primitive_part)
-    dims = {"harmonic": H.dim, "primitive_part": primitive_part.dim,
-            "sum": total.dim}
-    if total.dim != 1 + primitive_part.dim:
+                      [spec.omega.render()])
+    dims = {"harmonic": cell.harmonic.dim,
+            "primitive_part": cell.parts[0].dim, "sum": cell.total.dim}
+    if cell.status == "NotDirect":
         return _fails(spec, check_id, f"{label}: sum is not direct", dims=dims)
-    if total != H:
-        missing = [f.render() for f in H.forms() if not total.member(f)]
+    if cell.status == "StrictInclusion":
         return _fails(spec, check_id, f"{label}: decomposition misses part of "
-                      "the harmonic space", missing, dims)
+                      "the harmonic space",
+                      [f.render() for f in cell.witnesses], dims)
     return _holds(spec, check_id, label, dims)
 
 
-def _check_thm34(spec) -> VerificationReport:
-    return _check_direct_sum_with_line(
-        spec, "thm34", harmonic_space(spec, "delbar", (1, 1)), spec.omega,
-        primitive_harmonic(spec, "delbar", (1, 1)),
-        "H^{1,1}_delbar = C.omega + (H^{1,1}_delbar cap P^{1,1})")
-
-
 def _check_cor35(spec) -> VerificationReport:
-    n = spec.n
-    prim_del = primitive_harmonic(spec, "del", (1, 1))
-    first = _check_direct_sum_with_line(
-        spec, "cor35", harmonic_space(spec, "del", (1, 1)), spec.omega,
-        prim_del,
-        "H^{1,1}_del = C.omega + (H^{1,1}_del cap P^{1,1})")
+    first = _check_thm34(spec, "cor35", "del")
     if first.status != "Holds":
         return first
-    omega_power = _omega_power_form(spec, n - 1)
-    prim_delbar = primitive_harmonic(spec, "delbar", (1, 1))
-    dims = dict(first.dimensions)
-    for D, prim in (("delbar", prim_del), ("del", prim_delbar)):
-        H_top = harmonic_space(spec, D, (n - 1, n - 1))
-        lifted = L_power_image(spec, prim, n - 2)
-        total = line_of(spec, omega_power).sum(lifted)
-        dims[f"h(n-1,n-1)_{D}"] = H_top.dim
-        if total.dim != 1 + lifted.dim or total != H_top:
-            return _fails(spec, "cor35",
-                          f"H^(n-1,n-1)_{D} != C.omega^(n-1) + L^(n-2)(...)",
-                          dims=dims)
-    return _holds(spec, "cor35", "all three corollary decompositions hold",
-                  dims)
+    # C.omega^(n-1) is the r = n-1 part, L^(n-2)(H^{1,1} cap P) the other
+    n = spec.n
+    return _cells_equal(spec, "cor35", (
+        (f"h(n-1,n-1)_{D}",
+         (D, ops.STAR_PARTNERS[D], (n - 1, n - 1), (n - 2, n - 1)),
+         f"H^(n-1,n-1)_{D} != C.omega^(n-1) + L^(n-2)(...)")
+        for D in ("delbar", "del")),
+        "all three corollary decompositions hold", first.dimensions)
 
 
 def _check_prop41(spec) -> VerificationReport:
@@ -649,25 +672,11 @@ def _check_cw_identity(spec) -> VerificationReport:
 
 def _check_hd_lefschetz(spec) -> VerificationReport:
     n = spec.n
-    dims = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            H = harmonic_space(spec, "d", (p, q))
-            parts = []
-            for r in range(0, min(p, q) + 1):
-                parts.append(L_power_image(
-                    spec, primitive_harmonic(spec, "d", (p - r, q - r)), r))
-            total = parts[0]
-            for part in parts[1:]:
-                total = total.sum(part)
-            dims[f"h_d({p},{q})"] = H.dim
-            if total.dim != sum(part.dim for part in parts) or total != H:
-                return _fails(spec, "hd_lefschetz",
-                              f"d-harmonic Lefschetz decomposition fails on "
-                              f"{(p, q)}", dims=dims)
-    return _holds(spec, "hd_lefschetz",
-                  "d-harmonic primitive decomposition holds on every "
-                  "bidegree", dims)
+    return _cells_equal(spec, "hd_lefschetz", (
+        (f"h_d({p},{q})", ("d", "d", (p, q)),
+         f"d-harmonic Lefschetz decomposition fails on {(p, q)}")
+        for p in range(n + 1) for q in range(n + 1)),
+        "d-harmonic primitive decomposition holds on every bidegree")
 
 
 def _check_h10_identity(spec) -> VerificationReport:
@@ -685,26 +694,20 @@ def _check_h10_identity(spec) -> VerificationReport:
 
 
 def _check_inclusion21(spec) -> VerificationReport:
-    H = harmonic_space(spec, "delbar", (2, 1))
-    prim_part = primitive_harmonic(spec, "delbar", (2, 1))
-    lifted = L_power_image(spec, harmonic_space(spec, "delbar", (1, 0)), 1)
-    total = prim_part.sum(lifted)
-    dims = {"harmonic": H.dim, "primitive_part": prim_part.dim,
-            "lifted_line": lifted.dim, "sum": total.dim}
-    if total.dim != prim_part.dim + lifted.dim:
+    cell = lefschetz_decomposition(spec, "delbar", "delbar", (2, 1))
+    dims = {"harmonic": cell.harmonic.dim,
+            "primitive_part": cell.parts[0].dim,
+            "lifted_line": cell.parts[1].dim, "sum": cell.total.dim}
+    if cell.status == "NotDirect":
         return _fails(spec, "inclusion21", "sum is not direct", dims=dims)
-    if not H.contains(total):
-        extra = [f.render() for f in total.forms() if not H.member(f)]
-        return _fails(spec, "inclusion21",
-                      "decomposable part is not harmonic", extra, dims)
-    strict = total.dim < H.dim
-    witnesses = []
-    if strict:
-        witnesses = [f.render() for f in H.forms() if not total.member(f)][:1]
+    if cell.status == "NotContained":
+        return _fails(spec, "inclusion21", "decomposable part is not harmonic",
+                      [f.render() for f in cell.witnesses], dims)
+    strict = cell.status == "StrictInclusion"
     return VerificationReport(
         spec.name, "inclusion21", "Holds",
         "inclusion holds " + ("strictly" if strict else "with equality"),
-        witnesses, dims, strict=strict)
+        [cell.witnesses[0].render()] if strict else [], dims, strict=strict)
 
 
 _CHECKS: dict[str, tuple] = {
@@ -735,13 +738,7 @@ def verify(spec, check_id: str) -> VerificationReport:
         raise ValueError(f"unknown check id {check_id!r}; "
                          f"known: {', '.join(CHECK_IDS)}")
     fn, needs_ak = _CHECKS[check_id]
-    blocked = _inapplicable(spec, check_id)
-    if blocked is not None:
-        return blocked
-    if needs_ak and not spec.almost_kahler:
-        return VerificationReport(spec.name, check_id, "Inapplicable",
-                                  "requires an almost-Kahler structure")
-    return fn(spec)
+    return _inapplicable(spec, check_id, needs_ak) or fn(spec)
 
 
 def verify_all(spec) -> list[VerificationReport]:

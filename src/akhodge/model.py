@@ -36,12 +36,13 @@ MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
 class SpecError(Exception):
     """Base for every spec-processing failure."""
 
-    def __init__(self, message: str, line: int | None = None,
+    def __init__(self, message: str, line: int | str | None = None,
                  col: int | None = None):
         self.line = line
         self.col = col
         if line is not None:
-            where = f"line {line}" + (f", col {col}" if col is not None else "")
+            where = line if isinstance(line, str) else f"line {line}"
+            where += f", col {col}" if col is not None else ""
             message = f"{where}: {message}"
         super().__init__(message)
 
@@ -152,7 +153,7 @@ class _Token:
     anti: str = ""
 
 
-def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
+def _tokenize(text: str, line: int | str, col_offset: int = 0) -> list[_Token]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -172,7 +173,8 @@ def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     return tokens
 
 
-def _parse_indices(digits: str, n: int, line: int, col: int) -> tuple[int, ...]:
+def _parse_indices(digits: str, n: int, line: int | str,
+                   col: int) -> tuple[int, ...]:
     indices = tuple(int(ch) for ch in digits)
     for idx in indices:
         if not 1 <= idx <= n:
@@ -185,7 +187,7 @@ def _parse_indices(digits: str, n: int, line: int, col: int) -> tuple[int, ...]:
 
 
 def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
-                       line: int) -> Form:
+                       line: int | str) -> Form:
     if not tokens:
         raise SpecSyntaxError("empty expression", line)
     total = Form.zero()
@@ -255,8 +257,9 @@ def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
 
 
 def parse_form(text: str, n: int, symbols: SymbolTable | None = None,
-               line: int = 0) -> Form:
-    """Parse a standalone form expression in the DSL grammar."""
+               line: int | str = "form") -> Form:
+    """Parse a form expression in the DSL grammar; errors are located at
+    `line` (a spec line number, or a name such as "--form")."""
     if symbols is None:
         symbols = SymbolTable()
     return _parse_form_tokens(_tokenize(text, line), n, symbols, line)

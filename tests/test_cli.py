@@ -311,6 +311,17 @@ def test_decompose_of_a_symbolic_form_exit_2(capsys, tmp_path):
     assert "symbolic coefficients" in err
 
 
+@pytest.mark.parametrize("form,message", [
+    ("phi{1,}*phi{2,}", "--form, col 9: two monomials in one term"),
+    ("phi{1,}+", "--form: dangling operator"),
+])
+def test_decompose_malformed_form_is_located_at_the_option(capsys, form,
+                                                           message):
+    code, out, err = run(capsys, "decompose", "--entry", "kt4",
+                         "--form", form)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("operators", "--op", "L", "--pq", "0,0"),
     ("harmonic", "--op", "delbar", "--pq", "1,1"),

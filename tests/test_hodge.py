@@ -417,6 +417,69 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}
     assert not spec.almost_kahler
     assert hodge.verify(spec, "thm34").status == "Inapplicable"
     assert hodge.verify(spec, "cor33").status in ("Holds", "Fails")
+    # the Fails branches: a fresh spec whose harmonic (or primitive) space
+    # is wrong at one bidegree, with the whole report pinned
+    for key, target, D, pq, kind, check_id, expected in _FAULTS:
+        spec = parse_spec(catalog.dsl_source(key))
+        original = getattr(hodge, target)
+
+        def wrong(s, *args, original=original, D=D, pq=pq, kind=kind):
+            if args[-1] == pq and D in (None, args[0]):
+                return getattr(hodge.Subspace, kind)(s.n, pq)
+            return original(s, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hodge, target, wrong)
+            report = hodge.verify(spec, check_id)
+        assert report.to_dict() == {"spec_name": key, "check_id": check_id,
+                                    "status": "Fails", **expected}, \
+            (key, target, D, pq, kind)
+
+
+_FAULTS = [
+    ("kt4", "primitive_subspace", None, (1, 0), "zero", "prop31",
+     {"detail": "H^(1, 0)_delbar is not entirely primitive",
+      "dimensions": {"h_delbar(0, 0)": 1, "h_delbar(1, 0)": 1},
+      "witnesses": ["phi{1,}"]}),
+    ("kt4", "harmonic_space", "del", (1, 0), "full", "prop32",
+     {"detail": "H^(2,1)_delbar != L^1(H^(1,0)_del cap P)",
+      "dimensions": {"delbar(n,1)": 1, "delbar(n,2)": 1}}),
+    ("kt4", "harmonic_space", "delbar", (1, 1), "zero", "thm34",
+     {"detail": "H^{1,1}_delbar = C.omega + (H^{1,1}_delbar cap P^{1,1}): "
+                "the distinguished form is not harmonic",
+      "dimensions": {}, "witnesses": ["1/2*i*phi{1,1} + 1/2*i*phi{2,2}"]}),
+    ("kt4", "primitive_subspace", None, (1, 1), "zero", "thm34",
+     {"detail": "H^{1,1}_delbar = C.omega + (H^{1,1}_delbar cap P^{1,1}): "
+                "decomposition misses part of the harmonic space",
+      "dimensions": {"harmonic": 3, "primitive_part": 0, "sum": 1},
+      "witnesses": ["phi{1,1}", "phi{1,2} - phi{2,1}", "phi{2,2}"]}),
+    ("kt4", "primitive_subspace", None, (1, 1), "full", "thm34",
+     {"detail": "H^{1,1}_delbar = C.omega + (H^{1,1}_delbar cap P^{1,1}): "
+                "sum is not direct",
+      "dimensions": {"harmonic": 3, "primitive_part": 3, "sum": 3}}),
+    ("kt4", "harmonic_space", "del", (1, 1), "full", "cor35",
+     {"detail": "H^(n-1,n-1)_delbar != C.omega^(n-1) + L^(n-2)(...)",
+      "dimensions": {"h(n-1,n-1)_delbar": 3, "harmonic": 4,
+                     "primitive_part": 3, "sum": 4}}),
+    ("iwasawa_ak", "harmonic_space", "del", (1, 1), "zero", "cor35",
+     {"detail": "H^{1,1}_del = C.omega + (H^{1,1}_del cap P^{1,1}): "
+                "the distinguished form is not harmonic",
+      "dimensions": {}, "witnesses": ["i*phi{1,1} + i*phi{2,2} + i*phi{3,3}"]}),
+    ("kt4", "harmonic_space", "d", (1, 0), "full", "hd_lefschetz",
+     {"detail": "d-harmonic Lefschetz decomposition fails on (2, 1)",
+      "dimensions": {"h_d(0,0)": 1, "h_d(0,1)": 1, "h_d(0,2)": 0,
+                     "h_d(1,0)": 2, "h_d(1,1)": 3, "h_d(1,2)": 1,
+                     "h_d(2,0)": 0, "h_d(2,1)": 1}}),
+    ("kt4", "harmonic_space", "delbar", (1, 0), "full", "inclusion21",
+     {"detail": "decomposable part is not harmonic",
+      "dimensions": {"harmonic": 1, "lifted_line": 2, "primitive_part": 0,
+                     "sum": 2},
+      "witnesses": ["phi{12,1}"]}),
+    ("iwasawa_ak", "primitive_subspace", None, (2, 1), "full", "inclusion21",
+     {"detail": "sum is not direct",
+      "dimensions": {"harmonic": 3, "lifted_line": 1, "primitive_part": 3,
+                     "sum": 3}}),
+]
 
 
 def test_report_runs_each_theorem_check_once_per_spec(monkeypatch):
@@ -456,6 +519,126 @@ def test_out_of_range_bidegree_raises(cc_entries, call, pq):
     spec = cc_entries["kt4"].spec
     with pytest.raises(ValueError, match=r"outside 0\.\.2"):
         call(spec, pq)
+
+
+# -- the Lefschetz decomposition -------------------------------------------------
+
+# H^{p,q}_delbar against sum_r L^r(H^{p-r,q-r}_delbar cap P): every cell not
+# listed is Equal, which includes every edge, (1,1) and (n-1,n-1)
+ATLAS_DELBAR = {
+    "iwasawa_ak": {(1, 2): "NotContained", (1, 3): "NotContained",
+                   (2, 3): "NotContained", (2, 1): "StrictInclusion",
+                   (3, 1): "StrictInclusion", (3, 2): "StrictInclusion"},
+    "h12_t3": {(1, 3): "NotContained", (1, 4): "NotContained",
+               (2, 3): "NotContained", (2, 4): "NotContained",
+               (3, 1): "StrictInclusion", (3, 2): "StrictInclusion",
+               (4, 1): "StrictInclusion", (4, 2): "StrictInclusion"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(ATLAS_DELBAR))
+def test_lefschetz_atlas_optimality(entries, key):
+    spec = entries[key].spec
+    n = spec.n
+
+    def atlas(D):
+        return {pq: hodge.lefschetz_decomposition(spec, D, D, pq).status
+                for pq in all_bidegrees(n)}
+
+    delbar = {pq: ATLAS_DELBAR[key].get(pq, "Equal")
+              for pq in all_bidegrees(n)}
+    assert atlas("delbar") == delbar
+    # del is the mirror image: conjugation swaps (p,q) and (q,p)
+    assert atlas("del") == {(q, p): status for (p, q), status in delbar.items()}
+    assert set(atlas("d").values()) == {"Equal"}
+    # the edges and the paper's bidegrees (1,1) and (n-1,n-1) hold
+    for pq in [(1, 1), (n - 1, n - 1)] + [(k, 0) for k in range(n + 1)] \
+            + [(0, k) for k in range(n + 1)]:
+        assert delbar[pq] == "Equal", pq
+    # the atlas cell at (2,1) is inclusion21
+    assert hodge.verify(spec, "inclusion21").strict == \
+        (delbar[(2, 1)] == "StrictInclusion")
+
+
+def _oracle_rank(*matrices):
+    rows = [matrix_to_sympy(m) for m in matrices if m.rows]
+    return sympy.Matrix.vstack(*rows).rank() if rows else 0
+
+
+def _oracle_status(cell):
+    """The status from sympy ranks of the bases the construction read."""
+    parts = [part.basis for part in cell.parts.values()]
+    if _oracle_rank(*parts) != sum(_oracle_rank(b) for b in parts):
+        return "NotDirect"
+    H, total = cell.harmonic.basis, cell.total.basis
+    if _oracle_rank(H, total) != _oracle_rank(H):
+        return "NotContained"
+    return "Equal" if _oracle_rank(total) == _oracle_rank(H) \
+        else "StrictInclusion"
+
+
+def _oracle_member(space, form, pq, n):
+    row = Matrix.from_rows([hodge.form_to_vector(form, pq, n)], space.basis.cols)
+    return _oracle_rank(space.basis, row) == _oracle_rank(space.basis)
+
+
+@pytest.mark.parametrize("key,D,D2,pq,rs", [
+    ("iwasawa_ak", "delbar", "delbar", (2, 1), None),
+    ("iwasawa_ak", "delbar", "delbar", (1, 2), None),
+    ("iwasawa_ak", "del", "del", (2, 1), None),
+    ("iwasawa_ak", "delbar", "delbar", (1, 1), None),
+    ("iwasawa_ak", "del", "delbar", (2, 2), (1, 2)),
+    ("iwasawa_ak", "d", "d", (2, 2), None),
+    ("kt4", "delbar", "del", (2, 1), (1,)),
+    ("h12_t3", "delbar", "delbar", (3, 1), None),
+    ("h12_t3", "delbar", "delbar", (1, 3), None),
+])
+def test_lefschetz_decomposition_against_sympy_ranks(entries, key, D, D2, pq,
+                                                      rs):
+    spec = entries[key].spec
+    cell = hodge.lefschetz_decomposition(spec, D, D2, pq, rs)
+    assert cell.status == _oracle_status(cell)
+    if cell.status == "StrictInclusion":
+        inside, outside = cell.harmonic, cell.total
+    elif cell.status == "NotContained":
+        inside, outside = cell.total, cell.harmonic
+    else:
+        assert cell.witnesses == []
+        return
+    # every witness is a basis form of one side outside the other
+    assert cell.witnesses
+    for witness in cell.witnesses:
+        assert _oracle_member(inside, witness, pq, spec.n)
+        assert not _oracle_member(outside, witness, pq, spec.n)
+    if (key, D, pq) == ("iwasawa_ak", "delbar", (2, 1)):
+        assert cell.witnesses == [F("phi{13,3} + i*phi{23,3}", spec)]
+
+
+def test_lefschetz_decomposition_not_direct_against_sympy_ranks(monkeypatch):
+    # every (2,1)-form declared primitive: H cap P = H already holds L(H^{1,0})
+    spec = parse_spec(catalog.dsl_source("iwasawa_ak"))
+    original = hodge.primitive_subspace
+    monkeypatch.setattr(
+        hodge, "primitive_subspace",
+        lambda s, pq: hodge.Subspace.full(s.n, pq) if pq == (2, 1)
+        else original(s, pq))
+    cell = hodge.lefschetz_decomposition(spec, "delbar", "delbar", (2, 1))
+    assert cell.status == _oracle_status(cell) == "NotDirect"
+    assert cell.witnesses == []
+
+
+def test_lefschetz_decomposition_parts_and_memo(entries):
+    spec = entries["iwasawa_ak"].spec
+    cell = hodge.lefschetz_decomposition(spec, "delbar", "delbar", (2, 1))
+    assert hodge.lefschetz_decomposition(spec, "delbar", "delbar", (2, 1)) \
+        is cell
+    assert sorted(cell.parts) == [0, 1]
+    assert cell.parts[0] is hodge.primitive_harmonic(spec, "delbar", (2, 1))
+    assert cell.parts[1] == hodge.line_of(spec, F("phi{13,1} + phi{23,2}",
+                                                  spec))
+    assert cell.harmonic is hodge.harmonic_space(spec, "delbar", (2, 1))
+    top = hodge.lefschetz_decomposition(spec, "delbar", "del", (3, 1), (1,))
+    assert list(top.parts) == [1] and top.total is top.parts[1]
 
 
 # -- the benchmark's H(1,2)-type ladder ------------------------------------------
