@@ -314,7 +314,7 @@ def cmd_report(args) -> int:
 
 # -- argument wiring -----------------------------------------------------------
 
-def _add_source_args(sub, entry_required=False):
+def _add_source_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--entry", choices=catalog.keys(),
                        help="built-in catalog entry")

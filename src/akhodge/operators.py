@@ -33,12 +33,14 @@ by +-i, and J is i^{p-q} times the identity.  Since the Gram matrix is a
 scalar per degree, each metric adjoint is a scaled conjugate transpose of a
 cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H for A from src
 to tgt, for A in {mu, del, delbar, mubar} and for Lambda, the adjoint of L;
-d* is the four component adjoints stacked.  The dual Lefschetz operator on
-single forms is (-1)^k * L * on k-forms (the classical -*L* formula holds
-verbatim on odd degrees only; the adjoint sign is forced by
-[L, Lambda] = (k - n) id).  The pointwise `apply_adjoint`, `dual_Lambda`,
-`component`, `dc`, `lefschetz_L` and `j_action` stay for single forms and
-are the blocks' test oracles.
+d* is the four component adjoints stacked.  At full degree the same rule
+gives Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
+Lefschetz operator on single forms is (-1)^k * L * on k-forms (the
+classical -*L* formula holds verbatim on odd degrees only; the adjoint sign
+is forced by [L, Lambda] = (k - n) id).  The pointwise `ext_d`,
+`apply_adjoint`, `dual_Lambda`, `component`, `dc`, `lefschetz_L` and
+`j_action` serve single forms in symbolic mode and are the blocks' test
+oracles; no theorem check uses them.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
@@ -443,7 +445,7 @@ def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
     return sorted(pq for pq in cands if _valid(pq, n))
 
 
-def _target_rows(op: str, pq: Bidegree, n: int):
+def target_rows(op: str, pq: Bidegree, n: int):
     """(target, start, stop) for each target bidegree of op's block at pq:
     its rows are start..stop-1."""
     start = 0
@@ -489,7 +491,7 @@ def _component_block(spec, op: str, pq: Bidegree) -> Matrix:
     s, t = COMPONENT_SHIFTS[op]
     want = (pq[0] + s, pq[1] + t)
     d_block = operator_block(spec, "d", pq)
-    for target, start, stop in _target_rows("d", pq, spec.n):
+    for target, start, stop in target_rows("d", pq, spec.n):
         if target == want:
             return d_block.row_slice(start, stop)
     return Matrix.zeros(0, d_block.cols)
@@ -500,7 +502,7 @@ def _dc_block(spec, pq: Bidegree) -> Matrix:
     the targets (p + s, q + 1 - s) scaled by i for even s, -i for odd."""
     d_block = operator_block(spec, "d", pq)
     out = Matrix.zeros(0, d_block.cols)
-    for target, start, stop in _target_rows("d", pq, spec.n):
+    for target, start, stop in target_rows("d", pq, spec.n):
         unit = I if (target[0] - pq[0]) % 2 == 0 else -I
         out = out.stack_below(d_block.row_slice(start, stop).scale(unit))
     return out
@@ -581,49 +583,36 @@ def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
 
 
 @spec_memo
-def full_degree_matrix(spec, op: str, k: int) -> Matrix:
-    """Matrix of d or d* from the whole degree-k space (all bidegrees),
-    assembled from the cached bidegree blocks."""
+def full_degree_matrix(spec, k: int) -> Matrix:
+    """Matrix of d from the whole degree-k space (all bidegrees) into the
+    degree-(k+1) space, assembled from the cached "d" blocks."""
     require_constant_coefficient(spec)
     n = spec.n
-    targets = bidegrees_of_degree(k + (1 if op == "d" else -1), n)
-    full = Matrix.zeros(sum(bidegree_dim(t, n) for t in targets), 0)
+    targets = bidegrees_of_degree(k + 1, n)
+    rows = sum(bidegree_dim(t, n) for t in targets)
+    full = Matrix.zeros(rows, 0)
     for pq in bidegrees_of_degree(k, n):
-        # a block's rows run over its valid targets in ascending order, a
-        # subsequence of `targets`; absent targets are zero
-        block = operator_block(spec, op, pq)
-        hit = op_targets(op, pq, n)
-        column = Matrix.zeros(0, block.cols)
-        start = 0
-        for target in targets:
-            dim = bidegree_dim(target, n)
-            if target in hit:
-                column = column.stack_below(block.row_slice(start, start + dim))
-                start += dim
-            else:
-                column = column.stack_below(Matrix.zeros(dim, block.cols))
-        full = full.stack_beside(column)
+        # the targets of d at (p,q) are the run p - 1 <= p' <= p + 2 of the
+        # degree-(k+1) bidegrees (p', k + 1 - p'), so the block sits at one
+        # row offset
+        block = operator_block(spec, "d", pq)
+        above = sum(bidegree_dim(t, n) for t in targets if t[0] < pq[0] - 1)
+        full = full.stack_beside(
+            Matrix.zeros(above, block.cols).stack_below(block).stack_below(
+                Matrix.zeros(rows - above - block.rows, block.cols)))
     return full
 
 
 @spec_memo
 def laplacian_d_full(spec, k: int) -> Matrix:
-    """Delta_d as an endomorphism of the whole degree-k space."""
-    n = spec.n
-    dim_k = sum(bidegree_dim(pq, n) for pq in bidegrees_of_degree(k, n))
-    if k < 2 * n:
-        up = full_degree_matrix(spec, "d", k)
-        up_star = full_degree_matrix(spec, "d_star", k + 1)
-        first = up_star * up
-    else:
-        first = Matrix.zeros(dim_k, dim_k)
-    if k > 0:
-        down_star = full_degree_matrix(spec, "d_star", k)
-        down = full_degree_matrix(spec, "d", k - 1)
-        second = down * down_star
-    else:
-        second = Matrix.zeros(dim_k, dim_k)
-    return first + second
+    """Delta_d = d* d + d d* as an endomorphism of the whole degree-k space:
+    [d*] = (2/c) [d]^H by the adjoint rule, so Delta_d = (2/c)(d_k^H d_k +
+    d_{k-1} d_{k-1}^H); at k = 0 and k = 2n one factor has no rows or no
+    columns and its product is zero."""
+    up = full_degree_matrix(spec, k)
+    down = full_degree_matrix(spec, k - 1)
+    return (up.conj_transpose() * up
+            + down * down.conj_transpose()).scale(_norm(spec, 1))
 
 
 def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
@@ -631,13 +620,10 @@ def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
     space since Delta_d does not preserve the bidegree."""
     n = spec.n
     k = pq[0] + pq[1]
-    full = laplacian_d_full(spec, k)
-    offset = 0
-    for block in bidegrees_of_degree(k, n):
-        if block == pq:
-            break
-        offset += bidegree_dim(block, n)
-    return full.column_slice(offset, offset + bidegree_dim(pq, n))
+    offset = sum(bidegree_dim(b, n) for b in bidegrees_of_degree(k, n)
+                 if b[0] < pq[0])
+    return laplacian_d_full(spec, k).column_slice(
+        offset, offset + bidegree_dim(pq, n))
 
 
 @dataclass

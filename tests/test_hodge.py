@@ -479,6 +479,30 @@ _FAULTS = [
      {"detail": "sum is not direct",
       "dimensions": {"harmonic": 3, "lifted_line": 1, "primitive_part": 3,
                      "sum": 3}}),
+    # every delbar- (or del-) closed form counts as primitive at one
+    # bidegree; the delbar branch fails first there
+    ("iwasawa_ak", "primitive_subspace", None, (1, 2), "full", "lemma46",
+     {"detail": "delbar-closed primitive (1, 2)-form with del_star != 0",
+      "dimensions": {}, "witnesses": ["phi{3,13}"]}),
+    ("iwasawa_ak", "primitive_subspace", None, (2, 1), "full", "lemma46",
+     {"detail": "delbar-closed primitive (2, 1)-form with del_star != 0",
+      "dimensions": {}, "witnesses": ["phi{13,3}"]}),
+    ("h12_t3", "primitive_subspace", None, (3, 1), "full", "lemma46",
+     {"detail": "delbar-closed primitive (3, 1)-form with del_star != 0",
+      "dimensions": {}, "witnesses": ["phi{123,3}"]}),
+    # every (1,1)-form counts as delbar-harmonic
+    ("kt4", "harmonic_space", "delbar", (1, 1), "full", "lemma47",
+     {"detail": "d* does not vanish", "dimensions": {},
+      "witnesses": ["phi{1,2}"]}),
+    ("iwasawa_ak", "harmonic_space", "delbar", (1, 1), "full", "lemma47",
+     {"detail": "d* does not vanish", "dimensions": {},
+      "witnesses": ["phi{1,3}"]}),
+    ("kt4", "harmonic_space", "delbar", (1, 1), "full", "lemma48",
+     {"detail": "d(alpha) is not primitive", "dimensions": {},
+      "witnesses": ["phi{1,2}"]}),
+    ("iwasawa_ak", "harmonic_space", "delbar", (1, 1), "full", "lemma48",
+     {"detail": "d(alpha) is not primitive", "dimensions": {},
+      "witnesses": ["phi{1,3}"]}),
 ]
 
 
