@@ -20,6 +20,14 @@ k <= n), lemma47 (d* on H^{1,1}_delbar cap P), and lemma48 (Lambda d on
 the same space: the four components of d alpha lie in distinct bidegrees
 and Lambda keeps them apart, so they are all primitive exactly when
 Lambda d alpha = 0).
+
+A primitive decomposition alpha = sum_r (1/r!) L^r beta_r of a (p,q)-form
+solves no linear system.  `_decomposition_solver` peels the components off
+from r = min(p, q) down to max(k-n, 0) with the sl(2) relations: beta_r is
+((m-r)!/m!) (2/c)^{2r} (L^r)^H applied to what is left of alpha, where
+m = n - (k - 2r) and (2/c)^{2r} (L^r)^H = Lambda^r.  Two checks, once per
+spec and bidegree, raise SolveFailureError: Lambda beta_r = 0 for every r,
+and nothing of alpha is left over.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ class CrossCheckMismatchError(AssertionError):
 
 
 class SolveFailureError(AssertionError):
-    """The primitive-decomposition system was inconsistent (impossible for
-    valid input)."""
+    """A primitive component was not primitive, or the components did not
+    account for the whole form (impossible for valid input)."""
 
 
 # ---------------------------------------------------------------------------
@@ -319,33 +327,36 @@ class PrimitiveDecomposition:
 
 
 @ops.spec_memo
-def _decomposition_solver(spec, pq: Bidegree):
-    """Cached exact solve-map for the block system
-    {sum_r (1/r!) L^r beta_r = a, Lambda beta_r = 0}, and the r values of
-    its column blocks (beta_r has bidegree (p-r, q-r))."""
+def _decomposition_solver(spec, pq: Bidegree) -> dict[int, Matrix]:
+    """{r: B_r} in ascending r, with B_r the matrix taking a (p,q)-form alpha
+    to its primitive component beta_r of bidegree (p-r, q-r).
+
+    Peeled from the top r down.  On a primitive j-form beta with m = n - j,
+    Lambda^s L^r beta = 0 for s > r and Lambda^r L^r beta / r! =
+    (m!/(m-r)!) beta, so Lambda^r of what is left of alpha sees beta_r
+    alone; Lambda^r is (2/c)^{2r} (L^r)^H by the adjoint rule.  The peel
+    stops at r = max(k-n, 0): L^r of a primitive (k-2r)-form vanishes once
+    k - 2r > n - r.  Raises SolveFailureError unless Lambda B_r = 0 for
+    every r and nothing of alpha is left over."""
     n = spec.n
     p, q = pq
     k = p + q
-    # L^r of a primitive (k-2r)-form vanishes once k - 2r > n - r, so blocks
-    # below r = max(k-n, 0) would sit in the solver's kernel; the
-    # decomposition ranges over r >= max(k-n, 0) only
-    r_values = [r for r in range(max(k - n, 0), min(p, q) + 1)
-                if bidegree_dim((p - r, q - r), n)]
-    lifts = [ops.lefschetz_power_block(spec, (p - r, q - r), r)
-             .scale(Fraction(1, factorial(r))) for r in r_values]
-    lams = [ops.operator_block(spec, "Lambda", (p - r, q - r))
-            for r in r_values]
-    # rows: the [L^r / r!] blocks side by side, then the Lambda blocks on
-    # the block diagonal
-    system = functools.reduce(Matrix.stack_beside, lifts)
-    offset = 0
-    for lam in lams:
-        system = system.stack_below(
-            Matrix.zeros(lam.rows, offset).stack_beside(lam).stack_beside(
-                Matrix.zeros(lam.rows, system.cols - offset - lam.cols)))
-        offset += lam.cols
-    solver, residual = system.solve_map()
-    return solver, residual, r_values
+    rest = Matrix.identity(bidegree_dim(pq, n))
+    solver: dict[int, Matrix] = {}
+    for r in range(min(p, q), max(k - n, 0) - 1, -1):
+        src = (p - r, q - r)
+        lift = ops.lefschetz_power_block(spec, src, r)
+        m = n - (k - 2 * r)
+        solver[r] = (lift.conj_transpose() * rest).scale(
+            ops.norm(spec, 2 * r) * Fraction(factorial(m - r), factorial(m)))
+        if not (ops.operator_block(spec, "Lambda", src) * solver[r]).is_zero():
+            raise SolveFailureError(
+                f"{spec.name}: component {r} on {pq} is not primitive")
+        rest = rest - (lift * solver[r]).scale(Fraction(1, factorial(r)))
+    if not rest.is_zero():
+        raise SolveFailureError(
+            f"{spec.name}: the primitive components on {pq} leave a remainder")
+    return dict(reversed(solver.items()))
 
 
 def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
@@ -354,22 +365,12 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     n = spec.n
     components: dict[int, Form] = {}
     for pq, comp in form.components().items():
-        solver, residual, r_values = _decomposition_solver(spec, pq)
-        rhs = form_to_vector(comp, pq, n)
-        rhs = rhs + [ZERO] * (solver.cols - len(rhs))
-        if not vec_is_zero(residual.apply(rhs)):
-            raise SolveFailureError(
-                f"inconsistent primitive decomposition on {pq}")
-        solution = solver.apply(rhs)
-        offset = 0
-        for r in r_values:
+        alpha = form_to_vector(comp, pq, n)
+        for r, block in _decomposition_solver(spec, pq).items():
             src = (pq[0] - r, pq[1] - r)
-            width = bidegree_dim(src, n)
-            beta = vector_to_form(solution[offset:offset + width], src, n)
-            offset += width
-            if beta.is_zero():
-                continue
-            components[r] = components.get(r, Form.zero()) + beta
+            beta = vector_to_form(block.apply(alpha), src, n)
+            if not beta.is_zero():
+                components[r] = components.get(r, Form.zero()) + beta
     return PrimitiveDecomposition(form, components)
 
 

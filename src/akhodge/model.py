@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
-                       check_pairing, complex_to_real, real_to_complex)
+                       check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
                       SymScalar)
 
@@ -543,11 +543,6 @@ def complexify(real: RealFramePresentation) -> dict[int, Form]:
         if not form.is_zero():
             out[j] = form
     return out
-
-
-def realify(form: Form, pairing: Pairing) -> RealForm:
-    """Inverse substitution of complexify's output, for round-trip checks."""
-    return complex_to_real(form, pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
     return wedge.coeff(top) * vol_coeff.inverse()
 
 
-def _norm(spec, k: int) -> Fraction:
+def norm(spec, k: int) -> Fraction:
     """<m, m> of every monomial m of degree k: (2/c)^k, since
     |phi^j|^2 = 2/c for omega = (i c/2) sum phi^{j jbar}."""
     return (2 / Fraction(require_unitary(spec))) ** k
@@ -375,8 +375,8 @@ def _norm(spec, k: int) -> Fraction:
 def gram_diagonal(spec, pq: Bidegree) -> list[GaussianRational]:
     """Squared norms <m, m> of the basis monomials of pq; the pairing is
     diagonal on the unitary coframe and the same on every monomial."""
-    norm = GaussianRational(_norm(spec, pq[0] + pq[1]))
-    return [norm] * bidegree_dim(pq, spec.n)
+    value = GaussianRational(norm(spec, pq[0] + pq[1]))
+    return [value] * bidegree_dim(pq, spec.n)
 
 
 def is_integrable(spec) -> bool:
@@ -520,7 +520,7 @@ def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
     (src,) = sources
     forward = operator_block(spec, _ADJOINT_OF[op], src)
     return forward.conj_transpose().scale(
-        _norm(spec, pq[0] + pq[1] - src[0] - src[1]))
+        norm(spec, pq[0] + pq[1] - src[0] - src[1]))
 
 
 @spec_memo
@@ -612,7 +612,7 @@ def laplacian_d_full(spec, k: int) -> Matrix:
     up = full_degree_matrix(spec, k)
     down = full_degree_matrix(spec, k - 1)
     return (up.conj_transpose() * up
-            + down * down.conj_transpose()).scale(_norm(spec, 1))
+            + down * down.conj_transpose()).scale(norm(spec, 1))
 
 
 def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:

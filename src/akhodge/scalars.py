@@ -206,12 +206,6 @@ class SymbolTable:
                     "is not involutive")
         return None
 
-    def check_involution(self) -> None:
-        for sym in self._symbols.values():
-            error = self.involution_error(sym)
-            if error is not None:
-                raise ValueError(error)
-
     def __getitem__(self, name: str) -> FunctionSymbol:
         return self._symbols[name]
 
@@ -223,9 +217,6 @@ class SymbolTable:
 
     def __len__(self):
         return len(self._symbols)
-
-    def names(self) -> list[str]:
-        return list(self._symbols)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolTable):

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from akhodge import model
+from akhodge import catalog, model
 from akhodge import operators as ops
 from akhodge.cli import main
 
@@ -181,6 +182,22 @@ def test_report_byte_identical(capsys):
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == \
         expected["catalog_report_sha256"]
+
+
+def test_report_verbose_logs_one_line_per_entry_on_stderr(capsys,
+                                                          monkeypatch):
+    # AKHODGE_VERBOSE adds timing lines on stderr and leaves stdout alone
+    monkeypatch.setenv("AKHODGE_VERBOSE", "1")
+    code, out, err = run(capsys, "report", "--json")
+    assert code == 0
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        expected["catalog_report_sha256"]
+    lines = err.splitlines()
+    assert all(re.fullmatch(r"\[report\] \S+: \d+\.\d\ds", line)
+               for line in lines), lines
+    assert [line.split()[1].rstrip(":") for line in lines] == \
+        list(catalog.keys())
 
 
 def test_human_output_subset_of_json_facts(capsys):

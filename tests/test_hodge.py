@@ -177,10 +177,14 @@ def test_decompose_iwasawa_eta(entries):
     assert ops.dual_Lambda(spec, expected_beta).is_zero()
 
 
-def test_decompose_reconstruction_random(cc_entries):
+def test_decompose_reconstruction_random(cc_entries, ladder, ladder_dsl):
+    # the catalog has 2/c = 1 or 2 and n <= 4; the n = 3 ladder with omega
+    # halved (2/c = 4) and the n = 5 ladder (m - r >= 2) reach the rest
+    half = parse_spec(ladder_dsl(3).replace("1/2*i*", "1/4*i*"))
+    assert half.unitary_scale == Fraction(1, 2)
+    specs = [entry.spec for entry in cc_entries.values()] + [half, ladder(5)]
     rng = random.Random(101)
-    for entry in cc_entries.values():
-        spec = entry.spec
+    for spec in specs:
         n = spec.n
         for _ in range(50):
             pq = (rng.randint(0, n), rng.randint(0, n))
@@ -194,6 +198,20 @@ def test_decompose_reconstruction_random(cc_entries):
             assert decomposition.reconstruct(spec) == form
             for r, beta in decomposition.components.items():
                 assert ops.dual_Lambda(spec, beta).is_zero()
+
+
+def test_decompose_rejects_a_wrong_lefschetz_block(monkeypatch):
+    # twice the true L block at (0,0) must not give a silent wrong answer
+    spec = parse_spec(catalog.dsl_source("iwasawa_ak"))
+    true_block = ops.lefschetz_power_block
+
+    def doubled(memo_spec, pq, r):
+        block = true_block(memo_spec, pq, r)
+        return block.scale(2) if (pq, r) == ((0, 0), 1) else block
+
+    monkeypatch.setattr(ops, "lefschetz_power_block", doubled)
+    with pytest.raises(hodge.SolveFailureError):
+        hodge.primitive_decompose(spec, F("phi{1,1} + phi{2,2}", spec))
 
 
 # -- subspace algebra ----------------------------------------------------------

@@ -5,7 +5,7 @@ from akhodge.exterior import BasisMonomial, Form, complex_to_real
 from akhodge.model import (DegreeMismatchError, InvalidSpecError,
                            NonRealOmegaError, RealFramePresentation,
                            SpecSyntaxError, UnknownSymbolError, complexify,
-                           parse_form, parse_spec, realify, real_two_form,
+                           parse_form, parse_spec, real_two_form,
                            render_spec, validate)
 from akhodge.scalars import GaussianRational, I, SymScalar
 
@@ -119,8 +119,8 @@ def test_complexify_realify_roundtrip():
         real = entry.real_presentation
         derived = complexify(real)
         for j, (a_idx, b_idx) in enumerate(real.pairing, start=1):
-            # realify(d phi^j) = de^{a_j} + i de^{b_j}
-            back = realify(derived.get(j, Form.zero()), real.pairing)
+            # complex_to_real(d phi^j) = de^{a_j} + i de^{b_j}
+            back = complex_to_real(derived.get(j, Form.zero()), real.pairing)
             expected = {}
             for mono, c in real.de.get(a_idx, {}).items():
                 expected[mono] = c
