@@ -82,6 +82,15 @@ def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
     return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
+def _apply_blocks(form: Form, pq: Bidegree, target: Bidegree, n: int,
+                  *blocks: Matrix) -> Form:
+    """The constant (p,q)-form `form` through blocks, first to last."""
+    vec = form_to_vector(form, pq, n)
+    for block in blocks:
+        vec = block.apply(vec)
+    return vector_to_form(vec, target, n)
+
+
 class Subspace:
     """A linear subspace of Lambda^{p,q} with a canonical echelon basis.
 
@@ -261,15 +270,36 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
     return best
 
 
+def _block_witnesses(spec, D: str, partner: str, form: Form):
+    """D alpha and partner(*alpha) from the cached blocks, one pure (p,q)
+    component at a time; a block with no valid target adds nothing."""
+    n = spec.n
+    closed = costar = Form.zero()
+    for (p, q), comp in form.components().items():
+        dual = (n - q, n - p)
+        star = ops.operator_block(spec, "star", (p, q))
+        for t in ops.op_targets(D, (p, q), n):
+            closed += _apply_blocks(comp, (p, q), t, n,
+                                    ops.operator_block(spec, D, (p, q)))
+        for t in ops.op_targets(partner, dual, n):
+            costar += _apply_blocks(comp, (p, q), t, n, star,
+                                    ops.operator_block(spec, partner, dual))
+    return closed, costar
+
+
 def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
-    """Symbolic-mode harmonicity of a single form: evaluates the two defining
-    equations (D alpha = 0 and conjugate-D of *alpha = 0)."""
+    """Harmonicity of a single form, D alpha = 0 and conjugate-D *alpha = 0:
+    from the cached blocks for a constant form on a constant-coefficient
+    spec, else pointwise (Unknown when that needs an opaque derivative)."""
     if D not in ("del", "delbar"):
         raise ValueError("membership is defined for del and delbar")
     partner = ops.STAR_PARTNERS[D]
     try:
-        closed = ops.component(spec, D, form)
-        costar = ops.component(spec, partner, ops.hodge_star(spec, form))
+        if spec.constant_coefficient and form.is_constant_coefficient():
+            closed, costar = _block_witnesses(spec, D, partner, form)
+        else:
+            closed = ops.component(spec, D, form)
+            costar = ops.component(spec, partner, ops.hodge_star(spec, form))
     except ops.OpaqueDerivativeError as exc:
         return MembershipResult("Unknown",
                                 reason=f"needs d({exc.symbol}), declared opaque")
@@ -365,10 +395,8 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     n = spec.n
     components: dict[int, Form] = {}
     for pq, comp in form.components().items():
-        alpha = form_to_vector(comp, pq, n)
         for r, block in _decomposition_solver(spec, pq).items():
-            src = (pq[0] - r, pq[1] - r)
-            beta = vector_to_form(block.apply(alpha), src, n)
+            beta = _apply_blocks(comp, pq, (pq[0] - r, pq[1] - r), n, block)
             if not beta.is_zero():
                 components[r] = components.get(r, Form.zero()) + beta
     return PrimitiveDecomposition(form, components)

@@ -38,9 +38,10 @@ gives Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
 Lefschetz operator on single forms is (-1)^k * L * on k-forms (the
 classical -*L* formula holds verbatim on odd degrees only; the adjoint sign
 is forced by [L, Lambda] = (k - n) id).  The pointwise `ext_d`,
-`apply_adjoint`, `dual_Lambda`, `component`, `dc`, `lefschetz_L` and
-`j_action` serve single forms in symbolic mode and are the blocks' test
-oracles; no theorem check uses them.
+`apply_adjoint`, `dual_Lambda`, `component`, `dc`, `hodge_star`,
+`lefschetz_L` and `j_action` serve single forms with symbolic
+coefficients, and the tests as the blocks' oracles; theorem checks and
+constant membership queries use the blocks.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are

@@ -5,12 +5,13 @@ tuples, signs come from counting swaps, linear algebra is sympy's.  Complex
 monomials are encoded as ascending tuples of letters 1..2n, where letters
 1..n are the holomorphic generators and n+1..2n their conjugates.
 
-Three oracles check a fast path against the slow route it replaced instead:
+Four oracles check a fast path against the slow route it replaced instead:
 the real-frame Hodge star (built on the package's real-coframe expansion,
 which the complexify round-trip tests check, and on none of its star code),
 d of a monomial by whole-`Form` wedges (the Leibniz rule on the package's
-`Form` algebra, none of its term lists), and the degree-k matrices of d and
-d* taken one monomial at a time.
+`Form` algebra, none of its term lists), the degree-k matrices of d and
+d* taken one monomial at a time, and harmonic membership by the pointwise
+`component` and `hodge_star` instead of the cached blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import sympy
 from sympy import I, Matrix, Rational
 
-from akhodge import operators as ops
+from akhodge import hodge, operators as ops
 from akhodge.exterior import (BasisMonomial, Form, basis_of, complex_to_real,
                               real_to_complex)
 from akhodge.scalars import GaussianRational
@@ -218,3 +219,18 @@ def full_degree_oracle(spec, op: str, k: int) -> Matrix:
         for m, c in image.terms():
             M[index[m], col] = gr_to_sympy(c.constant_value())
     return M
+
+
+def pointwise_membership(spec, D: str, form: Form) -> hodge.MembershipResult:
+    """harmonic_membership by the pointwise route: D alpha, then
+    partner(*alpha), the first nonzero one the witness."""
+    partner = ops.STAR_PARTNERS[D]
+    for witness, label in (
+            (ops.component(spec, D, form), f"{D}(form) != 0"),
+            (ops.component(spec, partner, ops.hodge_star(spec, form)),
+             f"{partner}(*form) != 0")):
+        if not witness.is_zero():
+            return hodge.MembershipResult(
+                "NotHarmonic", witness,
+                hodge._form_nonzeroness(spec, witness), label)
+    return hodge.MembershipResult("Harmonic")

@@ -1,6 +1,7 @@
 """Property tests of the front door: generated DSL text always ends in a
 result or a SpecError (exit 2 from the CLI), and generated valid specs
-round-trip through render_spec."""
+round-trip through render_spec; and of harmonic membership: the cached
+block route agrees with the pointwise one on random constant forms."""
 
 import contextlib
 import io
@@ -10,9 +11,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from akhodge import catalog
+from akhodge import catalog, hodge
 from akhodge.cli import main
+from akhodge.exterior import BasisMonomial, Form
 from akhodge.model import SpecError, parse_form, parse_spec, render_spec
+from akhodge.scalars import GaussianRational, SymScalar
+
+from oracles import pointwise_membership
 
 DSL_WORDS = (
     "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
@@ -162,3 +167,31 @@ def test_render_spec_round_trips_generated_specs(text):
     rendered = render_spec(spec)
     assert parse_spec(rendered) == spec
     assert render_spec(parse_spec(rendered)) == rendered
+
+
+# -- harmonic membership -------------------------------------------------------
+
+@st.composite
+def _constant_forms(draw, n):
+    """Up to 4 terms on random monomials of any bidegrees, so the form may
+    be zero or mixed, with Q(i) coefficients."""
+    indices = st.sets(st.integers(1, n)).map(sorted)
+    monomials = st.builds(BasisMonomial, indices, indices)
+    coeffs = st.builds(GaussianRational, _rationals, _rationals)
+    terms = draw(st.dictionaries(monomials, coeffs, max_size=4))
+    return Form({m: SymScalar.const(c) for m, c in terms.items()})
+
+
+@st.composite
+def _membership_cases(draw):
+    spec = catalog.get(draw(st.sampled_from(("iwasawa_ak", "kt4")))).spec
+    return spec, draw(st.sampled_from(("del", "delbar"))), \
+        draw(_constant_forms(spec.n))
+
+
+@given(_membership_cases())
+@settings(max_examples=200, deadline=None)
+def test_membership_block_route_matches_the_pointwise_route(case):
+    spec, D, form = case
+    assert hodge.harmonic_membership(spec, D, form) == \
+        pointwise_membership(spec, D, form)

@@ -15,7 +15,7 @@ from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, Nonzeroness, SymScalar
 
 from oracles import (brute_component_matrix, letter_basis, matrix_to_sympy,
-                     same_row_space)
+                     pointwise_membership, same_row_space)
 
 
 def F(text, spec):
@@ -84,7 +84,7 @@ omega = i*phi{1,1} + 1/2*i*phi{2,2}
         hodge.harmonic_space(lopsided, "delbar", (1, 1))
 
 
-# -- membership (symbolic mode) ---------------------------------------------------
+# -- membership ------------------------------------------------------------------
 
 def test_ex45_membership(entries):
     spec = entries["torus6_g"].spec
@@ -117,6 +117,52 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
     result = hodge.harmonic_membership(spec, "delbar", f)
     assert result.status == "Unknown"
     assert "W" in result.reason
+
+
+def test_membership_block_route_matches_pointwise_oracle(cc_entries, ladder,
+                                                         monkeypatch):
+    # every basis monomial, a seeded form per bidegree, their mixed sum, the
+    # zero form and omega; the block route must not touch the pointwise one
+    rng = random.Random(23)
+    for spec in [e.spec for e in cc_entries.values()] + [ladder(3), ladder(4)]:
+        n = spec.n
+        pure = [Form({m: SymScalar.const(GaussianRational(
+            rng.randint(-3, 3), rng.randint(-3, 3))) for m in basis_of(pq, n)})
+            for pq in all_bidegrees(n)]
+        forms = [Form.monomial(m) for pq in all_bidegrees(n)
+                 for m in basis_of(pq, n)]
+        forms += pure + [sum(pure, Form.zero()), Form.zero(), spec.omega]
+        cases = [(D, form) for D in ("del", "delbar") for form in forms]
+        want = [pointwise_membership(spec, D, form) for D, form in cases]
+        with monkeypatch.context() as patch:
+            for name in ("component", "hodge_star", "ext_d"):
+                patch.setattr(ops, name, None)
+            got = [hodge.harmonic_membership(spec, D, form)
+                   for D, form in cases]
+        for case, g, w in zip(cases, got, want):
+            assert g == w, (spec.name, case)
+
+
+def test_membership_symbolic_form_on_a_constant_spec_is_pointwise():
+    # d W = phi1 + phibar1 reaches the witnesses only through the Leibniz
+    # rule, which the blocks do not see
+    spec = parse_spec("""
+manifold declared_test
+dim 4
+coframe phi1 phi2
+symbol W real d = phi{1,} + phi{,1}
+omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
+""")
+    assert spec.constant_coefficient
+    f = F("W*phi{1,}", spec)
+    result = hodge.harmonic_membership(spec, "del", f)
+    assert (result.status, result.reason) == ("NotHarmonic",
+                                              "delbar(*form) != 0")
+    assert result.witness == F("1/2*phi{12,12}", spec)
+    result = hodge.harmonic_membership(spec, "delbar", f)
+    assert (result.status, result.reason) == ("NotHarmonic",
+                                              "delbar(form) != 0")
+    assert result.witness == F("-phi{1,1}", spec)
 
 
 # -- primitive subspaces and decomposition -----------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from akhodge import catalog, operators as ops
+from akhodge import catalog, hodge, operators as ops
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
 from akhodge.linalg import Matrix
@@ -566,6 +566,14 @@ def test_adjoint_blocks_refuse_a_non_unitary_spec():
                 ops.operator_block(spec, op, pq)
     # the forward blocks need no metric
     assert ops.operator_block(spec, "del", (1, 1)).is_zero()
+
+
+def test_membership_refuses_a_non_unitary_spec():
+    spec = parse_spec(NON_UNITARY)
+    for D in ("del", "delbar"):
+        with pytest.raises(ops.NotUnitaryModeError,
+                           match="is not in unitary mode"):
+            hodge.harmonic_membership(spec, D, Form.generator(1))
 
 
 def test_inner_product_values(cc_entries):
