@@ -7,6 +7,11 @@ Reports therefore speak about invariant forms only: for the counterexamples
 this is sufficient (invariant decompositions of invariant forms), for the
 positive statements it is a consistency verification, not a re-proof.
 
+A constant (p,q)-form is a row over the basis_of((p, q), n) columns, in the
+sparse format of every `Matrix`; `forms_to_rows` and `rows_to_forms` are the
+only crossing between the two.  Subspace bases, block images and
+coordinates are all matrices of such rows.
+
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
 thm34 (delbar) and cor35 (del) at (1,1), hd_lefschetz (d) everywhere,
@@ -40,8 +45,8 @@ from math import factorial
 from . import operators as ops
 from .exterior import (BasisMonomial, Bidegree, Form, basis_of, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, Vector, vec_is_zero
-from .scalars import Nonzeroness, ZERO, SymScalar
+from .linalg import Matrix, Vector
+from .scalars import Nonzeroness, SymScalar
 
 
 class AmbientMismatchError(ValueError):
@@ -59,22 +64,26 @@ class SolveFailureError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Forms <-> coordinate vectors
+# Forms <-> matrix rows
 
-def form_to_vector(form: Form, pq: Bidegree, n: int) -> Vector:
+def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
+    """One row per constant (p,q)-form, over the basis_of(pq, n) columns."""
     index = _basis_index(pq, n)
-    vec = [ZERO] * len(index)
-    for mono, coeff in form.terms():
-        if mono not in index:
-            raise AmbientMismatchError(
-                f"monomial {mono} is not of bidegree {pq}")
-        vec[index[mono]] = coeff.constant_value()
-    return vec
+    try:
+        rows = [{index[mono]: coeff.constant_value()
+                 for mono, coeff in form.terms()} for form in forms]
+    except KeyError as exc:
+        raise AmbientMismatchError(
+            f"monomial {exc.args[0]} is not of bidegree {pq}") from None
+    return Matrix.from_dicts(rows, len(index))
 
 
-def vector_to_form(vec: Vector, pq: Bidegree, n: int) -> Form:
-    monos = basis_of(pq, n)
-    return Form({m: SymScalar.const(c) for m, c in zip(monos, vec) if c})
+def rows_to_forms(rows: Matrix, pq: Bidegree, n: int) -> list[Form]:
+    """The (p,q)-form of each row."""
+    monos = list(_basis_index(pq, n))  # the cached basis_of(pq, n)
+    return [Form({monos[j]: SymScalar.const(x)
+                  for j, x in rows.entries(i).items()})
+            for i in range(rows.rows)]
 
 
 @functools.cache
@@ -82,13 +91,13 @@ def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
     return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
-def _apply_blocks(form: Form, pq: Bidegree, target: Bidegree, n: int,
-                  *blocks: Matrix) -> Form:
+def apply_blocks(form: Form, pq: Bidegree, target: Bidegree, n: int,
+                 *blocks: Matrix) -> Form:
     """The constant (p,q)-form `form` through blocks, first to last."""
-    vec = form_to_vector(form, pq, n)
+    rows = forms_to_rows([form], pq, n)
     for block in blocks:
-        vec = block.apply(vec)
-    return vector_to_form(vec, target, n)
+        rows = block.apply(rows)
+    return rows_to_forms(rows, target, n)[0]
 
 
 class Subspace:
@@ -109,8 +118,7 @@ class Subspace:
 
     @classmethod
     def from_forms(cls, n: int, pq: Bidegree, forms: list[Form]) -> "Subspace":
-        rows = [form_to_vector(f, pq, n) for f in forms]
-        return cls(pq, n, Matrix.from_rows(rows, bidegree_dim(pq, n)))
+        return cls(pq, n, forms_to_rows(forms, pq, n))
 
     @classmethod
     def zero(cls, n: int, pq: Bidegree) -> "Subspace":
@@ -125,26 +133,25 @@ class Subspace:
         return self.basis.rows
 
     def forms(self) -> list[Form]:
-        return [vector_to_form(self.basis.row(i), self.ambient, self.n)
-                for i in range(self.dim)]
+        return rows_to_forms(self.basis, self.ambient, self.n)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.n != other.n:
             raise AmbientMismatchError(
                 f"ambient {self.ambient} != {other.ambient}")
 
-    def member(self, element: Form | Vector) -> bool:
+    def member(self, element: Form | Matrix) -> bool:
         return self.coordinates_of(element) is not None
 
-    def coordinates_of(self, element: Form | Vector) -> Vector | None:
-        """Coefficients w.r.t. the echelon basis, or None if not a member:
-        a member's coefficient on a basis row is its entry at that row's
-        pivot, and a non-member differs from that combination of rows."""
+    def coordinates_of(self, element: Form | Matrix) -> Matrix | None:
+        """Coefficients w.r.t. the echelon basis of a form or of each row of
+        a matrix, or None unless every one is a member: a member's
+        coefficient on a basis row is its entry at that row's pivot, and a
+        non-member differs from that combination of rows."""
         if isinstance(element, Form):
-            element = form_to_vector(element, self.ambient, self.n)
-        coords = [element[c] for c in self.pivots]
-        combination = Matrix.from_rows([coords], self.dim) * self.basis
-        if combination != Matrix.from_rows([element], self.basis.cols):
+            element = forms_to_rows([element], self.ambient, self.n)
+        coords = element.columns(self.pivots)
+        if coords * self.basis != element:
             return None
         return coords
 
@@ -162,15 +169,14 @@ class Subspace:
         stacked = self.basis.transpose().stack_beside(-other.basis.transpose())
         kernel = stacked.nullspace()
         return Subspace(self.ambient, self.n,
-                        kernel.column_slice(0, a) * self.basis)
+                        kernel.columns(range(a)) * self.basis)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.member(other.basis.row(i)) for i in range(other.dim))
+        return self.member(other.basis)
 
     def image_under(self, matrix: Matrix, target: Bidegree) -> "Subspace":
-        # row i of basis * matrix^T is matrix applied to basis row i
-        return Subspace(target, self.n, self.basis * matrix.transpose())
+        return Subspace(target, self.n, matrix.apply(self.basis))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -279,11 +285,11 @@ def _block_witnesses(spec, D: str, partner: str, form: Form):
         dual = (n - q, n - p)
         star = ops.operator_block(spec, "star", (p, q))
         for t in ops.op_targets(D, (p, q), n):
-            closed += _apply_blocks(comp, (p, q), t, n,
-                                    ops.operator_block(spec, D, (p, q)))
+            closed += apply_blocks(comp, (p, q), t, n,
+                                   ops.operator_block(spec, D, (p, q)))
         for t in ops.op_targets(partner, dual, n):
-            costar += _apply_blocks(comp, (p, q), t, n, star,
-                                    ops.operator_block(spec, partner, dual))
+            costar += apply_blocks(comp, (p, q), t, n, star,
+                                   ops.operator_block(spec, partner, dual))
     return closed, costar
 
 
@@ -396,7 +402,7 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     components: dict[int, Form] = {}
     for pq, comp in form.components().items():
         for r, block in _decomposition_solver(spec, pq).items():
-            beta = _apply_blocks(comp, pq, (pq[0] - r, pq[1] - r), n, block)
+            beta = apply_blocks(comp, pq, (pq[0] - r, pq[1] - r), n, block)
             if not beta.is_zero():
                 components[r] = components.get(r, Form.zero()) + beta
     return PrimitiveDecomposition(form, components)
@@ -456,13 +462,9 @@ def change_of_basis(space: Subspace, generators: list[Form]
                     ) -> list[Vector] | None:
     """Coordinates of each generator in the echelon basis, or None if some
     generator falls outside the subspace."""
-    rows = []
-    for gen in generators:
-        coords = space.coordinates_of(gen)
-        if coords is None:
-            return None
-        rows.append(coords)
-    return rows
+    coords = space.coordinates_of(
+        forms_to_rows(generators, space.ambient, space.n))
+    return None if coords is None else list(coords.data)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +634,10 @@ def _check_lemma44(spec) -> VerificationReport:
 def _not_annihilated(block: Matrix, space: Subspace) -> Form | None:
     """The first basis form of space that block does not send to zero, or
     None when block vanishes on space."""
-    for i in range(space.dim):
-        row = space.basis.row(i)
-        if not vec_is_zero(block.apply(row)):
-            return vector_to_form(row, space.ambient, space.n)
+    images = block.apply(space.basis)
+    for i in range(images.rows):
+        if images.entries(i):
+            return space.forms()[i]
     return None
 
 

@@ -6,8 +6,11 @@ den times that entry, and den > 0 shares no factor with all of them.  That
 form is unique, so equal matrices have equal rows and a zero row is
 (1, {}).  Products, sums, transposes and `apply` run on these ints and visit
 nonzero entries only; rows are never changed once built, so matrices share
-them.  `data` is a read-only dense view of `GaussianRational` rows, each
-built when it is read (for rendering and JSON).
+them.  A vector is a matrix row in the same format: `apply` maps each row
+of a matrix through a block, and `entries` reads one row's nonzero values.
+Dense `GaussianRational` rows enter only through the constructors and leave
+only through `row` and `data`, a read-only view whose rows are built when
+read (for rendering and JSON).
 
 Elimination (`rref`, and through it `nullspace` and `solve_map`) reads the
 stored rows directly: updates are fraction-free cross-multiplications over
@@ -177,25 +180,18 @@ class Matrix:
                 raise ValueError(f"a column index outside 0..{cols - 1}")
         return cls._of(len(rows), cols, [_row_of(row.items()) for row in rows])
 
-    @classmethod
-    def from_columns(cls, columns: list[Vector], rows: int) -> "Matrix":
-        entries: list[dict[int, GaussianRational]] = [{} for _ in range(rows)]
-        for j, column in enumerate(columns):
-            if len(column) != rows:
-                raise ValueError(f"a column of length {len(column)} in a "
-                                 f"matrix with {rows} rows")
-            for i, x in enumerate(column):
-                if x:
-                    entries[i][j] = x
-        return cls.from_dicts(entries, len(columns))
+    # -- reads -----------------------------------------------------------------
 
-    # -- dense reads -----------------------------------------------------------
+    def entries(self, i: int) -> dict[int, GaussianRational]:
+        """Row i as column -> value over its nonzero entries."""
+        den, entries = self.sparse[i]
+        return {j: GaussianRational(Fraction(a, den), Fraction(b, den))
+                for j, (a, b) in entries.items()}
 
     def row(self, i: int) -> Vector:
-        den, entries = self.sparse[i]
         out = [ZERO] * self.cols
-        for j, (a, b) in entries.items():
-            out[j] = GaussianRational(Fraction(a, den), Fraction(b, den))
+        for j, x in self.entries(i).items():
+            out[j] = x
         return out
 
     @property
@@ -257,24 +253,26 @@ class Matrix:
                                       if v[0] or v[1]}))
         return Matrix._of(self.rows, other.cols, out)
 
-    def apply(self, vec: Vector) -> Vector:
-        assert len(vec) == self.cols
-        vden, ventries = _row_of(enumerate(vec))
-        out = [ZERO] * self.rows
-        if not ventries:
-            return out
-        for i, (den, row) in enumerate(self.sparse):
-            re = im = 0
-            for j, (a, b) in row.items():
-                v = ventries.get(j)
-                if v is not None:
-                    c, e = v
-                    re += a * c - b * e
-                    im += a * e + b * c
-            if re or im:
-                den *= vden
-                out[i] = GaussianRational(Fraction(re, den), Fraction(im, den))
-        return out
+    def apply(self, vectors: "Matrix") -> "Matrix":
+        """Row i is self times row i of vectors, that is vectors * self^T,
+        taken as dot products over the stored rows with no transpose."""
+        assert vectors.cols == self.cols, f"{vectors.cols} != {self.cols}"
+        common = lcm(*(den for den, _ in self.sparse))
+        out = []
+        for vden, vec in vectors.sparse:
+            image = {}
+            for i, (den, row) in enumerate(self.sparse if vec else ()):
+                re = im = 0
+                for j, (a, b) in row.items():
+                    v = vec.get(j)
+                    if v is not None:
+                        c, e = v
+                        re += a * c - b * e
+                        im += a * e + b * c
+                if re or im:
+                    image[i] = (re * (common // den), im * (common // den))
+            out.append(_lowest_terms(common * vden, image))
+        return Matrix._of(vectors.rows, self.rows, out)
 
     def _transposed(self, sign: int) -> "Matrix":
         """The transpose, with every imaginary part times sign."""
@@ -321,10 +319,12 @@ class Matrix:
     def row_slice(self, start: int, stop: int) -> "Matrix":
         return Matrix._of(stop - start, self.cols, self.sparse[start:stop])
 
-    def column_slice(self, start: int, stop: int) -> "Matrix":
-        return Matrix._of(self.rows, stop - start, [
-            _lowest_terms(den, {j - start: v for j, v in row.items()
-                                if start <= j < stop})
+    def columns(self, keep: Sequence[int]) -> "Matrix":
+        """The columns keep, in that order."""
+        index = {c: j for j, c in enumerate(keep)}
+        return Matrix._of(self.rows, len(keep), [
+            _lowest_terms(den, {index[c]: v for c, v in row.items()
+                                if c in index})
             for den, row in self.sparse])
 
     # -- comparison ------------------------------------------------------------
@@ -443,10 +443,7 @@ class Matrix:
         main_pivots = [c for c in pivots if c < self.cols]
         if len(main_pivots) != self.cols:
             raise ValueError("matrix does not have full column rank")
-        right = reduced.column_slice(self.cols, self.cols + self.rows)
+        right = reduced.columns(range(self.cols, self.cols + self.rows))
         return (right.row_slice(0, self.cols),
                 right.row_slice(self.cols, len(pivots)))
 
-
-def vec_is_zero(vec: Vector) -> bool:
-    return all(not a for a in vec)

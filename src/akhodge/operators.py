@@ -623,8 +623,8 @@ def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
     k = pq[0] + pq[1]
     offset = sum(bidegree_dim(b, n) for b in bidegrees_of_degree(k, n)
                  if b[0] < pq[0])
-    return laplacian_d_full(spec, k).column_slice(
-        offset, offset + bidegree_dim(pq, n))
+    return laplacian_d_full(spec, k).columns(
+        range(offset, offset + bidegree_dim(pq, n)))
 
 
 @dataclass

@@ -160,7 +160,7 @@ def laplacian_psd_cases(spec, rng: random.Random, per_matrix: int) -> int:
             for _ in range(per_matrix):
                 x = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
                      for _ in range(dim)]
-                y = lap.apply(x)
+                y = lap.apply(Matrix.from_rows([x], dim)).row(0)
                 value = GaussianRational(0)
                 for g, yi, xi in zip(gram, y, x):
                     value = value + yi * xi.conj() * g

@@ -73,6 +73,16 @@ def test_h12_mubar_golden(entries):
     assert rows["kernels_coincide_11"]["status"] == "Holds"
 
 
+def test_laplacian_diff_row_says_the_image_is_zero_when_it_fails(entries):
+    # prop41: Delta_delbar = Delta_del on (1,1) in real dimension 4
+    item = {"kind": "laplacian_diff_nonzero", "id": "laplacians_differ",
+            "form": "phi{1,1}", "pq": [1, 1]}
+    row = reports.run_expected_item(entries["kt4"], item)
+    assert row["status"] == "Fails"
+    assert row["detail"] == "(Delta_delbar - Delta_del)(phi{1,1}) = 0"
+    assert row["witness"] == []
+
+
 def test_dsl_source_available():
     text = catalog.dsl_source("torus6_g")
     assert "V3g" in text

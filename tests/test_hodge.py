@@ -357,13 +357,14 @@ def test_coordinates_of_matches_sympy():
         member = [sum((w * row[j] for w, row in zip(weights, rows)),
                       GaussianRational(0)) for j in range(6)]
         for vec in (member, vector()):
-            target = matrix_to_sympy(Matrix.from_rows([vec], 6))
+            row = Matrix.from_rows([vec], 6)
+            target = matrix_to_sympy(row)
             inside = basis.col_join(target).rank() == space.dim
-            coords = space.coordinates_of(vec)
-            assert space.member(vec) == inside == (coords is not None)
+            coords = space.coordinates_of(row)
+            assert space.member(row) == inside == (coords is not None)
             if inside:
                 members += 1
-                combo = matrix_to_sympy(Matrix.from_rows([coords], space.dim))
+                combo = matrix_to_sympy(coords)
                 product = combo * basis if space.dim else sympy.zeros(1, 6)
                 assert (product - target).expand().is_zero_matrix
             else:
@@ -377,6 +378,8 @@ def test_ambient_mismatch():
     b = hodge.Subspace.full(3, (2, 1))
     with pytest.raises(hodge.AmbientMismatchError):
         a.intersect(b)
+    with pytest.raises(hodge.AmbientMismatchError, match="not of bidegree"):
+        a.member(b.forms()[0])
 
 
 def test_nullspace_correctness_property(cc_entries):
@@ -386,8 +389,7 @@ def test_nullspace_correctness_property(cc_entries):
         for pq in all_bidegrees(spec.n):
             M = ops.laplacian_matrix(spec, "delbar", pq)
             V = hodge.harmonic_space(spec, "delbar", pq)
-            for row in V.basis.data:
-                assert all(not a for a in M.apply(row))
+            assert M.apply(V.basis).is_zero()
             assert M.rank() + V.dim == M.cols
 
 
@@ -666,7 +668,7 @@ def _oracle_status(cell):
 
 
 def _oracle_member(space, form, pq, n):
-    row = Matrix.from_rows([hodge.form_to_vector(form, pq, n)], space.basis.cols)
+    row = hodge.forms_to_rows([form], pq, n)
     return _oracle_rank(space.basis, row) == _oracle_rank(space.basis)
 
 
