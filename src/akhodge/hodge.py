@@ -91,13 +91,13 @@ def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
     return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
-def apply_blocks(form: Form, pq: Bidegree, target: Bidegree, n: int,
+def apply_blocks(row: Matrix, target: Bidegree, n: int,
                  *blocks: Matrix) -> Form:
-    """The constant (p,q)-form `form` through blocks, first to last."""
-    rows = forms_to_rows([form], pq, n)
+    """The form of the one-row matrix `row` through blocks, first to last,
+    in the target bidegree; a zero image gives Form.zero()."""
     for block in blocks:
-        rows = block.apply(rows)
-    return rows_to_forms(rows, target, n)[0]
+        row = block.apply(row)
+    return Form.zero() if row.is_zero() else rows_to_forms(row, target, n)[0]
 
 
 class Subspace:
@@ -277,18 +277,19 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
 
 
 def _block_witnesses(spec, D: str, partner: str, form: Form):
-    """D alpha and partner(*alpha) from the cached blocks, one pure (p,q)
-    component at a time; a block with no valid target adds nothing."""
+    """D alpha and partner(*alpha): the cached blocks applied to the row of
+    each pure (p,q) component; a block with no valid target adds nothing."""
     n = spec.n
     closed = costar = Form.zero()
     for (p, q), comp in form.components().items():
+        row = forms_to_rows([comp], (p, q), n)
         dual = (n - q, n - p)
         star = ops.operator_block(spec, "star", (p, q))
         for t in ops.op_targets(D, (p, q), n):
-            closed += apply_blocks(comp, (p, q), t, n,
+            closed += apply_blocks(row, t, n,
                                    ops.operator_block(spec, D, (p, q)))
         for t in ops.op_targets(partner, dual, n):
-            costar += apply_blocks(comp, (p, q), t, n, star,
+            costar += apply_blocks(row, t, n, star,
                                    ops.operator_block(spec, partner, dual))
     return closed, costar
 
@@ -401,8 +402,9 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     n = spec.n
     components: dict[int, Form] = {}
     for pq, comp in form.components().items():
+        row = forms_to_rows([comp], pq, n)
         for r, block in _decomposition_solver(spec, pq).items():
-            beta = apply_blocks(comp, pq, (pq[0] - r, pq[1] - r), n, block)
+            beta = apply_blocks(row, (pq[0] - r, pq[1] - r), n, block)
             if not beta.is_zero():
                 components[r] = components.get(r, Form.zero()) + beta
     return PrimitiveDecomposition(form, components)

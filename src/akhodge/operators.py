@@ -4,44 +4,46 @@ Hermitian pairing, and exact matrices of all of these between bidegree bases.
 
 Sign conventions all derive from the monomial order fixed in `exterior`.
 
-Closed forms on one basis monomial m = a_0 ^ ... ^ a_{k-1}:
+Closed forms on one basis monomial m = a_0 ^ ... ^ a_{k-1}, taken on the
+bitmasks of its index sets I and J, so that every sign is a popcount parity:
 
-- d(m) = sum_i (-1)^i d(a_i) ^ (m without a_i), and L(m) = omega ^ m.  Each
-  d(a_i) and omega is a 2-form, so both are 2-form terms wedged onto a
-  monomial, one `wedge_monomials` call per term of the memoized term lists
-  of d(phi^j), d(phibar^j) and omega.  Coefficients are Q(i) values on a
-  constant-coefficient spec and symbolic otherwise; `ext_d` serves single
-  symbolic forms through the same per-monomial terms.
+- d(m) = sum_i (-1)^i d(a_i) ^ (m without a_i), and L(m) = omega ^ m: 2-form
+  terms of d(phi^j), d(phibar^j) and omega, memoized per spec, wedged onto
+  a monomial.  The blocks take the terms as ints over one spec-wide
+  denominator; `ext_d` takes their Q(i) or symbolic coefficients through
+  the same enumeration, `_d_hits`.
 - The unitary metric is a product over the n complex lines, so the star
   follows the complement rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k}
   phi^{~J} phibar^{~I} (~ the complement in 1..n): each line contributes
   its scale-1 star (1 -> (i/2) phi phibar, phi -> -i phi, phibar -> i
-  phibar, phi phibar -> -2i), and the sign is an integer parity, from the
-  reorderings between canonical and line order on both sides and from
-  *(x ^ y) = (-1)^{deg y (2 - deg x)} *x ^ *y.  Entries stay in Q(i) and no
-  square root of the scale ever materializes.
+  phibar, phi phibar -> -2i; on the real frame phi^j = e^a + i e^b,
+  *1 = e^{ab}, *e^a = e^b, *e^b = -e^a, *e^{ab} = 1), and the sign is a
+  parity, from the reorderings between canonical and line order on both
+  sides and from *(x ^ y) = (-1)^{deg y (2 - deg x)} *x ^ *y.  The factor
+  is an int fraction (`_star_parts`); no square root of c materializes.
 - The pairing is diagonal on the monomial basis, and it is a scalar on each
   degree: with omega = (i c/2) sum phi^{j jbar}, |phi^j|^2 = 2/c, and the
   pairing is the product one, so <m, m> = (2/c)^k on every k-form monomial
   (`gram_diagonal`).
 
 Matrices: the blocks of d, L and * are written straight from these closed
-forms into sparse rows.  Every other block derives from them: the four
-components of d are row slices of the cached "d" block, d^c =
-i (delbar - del + mu - mubar) is that block with each target's rows scaled
-by +-i, and J is i^{p-q} times the identity.  Since the Gram matrix is a
-scalar per degree, each metric adjoint is a scaled conjugate transpose of a
-cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H for A from src
-to tgt, for A in {mu, del, delbar, mubar} and for Lambda, the adjoint of L;
-d* is the four component adjoints stacked.  At full degree the same rule
-gives Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
-Lefschetz operator on single forms is (-1)^k * L * on k-forms (the
-classical -*L* formula holds verbatim on odd degrees only; the adjoint sign
-is forced by [L, Lambda] = (k - n) id).  The pointwise `ext_d`,
-`apply_adjoint`, `dual_Lambda`, `component`, `dc`, `hodge_star`,
-`lefschetz_L` and `j_action` serve single forms with symbolic
-coefficients, and the tests as the blocks' oracles; theorem checks and
-constant membership queries use the blocks.
+forms into integer rows, a hit finding its row by its target masks.  Every
+other block derives from them: the four components of d are row slices of
+the cached "d" block, d^c = i (delbar - del + mu - mubar) is that block
+with each target's rows scaled by +-i, and J is i^{p-q} times the
+identity.  Since the Gram matrix is a scalar per degree, each metric
+adjoint is a scaled conjugate transpose of a cached forward block:
+[A*] = (2/c)^{deg tgt - deg src} [A]^H for A from src to tgt, for A in
+{mu, del, delbar, mubar} and for Lambda, the adjoint of L; d* is the four
+component adjoints stacked.  At full degree the same rule gives
+Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
+Lefschetz operator on single forms is (-1)^k * L * on k-forms (the classical
+-*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
+by [L, Lambda] = (k - n) id).  The pointwise `ext_d`, `apply_adjoint`,
+`dual_Lambda`, `component`, `dc`, `hodge_star`, `lefschetz_L` and
+`j_action` serve single forms with symbolic coefficients, and the tests as
+the blocks' oracles; theorem checks and constant membership queries use the
+blocks.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
@@ -53,11 +55,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import xor
 from typing import TYPE_CHECKING, Callable
 
 from .exterior import (BasisMonomial, Bidegree, Form, basis_of,
-                       bidegree_dim, bidegrees_of_degree, wedge_monomials)
-from .linalg import Matrix
+                       bidegree_dim, bidegrees_of_degree)
+from .linalg import Matrix, _lowest_terms
 from .scalars import GaussianRational, I, SymScalar, i_power
 
 if TYPE_CHECKING:
@@ -112,63 +116,88 @@ OPERATOR_IDS = ("d", "mu", "del", "delbar", "mubar", "dc", "star", "L",
 
 
 # ---------------------------------------------------------------------------
+# Monomials as index masks: bit j for each index j of I, resp. of J
+
+def _mask(indices) -> int:
+    return sum(1 << j for j in indices)
+
+
+@functools.cache
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+@functools.cache
+def _below(mask: int) -> int:
+    """XOR of 2^j - 1 over the bits j of mask: popcount(other & _below(mask))
+    is, mod 2, the number of pairs i < j with i in other and j in mask."""
+    return functools.reduce(xor, [(1 << j) - 1 for j in _bits(mask)], 0)
+
+
+@functools.cache
+def _mask_index(pq: Bidegree, n: int) -> dict[tuple[int, int], int]:
+    """{(holo mask, anti mask): position} over basis_of(pq, n), in order."""
+    return {(_mask(m.holo), _mask(m.anti)): i
+            for i, m in enumerate(basis_of(pq, n))}
+
+
+# ---------------------------------------------------------------------------
 # The exterior derivative and its components
 
-def _terms(spec, form: Form) -> tuple:
-    """The (monomial, coefficient) terms of form, with Q(i) coefficients on
-    a constant-coefficient spec and SymScalar ones otherwise."""
-    if spec.constant_coefficient:
-        return tuple((m, c.constant_value()) for m, c in form.terms())
-    return tuple(form.terms())
-
-
 @spec_memo
-def _generator_terms(spec, j: int, holo: bool) -> tuple:
-    """Terms of d(phi^j) when holo, else of d(phibar^j)."""
-    df = spec.d_generator(j)
-    return _terms(spec, df if holo else df.conj(spec.symbols))
+def _two_form_terms(spec, exact: bool) -> tuple[int, dict]:
+    """(den, terms): terms[j, True], terms[j, False] and terms[0] hold the
+    terms of d(phi^j), d(phibar^j) and omega as (holo mask, anti mask,
+    _below of both, anti degree, value).  The value is the coefficient, or
+    with exact (constant coefficients only) the ints (re, im) of den times
+    it, den the lcm of every denominator of these forms."""
+    forms = {0: spec.omega}
+    for j in range(1, spec.n + 1):
+        forms[j, True] = spec.d_generator(j)
+        forms[j, False] = forms[j, True].conj(spec.symbols)
+    coeffs = {key: [(m, c.constant_value() if exact else c)
+                    for m, c in form.terms()] for key, form in forms.items()}
+    den = lcm(*(x.denominator for terms in coeffs.values() for _, c in terms
+                for x in (c.re, c.im))) if exact else 1
+    return den, {key: [
+        (holo, anti, _below(holo), _below(anti), len(m.anti),
+         (int(c.re * den), int(c.im * den)) if exact else c)
+        for m, c in terms for holo, anti in [(_mask(m.holo), _mask(m.anti))]]
+        for key, terms in coeffs.items()}
 
 
-@spec_memo
-def _omega_terms(spec) -> tuple:
-    return _terms(spec, spec.omega)
-
-
-def _wedge_onto(terms, mono: BasisMonomial, negate: bool, out: dict) -> dict:
-    """out += (-1)^negate (sum of c t over terms) ^ mono, one target
-    monomial per term; cancelled entries stay as zeros."""
-    for t, c in terms:
-        hit = wedge_monomials(t, mono)
-        if hit is None:
-            continue
-        sign, target = hit
-        if (sign < 0) != negate:
-            c = -c
-        cur = out.get(target)
-        out[target] = c if cur is None else cur + c
+def _wedge_hits(terms, holo: int, anti: int, odd: int, out: list) -> list:
+    """Append (target holo mask, target anti mask, value, sign parity + odd)
+    of t ^ m for each term t that m = (holo, anti) does not annihilate; the
+    parity is that of wedge_monomials' two index merges and block crossing."""
+    crossed = holo.bit_count()
+    for t_holo, t_anti, below_holo, below_anti, t_deg, value in terms:
+        if not (t_holo & holo or t_anti & anti):
+            out.append((t_holo | holo, t_anti | anti, value,
+                        ((holo & below_holo).bit_count()
+                         + (anti & below_anti).bit_count()
+                         + t_deg * crossed + odd) & 1))
     return out
 
 
-def _d_terms(spec, mono: BasisMonomial) -> dict:
-    """d(a_0 ^ ... ^ a_{k-1}) = sum_i (-1)^i d(a_i) ^ (mono without a_i):
-    each d(a_i) is a 2-form, so moving it to the front costs no sign."""
-    holo, anti = mono
-    p = len(holo)
-    out: dict = {}
-    for i, j in enumerate(holo):
-        _wedge_onto(_generator_terms(spec, j, True),
-                    BasisMonomial.ordered(holo[:i] + holo[i + 1:], anti),
-                    i % 2 == 1, out)
-    for i, j in enumerate(anti):
-        _wedge_onto(_generator_terms(spec, j, False),
-                    BasisMonomial.ordered(holo, anti[:i] + anti[i + 1:]),
-                    (p + i) % 2 == 1, out)
+def _d_hits(terms: dict, holo: int, anti: int) -> list:
+    """The hits of d(a_0 ^ ... ^ a_{k-1}) = sum_i (-1)^i d(a_i) ^ (m without
+    a_i): each d(a_i) is a 2-form, so moving it to the front costs no sign."""
+    out: list = []
+    factors = [((j, True), holo ^ 1 << j, anti) for j in _bits(holo)]
+    factors += [((j, False), holo, anti ^ 1 << j) for j in _bits(anti)]
+    for i, (key, rest_holo, rest_anti) in enumerate(factors):
+        _wedge_hits(terms[key], rest_holo, rest_anti, i, out)
     return out
 
 
 @spec_memo
 def _d_monomial(spec, mono: BasisMonomial) -> Form:
-    return Form(_d_terms(spec, mono))
+    hits = _d_hits(_two_form_terms(spec, False)[1], _mask(mono.holo),
+                   _mask(mono.anti))
+    return sum((Form.monomial(BasisMonomial.ordered(_bits(holo), _bits(anti)),
+                              -c if odd else c)
+                for holo, anti, c, odd in hits), Form.zero())
 
 
 def _laurent_power_rule(mono, coeff: GaussianRational) -> list:
@@ -223,14 +252,8 @@ def component(spec, op: str, form: Form) -> Form:
 
 def dc(spec, form: Form) -> Form:
     """d^c = i (delbar - del + mu - mubar)."""
-    out = Form.zero()
-    for pq, comp in form.components().items():
-        p, q = pq
-        image = ext_d(spec, comp)
-        out = out + (image.project((p, q + 1)) - image.project((p + 1, q))
-                     + image.project((p + 2, q - 1))
-                     - image.project((p - 1, q + 2))) * GaussianRational(0, 1)
-    return out
+    return (component(spec, "delbar", form) - component(spec, "del", form)
+            + component(spec, "mu", form) - component(spec, "mubar", form)) * I
 
 
 # ---------------------------------------------------------------------------
@@ -251,69 +274,40 @@ def require_constant_coefficient(spec) -> None:
             "need constant coefficients")
 
 
-# The C-linear star of one complex line at scale 1, keyed by which of
-# phi^j, phibar^j the factor holds: the exponents (a, b) of i^a 2^b in
-# 1 -> (i/2) phi phibar, phi -> -i phi, phibar -> i phibar, phi phibar -> -2i.
-# On the real frame phi^j = e^a + i e^b this is *1 = e^{ab}, *e^a = e^b,
-# *e^b = -e^a, *e^{ab} = 1.
-_LINE_STAR = {
-    (False, False): (1, -1),
-    (True, False): (3, 0),
-    (False, True): (1, 0),
-    (True, True): (3, 1),
-}
+def _star_parts(spec, holo: int, anti: int) -> tuple:
+    """(e, num, den, target masks) with *m = i^e (num/den) target for
+    m = (holo, anti) by the complement rule: a = n + 2|I|, b = |I cap J| -
+    |~I cap ~J|, and the parity counts the pairs of lines l < j with phibar^l
+    before phi^j on either side, plus deg a_l deg a_j (the product rule)."""
+    n, scale = spec.n, require_unitary(spec)
+    full = (1 << n + 1) - 2
+    no_holo, no_anti = full & ~holo, full & ~anti
+    k = holo.bit_count() + anti.bit_count()
+    both = (holo & anti).bit_count()
+    parity = ((anti & _below(holo)).bit_count()
+              + (no_holo & _below(no_anti)).bit_count()
+              + k * (k - 1) // 2 - both)
+    e = (n + 2 * holo.bit_count() + 2 * parity) % 4
+    b = both - (no_holo & no_anti).bit_count()
+    c = scale if k <= n else 1 / scale  # c^{n-k} = (1/c)^{k-n}
+    return (e, c.numerator ** abs(n - k) << max(b, 0),
+            c.denominator ** abs(n - k) << max(-b, 0), (no_anti, no_holo))
 
 
 @spec_memo
-def _star_monomial(spec, mono: BasisMonomial) -> tuple[GaussianRational,
-                                                       BasisMonomial]:
-    """(factor, target) with *mono = factor * target, by the complement
-    rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k} phi^{~J} phibar^{~I}, where
-    ~ is the complement in 1..n and a, b sum _LINE_STAR over the lines.
-    The sign is the parity of mono = +-a_1 ^ ... ^ a_n (a_j on line j) and
-    of *a_1 ^ ... ^ *a_n against canonical order, times the product rule
-    *(a_j ^ rest) = (-1)^{deg rest (2 - deg a_j)} *a_j ^ *rest."""
-    n = spec.n
-    scale = require_unitary(spec)
-    holo, anti = mono
-    a = b = parity = 0
-    anti_before = holo_missing_before = degree_before = 0
-    for j in range(1, n + 1):
-        h, t = j in holo, j in anti
-        da, db = _LINE_STAR[h, t]
-        a += da
-        b += db
-        # phibar^l (l < j) stands before phi^j in line order, on both sides
-        if h:
-            parity += anti_before
-        if not t:
-            parity += holo_missing_before
-        degree = h + t
-        parity += degree * degree_before
-        anti_before += t
-        holo_missing_before += not h
-        degree_before += degree
-    # i^e times a positive rational, with e = a + 2 parity
-    size = Fraction(2) ** b * Fraction(scale) ** (n - mono.degree)
-    e = (a + 2 * parity) % 4
-    if e >= 2:
-        size = -size
-    factor = GaussianRational(0, size) if e % 2 else GaussianRational(size)
-    target = BasisMonomial.ordered(
-        tuple(j for j in range(1, n + 1) if j not in anti),
-        tuple(j for j in range(1, n + 1) if j not in holo))
-    return factor, target
+def _star_monomial(spec, mono: BasisMonomial) -> tuple:
+    """(factor, target) with *mono = factor * target."""
+    e, num, den, (holo, anti) = _star_parts(spec, _mask(mono.holo),
+                                            _mask(mono.anti))
+    return (i_power(e) * Fraction(num, den),
+            BasisMonomial.ordered(_bits(holo), _bits(anti)))
 
 
 def hodge_star(spec, form: Form) -> Form:
     """C-linear Hodge star of the unitary metric; (p,q) -> (n-q,n-p)."""
-    out: dict[BasisMonomial, SymScalar] = {}
-    for mono, coeff in form.terms():
-        factor, target = _star_monomial(spec, mono)
-        cur = out.get(target)
-        new = coeff * factor
-        out[target] = new if cur is None else cur + new
-    return Form(out)
+    # distinct monomials have distinct targets
+    return Form({target: coeff * factor for mono, coeff in form.terms()
+                 for factor, target in [_star_monomial(spec, mono)]})
 
 
 @spec_memo
@@ -348,11 +342,8 @@ def apply_adjoint(spec, op: str, form: Form) -> Form:
     """D* = -*(Dbar)* for D in {d, mu, del, delbar, mubar}."""
     partner = STAR_PARTNERS[op]
     inner = hodge_star(spec, form)
-    if partner == "d":
-        image = ext_d(spec, inner)
-    else:
-        image = component(spec, partner, inner)
-    return -hodge_star(spec, image)
+    return -hodge_star(spec, ext_d(spec, inner) if partner == "d"
+                       else component(spec, partner, inner))
 
 
 def inner_product(spec, a: Form, b: Form) -> SymScalar:
@@ -403,8 +394,8 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
-# n = 6, where the delbar Hodge table of the H(1,2)-type nilmanifold takes
-# about 0.4 s (2-vCPU Linux VM, CPython 3.11.7).  At n = 7 it has 1225.
+# n = 6, where the cold delbar Hodge table of the H(1,2)-type nilmanifold
+# takes about 0.5 s (2-vCPU Linux VM, CPython 3.11.7); n = 7 has 1225.
 MAX_BIDEGREE_DIM = 400
 
 
@@ -456,35 +447,39 @@ def target_rows(op: str, pq: Bidegree, n: int):
         start = stop
 
 
-def _monomial_block(spec, pq: Bidegree, targets: list[Bidegree],
-                    image: Callable) -> Matrix:
-    """Columns: image(spec, mono), a dict {target monomial: Q(i) value},
-    for each basis monomial of pq, in the coordinates of the concatenated
-    target bases."""
+def _wedge_block(spec, op: str, pq: Bidegree) -> Matrix:
+    """The "d" or "L" block of pq from `_d_hits` or omega's `_wedge_hits`,
+    as integer rows over the spec-wide denominator."""
     n = spec.n
-    offsets: dict[BasisMonomial, int] = {}
-    for target in targets:
-        for mono in basis_of(target, n):
-            offsets[mono] = len(offsets)
-    rows: list[dict[int, GaussianRational]] = [{} for _ in offsets]
-    source = basis_of(pq, n)
-    for col, mono in enumerate(source):
-        for target, value in image(spec, mono).items():
-            rows[offsets[target]][col] = value
-    return Matrix.from_dicts(rows, len(source))
+    den, terms = _two_form_terms(spec, True)
+    row_of = {masks: i for i, masks in enumerate(
+        masks for t in op_targets(op, pq, n) for masks in _mask_index(t, n))}
+    rows: list[dict] = [{} for _ in row_of]
+    for col, (holo, anti) in enumerate(_mask_index(pq, n)):
+        hits = (_d_hits(terms, holo, anti) if op == "d"
+                else _wedge_hits(terms[0], holo, anti, 0, []))
+        for t_holo, t_anti, (re, im), odd in hits:
+            row = rows[row_of[t_holo, t_anti]]
+            if odd:
+                re, im = -re, -im
+            cur = row.get(col)
+            row[col] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return Matrix._of(len(rows), bidegree_dim(pq, n), [
+        _lowest_terms(den, {j: v for j, v in row.items() if v != (0, 0)})
+        for row in rows])
 
 
-def _lefschetz_terms(spec, mono: BasisMonomial) -> dict:
-    return _wedge_onto(_omega_terms(spec), mono, False, {})
-
-
-def _star_terms(spec, mono: BasisMonomial) -> dict:
-    factor, target = _star_monomial(spec, mono)
-    return {target: factor}
-
-
-# The forward blocks written one basis monomial at a time
-_MONOMIAL_IMAGES = {"d": _d_terms, "L": _lefschetz_terms, "star": _star_terms}
+def _star_block(spec, pq: Bidegree) -> Matrix:
+    """The star block of pq, one `_star_parts` entry per row and column."""
+    n = spec.n
+    row_of = _mask_index((n - pq[1], n - pq[0]), n)
+    rows: list = [None] * len(row_of)
+    for col, (holo, anti) in enumerate(_mask_index(pq, n)):
+        e, num, den, target = _star_parts(spec, holo, anti)
+        unit = i_power(e)
+        rows[row_of[target]] = _lowest_terms(
+            den, {col: (unit.re.numerator * num, unit.im.numerator * num)})
+    return Matrix._of(len(rows), len(rows), rows)
 
 
 def _component_block(spec, op: str, pq: Bidegree) -> Matrix:
@@ -546,8 +541,9 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
     if op == "J":
         return Matrix.identity(bidegree_dim(pq, spec.n)).scale(
             i_power(pq[0] - pq[1]))
-    return _monomial_block(spec, pq, op_targets(op, pq, spec.n),
-                           _MONOMIAL_IMAGES[op])
+    if op == "star":
+        return _star_block(spec, pq)
+    return _wedge_block(spec, op, pq)
 
 
 @spec_memo

@@ -194,7 +194,8 @@ def run_expected_item(entry, item: dict) -> dict:
         form = _parse_in_spec(spec, item["form"])
         diff = ops.laplacian_matrix(spec, "delbar", pq) - \
             ops.laplacian_matrix(spec, "del", pq)
-        witness = hodge.apply_blocks(form, pq, pq, spec.n, diff)
+        witness = hodge.apply_blocks(hodge.forms_to_rows([form], pq, spec.n),
+                                     pq, spec.n, diff)
         nonzero = not witness.is_zero()
         return base_row(spec.name, check_id,
                         "Holds" if nonzero else "Fails",

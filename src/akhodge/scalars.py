@@ -140,11 +140,12 @@ def _coerce(value) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+_I_POWERS = (ONE, I, -ONE, -I)
 
 
 def i_power(k: int) -> GaussianRational:
     """i**k for any integer k."""
-    return (ONE, I, -ONE, -I)[k % 4]
+    return _I_POWERS[k % 4]
 
 
 class FunctionSymbol:

@@ -1,7 +1,9 @@
 """Property tests of the front door: generated DSL text always ends in a
 result or a SpecError (exit 2 from the CLI), and generated valid specs
-round-trip through render_spec; and of harmonic membership: the cached
-block route agrees with the pointwise one on random constant forms."""
+round-trip through render_spec; of the "d" block, whose columns agree with
+the Leibniz-rule oracle on generated constant-coefficient specs; and of
+harmonic membership: the cached block route agrees with the pointwise one
+on random constant forms."""
 
 import contextlib
 import io
@@ -11,13 +13,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from akhodge import catalog, hodge
+from akhodge import catalog, hodge, operators as ops
 from akhodge.cli import main
-from akhodge.exterior import BasisMonomial, Form
+from akhodge.exterior import BasisMonomial, Form, basis_of
 from akhodge.model import SpecError, parse_form, parse_spec, render_spec
 from akhodge.scalars import GaussianRational, SymScalar
 
-from oracles import pointwise_membership
+from oracles import leibniz_d, pointwise_membership
 
 DSL_WORDS = (
     "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
@@ -120,10 +122,12 @@ def _form(draw, n, degree, symbols):
 
 
 @st.composite
-def valid_spec_texts(draw):
+def valid_spec_texts(draw, symbolic: bool = True):
+    """Valid spec DSL; with symbolic false it declares no symbols, so every
+    coefficient is constant."""
     n = draw(st.integers(1, 3))
     names = draw(st.lists(st.sampled_from(_SYMBOL_NAMES), unique=True,
-                          max_size=4))
+                          max_size=4)) if symbolic else []
     conj = {}
     while names:
         name = names.pop()
@@ -195,3 +199,32 @@ def test_membership_block_route_matches_the_pointwise_route(case):
     spec, D, form = case
     assert hodge.harmonic_membership(spec, D, form) == \
         pointwise_membership(spec, D, form)
+
+
+# -- the "d" block ------------------------------------------------------------
+
+@st.composite
+def _d_block_cases(draw):
+    """A generated constant-coefficient spec (rational coefficients with
+    denominators up to 4, so the blocks' shared denominator varies) and one
+    of its basis monomials."""
+    spec = parse_spec(draw(valid_spec_texts(symbolic=False)))
+    indices = st.sets(st.integers(1, spec.n)).map(sorted)
+    return spec, draw(st.builds(BasisMonomial, indices, indices))
+
+
+@given(_d_block_cases())
+@settings(max_examples=200, deadline=None)
+def test_d_block_columns_match_the_leibniz_oracle(case):
+    spec, mono = case
+    pq = mono.bidegree
+    column = ops.operator_block(spec, "d", pq).columns(
+        [basis_of(pq, spec.n).index(mono)])
+    image = Form.zero()
+    for target, start, _ in ops.target_rows("d", pq, spec.n):
+        monos = basis_of(target, spec.n)
+        for i, m in enumerate(monos):
+            value = column.entries(start + i).get(0)
+            if value is not None:
+                image += Form.monomial(m, value)
+    assert image == leibniz_d(spec, mono)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from akhodge import catalog, hodge, operators as ops
+from akhodge import catalog, hodge, model, operators as ops
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
 from akhodge.linalg import Matrix
@@ -213,6 +213,24 @@ def test_star_matches_real_frame_oracle(n, scale):
     for pq in all_bidegrees(n):
         for m in basis_of(pq, n):
             assert ops._star_monomial(spec, m) == real_frame_star(spec, m)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1),
+                                   Fraction(2), Fraction(3)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_star_blocks_match_real_frame_oracle(n, scale):
+    # column m of the star block at every bidegree, k > n included, is
+    # real_frame_star(m) in the coordinates of basis_of((n-q, n-p))
+    spec = flat_spec(n, scale)
+    assert spec.unitary_scale == scale
+    for p, q in all_bidegrees(n):
+        index = {m: i for i, m in enumerate(basis_of((n - q, n - p), n))}
+        rows = [{} for _ in index]
+        for col, mono in enumerate(basis_of((p, q), n)):
+            factor, target = real_frame_star(spec, mono)
+            rows[index[target]][col] = factor
+        assert ops.operator_block(spec, "star", (p, q)) == \
+            Matrix.from_dicts(rows, len(index)), (p, q)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1),
@@ -484,11 +502,20 @@ def _per_monomial_block(spec, fn, op: str, pq) -> Matrix:
 @pytest.fixture(scope="module")
 def block_specs(cc_entries, ladder, ladder_dsl):
     """Fresh specs of the constant-coefficient entries (iwasawa_ak at
-    scale 2), the n = 3, 4 ladder and the n = 3 ladder with omega halved
-    (scale 1/2)."""
+    scale 2), the n = 3, 4 ladder, the n = 3 ladder with omega halved
+    (scale 1/2), and `mixed_ladder`."""
     specs = [parse_spec(catalog.dsl_source(key)) for key in cc_entries]
     half = parse_spec(ladder_dsl(3).replace("1/2*i*", "1/4*i*"))
-    return specs + [ladder(3), ladder(4), half]
+    return specs + [ladder(3), ladder(4), half, mixed_ladder(ladder_dsl)]
+
+
+def mixed_ladder(ladder_dsl):
+    """The n = 3 ladder with d(phi^1) scaled by 1/3, so that its 2-forms
+    have the denominators 2, 4 and 12; d^2 = 0 still holds, but omega is no
+    longer closed."""
+    dsl = ladder_dsl(3).replace("manifold ladder_n3", "manifold mixed3")
+    line = next(l for l in dsl.splitlines() if l.startswith("d phi1 = "))
+    return parse_spec(dsl.replace(line, line.replace("1/4*", "1/12*")))
 
 
 def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
@@ -508,8 +535,8 @@ def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
             assert ops.operator_block(spec, "Lambda", pq) == oracle, \
                 (spec.name, pq)
             cases += 1
-    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4, 3
-    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25 + 16
+    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4, 3, 3
+    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16
 
 
 def test_component_blocks_match_per_monomial_component(block_specs):
@@ -523,9 +550,10 @@ def test_component_blocks_match_per_monomial_component(block_specs):
 
 
 def test_forward_blocks_match_per_monomial_forms(block_specs):
-    # the "L", "dc" and "J" blocks against lefschetz_L, dc and j_action
-    # applied to one basis monomial at a time
-    appliers = {"L": ops.lefschetz_L, "dc": ops.dc,
+    # the "d", "L", "dc" and "J" blocks against leibniz_d, lefschetz_L, dc
+    # and j_action applied to one basis monomial at a time
+    appliers = {"d": lambda spec, f: leibniz_d(spec, f.terms()[0][0]),
+                "L": ops.lefschetz_L, "dc": ops.dc,
                 "J": lambda spec, f: ops.j_action(f)}
     for spec in block_specs:
         for pq in all_bidegrees(spec.n):
@@ -534,6 +562,19 @@ def test_forward_blocks_match_per_monomial_forms(block_specs):
                     spec, lambda f: fn(spec, f), op, pq)
                 assert ops.operator_block(spec, op, pq) == oracle, \
                     (spec.name, op, pq)
+
+
+def test_mixed_ladder_shares_one_denominator(ladder_dsl):
+    # the blocks of `mixed_ladder` (checked with the other block specs) see
+    # 2-forms over 4 and 12, and its "d" blocks have rows over both
+    spec = mixed_ladder(ladder_dsl)
+    checks = {item.check: item.status for item in model.validate(spec).items}
+    assert [checks[f"d2_phi{j}"] for j in (1, 2, 3)] == ["Verified"] * 3
+    assert {c.constant_value().im.denominator
+            for j in (1, 2) for _, c in spec.d_generator(j).terms()} == {4, 12}
+    assert {den for pq in all_bidegrees(spec.n)
+            for den, row in ops.operator_block(spec, "d", pq).sparse
+            if row} >= {4, 12}
 
 
 def test_gram_diagonal_matches_inner_product(cc_entries, ladder_dsl):
