@@ -161,13 +161,14 @@ class Subspace:
                         self.basis.stack_below(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """From one transposed stack: x.U = y.V exactly when (x, -y) lies in
+        the left kernel of [U; V], the nullspace of [U; V]^T; only x is
+        read, so the sign of y does not matter."""
         self._check_ambient(other)
         a, b = self.basis.rows, other.basis.rows
         if a == 0 or b == 0:
             return Subspace.zero(self.n, self.ambient)
-        # solve x.U = y.V: kernel of the (cols x (a+b)) matrix [U^T | -V^T]
-        stacked = self.basis.transpose().stack_beside(-other.basis.transpose())
-        kernel = stacked.nullspace()
+        kernel = self.basis.stack_below(other.basis).transpose().nullspace()
         return Subspace(self.ambient, self.n,
                         kernel.columns(range(a)) * self.basis)
 

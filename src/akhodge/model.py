@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
@@ -186,6 +187,18 @@ def _parse_indices(digits: str, n: int, line: int | str,
     return indices
 
 
+def _number(convert: Callable, text: str, line: int | str,
+            col: int | None = None):
+    """convert(text) for a digit literal; a literal longer than the
+    interpreter's int string-conversion limit raises SpecSyntaxError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise SpecSyntaxError(
+            f"number literal of {len(text)} characters is too long",
+            line, col) from None
+
+
 def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
                        line: int | str) -> Form:
     if not tokens:
@@ -217,7 +230,7 @@ def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
                                       line, tok.col)
             if tok.kind == "number":
                 try:
-                    value = Fraction(tok.text)
+                    value = _number(Fraction, tok.text, line, tok.col)
                 except ZeroDivisionError:
                     raise SpecSyntaxError(f"zero denominator in {tok.text!r}",
                                           line, tok.col) from None
@@ -230,7 +243,8 @@ def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
                                              line, tok.col)
                 exponent = 1
                 if pos + 1 < len(tokens) and tokens[pos + 1].kind == "pow":
-                    exponent = int(tokens[pos + 1].text[1:])
+                    exponent = _number(int, tokens[pos + 1].text[1:], line,
+                                       tokens[pos + 1].col)
                     pos += 1
                 coeff = coeff * SymScalar.symbol(tok.text, exponent)
             elif tok.kind == "mono":
@@ -289,9 +303,9 @@ def parse_spec(text: str) -> ManifoldSpec:
                 raise SpecSyntaxError("expected: manifold <name>", line_no)
             name = words[1]
         elif head == "dim":
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not words[1].isdecimal():
                 raise SpecSyntaxError("expected: dim <2n>", line_no)
-            dim = int(words[1])
+            dim = _number(int, words[1], line_no, raw.find(words[1]) + 1)
             if dim % 2 or dim < 2:
                 raise SpecSyntaxError(f"dim must be even and positive, got {dim}",
                                       line_no)

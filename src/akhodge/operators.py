@@ -27,15 +27,17 @@ bitmasks of its index sets I and J, so that every sign is a popcount parity:
   (`gram_diagonal`).
 
 Matrices: the blocks of d, L and * are written straight from these closed
-forms into integer rows, a hit finding its row by its target masks.  Every
-other block derives from them: the four components of d are row slices of
-the cached "d" block, d^c = i (delbar - del + mu - mubar) is that block
-with each target's rows scaled by +-i, and J is i^{p-q} times the
-identity.  Since the Gram matrix is a scalar per degree, each metric
-adjoint is a scaled conjugate transpose of a cached forward block:
-[A*] = (2/c)^{deg tgt - deg src} [A]^H for A from src to tgt, for A in
-{mu, del, delbar, mubar} and for Lambda, the adjoint of L; d* is the four
-component adjoints stacked.  At full degree the same rule gives
+forms into integer rows, a hit finding its row by its target masks; the
+same block writer writes the full-degree d, from every bidegree of degree
+k into every bidegree of degree k + 1.  Every other block derives from
+them: the four components of d are row slices of the cached "d" block,
+d^c = i (delbar - del + mu - mubar) is that block with each target's rows
+scaled by +-i, and J is i^{p-q} times the identity.  Since the Gram
+matrix is a scalar per degree, each metric adjoint is a scaled conjugate
+transpose of a cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H
+for A from src to tgt, for A in {mu, del, delbar, mubar} and for Lambda,
+the adjoint of L; d* is the four component adjoints stacked.  At full
+degree the same rule gives
 Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
 Lefschetz operator on single forms is (-1)^k * L * on k-forms (the classical
 -*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
@@ -447,15 +449,18 @@ def target_rows(op: str, pq: Bidegree, n: int):
         start = stop
 
 
-def _wedge_block(spec, op: str, pq: Bidegree) -> Matrix:
-    """The "d" or "L" block of pq from `_d_hits` or omega's `_wedge_hits`,
-    as integer rows over the spec-wide denominator."""
+def _wedge_block(spec, op: str, sources: list[Bidegree],
+                 targets: list[Bidegree]) -> Matrix:
+    """The "d" or "L" matrix from the concatenated bases of sources into
+    those of targets, from `_d_hits` or omega's `_wedge_hits`, as integer
+    rows over the spec-wide denominator."""
     n = spec.n
     den, terms = _two_form_terms(spec, True)
     row_of = {masks: i for i, masks in enumerate(
-        masks for t in op_targets(op, pq, n) for masks in _mask_index(t, n))}
+        masks for t in targets for masks in _mask_index(t, n))}
     rows: list[dict] = [{} for _ in row_of]
-    for col, (holo, anti) in enumerate(_mask_index(pq, n)):
+    columns = [masks for pq in sources for masks in _mask_index(pq, n)]
+    for col, (holo, anti) in enumerate(columns):
         hits = (_d_hits(terms, holo, anti) if op == "d"
                 else _wedge_hits(terms[0], holo, anti, 0, []))
         for t_holo, t_anti, (re, im), odd in hits:
@@ -464,7 +469,7 @@ def _wedge_block(spec, op: str, pq: Bidegree) -> Matrix:
                 re, im = -re, -im
             cur = row.get(col)
             row[col] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return Matrix._of(len(rows), bidegree_dim(pq, n), [
+    return Matrix._of(len(rows), len(columns), [
         _lowest_terms(den, {j: v for j, v in row.items() if v != (0, 0)})
         for row in rows])
 
@@ -543,7 +548,7 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
             i_power(pq[0] - pq[1]))
     if op == "star":
         return _star_block(spec, pq)
-    return _wedge_block(spec, op, pq)
+    return _wedge_block(spec, op, [pq], op_targets(op, pq, spec.n))
 
 
 @spec_memo
@@ -581,23 +586,13 @@ def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
 
 @spec_memo
 def full_degree_matrix(spec, k: int) -> Matrix:
-    """Matrix of d from the whole degree-k space (all bidegrees) into the
-    degree-(k+1) space, assembled from the cached "d" blocks."""
+    """Matrix of d from the whole degree-k space (all bidegrees, p
+    ascending) into the degree-(k+1) space, written by the block writer
+    `_wedge_block`; 1 x 0 at k = -1 and 0 x 1 at k = 2n."""
     require_constant_coefficient(spec)
     n = spec.n
-    targets = bidegrees_of_degree(k + 1, n)
-    rows = sum(bidegree_dim(t, n) for t in targets)
-    full = Matrix.zeros(rows, 0)
-    for pq in bidegrees_of_degree(k, n):
-        # the targets of d at (p,q) are the run p - 1 <= p' <= p + 2 of the
-        # degree-(k+1) bidegrees (p', k + 1 - p'), so the block sits at one
-        # row offset
-        block = operator_block(spec, "d", pq)
-        above = sum(bidegree_dim(t, n) for t in targets if t[0] < pq[0] - 1)
-        full = full.stack_beside(
-            Matrix.zeros(above, block.cols).stack_below(block).stack_below(
-                Matrix.zeros(rows - above - block.rows, block.cols)))
-    return full
+    return _wedge_block(spec, "d", bidegrees_of_degree(k, n),
+                        bidegrees_of_degree(k + 1, n))
 
 
 @spec_memo

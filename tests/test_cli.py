@@ -369,3 +369,41 @@ def test_adjoint_operators_on_a_non_unitary_spec_exit_2(capsys, tmp_path):
         assert code == 2 and out == ""
         assert err == ("error: spec 'flat_skewed' is not in unitary mode "
                        "(omega != (i c/2) sum phi^{j jbar})\n")
+
+
+# Longer than CPython's default 4300-digit limit for converting a string to
+# an int; an interpreter without the limit may parse it and give a result.
+BIG = "7" * 5000
+
+
+@pytest.mark.parametrize("body, location", [
+    (f"d phi1 = {BIG}*phi{{2,2}}\n", "line 4, col 2"),
+    (f"d phi1 = 1/{BIG}*phi{{2,2}}\n", "line 4, col 2"),
+    (f"symbol F real d = 0\nd phi1 = F^{BIG}*phi{{2,2}}\n", "line 5, col 3"),
+    (None, "line 2, col 5"),
+], ids=["coefficient", "denominator", "exponent", "dim"])
+def test_validate_oversized_number_exit_2(capsys, tmp_path, body, location):
+    path = tmp_path / "big.akspec"
+    text = SPEC_HEAD + (body or "") + UNITARY_OMEGA
+    path.write_text(text.replace("dim 4", f"dim 4{BIG}") if body is None
+                    else text)
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    if code == 2:
+        assert out == ""
+        # without the limit, the dim is merely above MAX_DIM
+        assert err.startswith(f"error: {location}: number literal of") or \
+            body is None and "exceeds the limit 18" in err
+    else:
+        assert code in (0, 1) and err == ""
+
+
+@pytest.mark.parametrize("form", [f"{BIG}*phi{{1,1}}", f"1/{BIG}*phi{{1,1}}"],
+                         ids=["coefficient", "denominator"])
+def test_decompose_oversized_number_is_located_at_the_option(capsys, form):
+    code, out, err = run(capsys, "decompose", "--entry", "kt4",
+                         "--form", form)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: --form, col 1: number literal of")
+    else:
+        assert code == 0 and err == ""

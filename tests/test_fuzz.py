@@ -1,9 +1,9 @@
 """Property tests of the front door: generated DSL text always ends in a
 result or a SpecError (exit 2 from the CLI), and generated valid specs
-round-trip through render_spec; of the "d" block, whose columns agree with
-the Leibniz-rule oracle on generated constant-coefficient specs; and of
-harmonic membership: the cached block route agrees with the pointwise one
-on random constant forms."""
+round-trip through render_spec; of the "d" block and the full-degree d,
+whose columns agree with the Leibniz-rule oracle on generated
+constant-coefficient specs; and of harmonic membership: the cached block
+route agrees with the pointwise one on random constant forms."""
 
 import contextlib
 import io
@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from akhodge import catalog, hodge, operators as ops
 from akhodge.cli import main
-from akhodge.exterior import BasisMonomial, Form, basis_of
+from akhodge.exterior import (BasisMonomial, Form, basis_of,
+                              bidegrees_of_degree)
 from akhodge.model import SpecError, parse_form, parse_spec, render_spec
 from akhodge.scalars import GaussianRational, SymScalar
 
@@ -213,18 +214,30 @@ def _d_block_cases(draw):
     return spec, draw(st.builds(BasisMonomial, indices, indices))
 
 
+def _column_form(matrix, col: int, targets, n: int) -> Form:
+    """The form of column col of matrix, whose rows run over the
+    concatenated bases of the target bidegrees."""
+    monos = [m for t in targets for m in basis_of(t, n)]
+    column = matrix.columns([col])
+    image = Form.zero()
+    for i, m in enumerate(monos):
+        value = column.entries(i).get(0)
+        if value is not None:
+            image += Form.monomial(m, value)
+    return image
+
+
 @given(_d_block_cases())
 @settings(max_examples=200, deadline=None)
 def test_d_block_columns_match_the_leibniz_oracle(case):
+    # the monomial's column of its "d" block and of the full-degree d
     spec, mono = case
-    pq = mono.bidegree
-    column = ops.operator_block(spec, "d", pq).columns(
-        [basis_of(pq, spec.n).index(mono)])
-    image = Form.zero()
-    for target, start, _ in ops.target_rows("d", pq, spec.n):
-        monos = basis_of(target, spec.n)
-        for i, m in enumerate(monos):
-            value = column.entries(start + i).get(0)
-            if value is not None:
-                image += Form.monomial(m, value)
-    assert image == leibniz_d(spec, mono)
+    n, pq = spec.n, mono.bidegree
+    k = pq[0] + pq[1]
+    expected = leibniz_d(spec, mono)
+    block = ops.operator_block(spec, "d", pq)
+    assert _column_form(block, basis_of(pq, n).index(mono),
+                        ops.op_targets("d", pq, n), n) == expected
+    source = [m for b in bidegrees_of_degree(k, n) for m in basis_of(b, n)]
+    assert _column_form(ops.full_degree_matrix(spec, k), source.index(mono),
+                        bidegrees_of_degree(k + 1, n), n) == expected

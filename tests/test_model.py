@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from akhodge import catalog
@@ -166,6 +168,13 @@ def test_odd_dimension_rejected():
         parse_spec("manifold x\ndim 5\ncoframe a b\nomega = i*phi{1,1}")
 
 
+def test_dimension_of_non_decimal_digits_rejected():
+    # "²".isdigit() holds, but int("²") raises ValueError
+    with pytest.raises(SpecSyntaxError, match="expected: dim <2n>") as err:
+        parse_spec(FLAT6.replace("dim 6", "dim \u00b2"))
+    assert err.value.line == 2
+
+
 def big_spec_text(n):
     coframe = " ".join(f"phi{j}" for j in range(1, n + 1))
     omega = " + ".join(f"1/2*i*phi{{{j},{j}}}" for j in range(1, min(n, 9) + 1))
@@ -186,3 +195,29 @@ def test_dimension_above_single_digit_indices_rejected():
 def test_dimension_at_limit_accepted():
     spec = parse_spec(big_spec_text(9))
     assert spec.n == 9 and spec.unitary_scale == 1
+
+
+# Longer than CPython's default limit of 4300 digits for converting a string
+# to an int; an interpreter without the limit may parse it.
+BIG = "7" * 5000
+INT_STR_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() \
+    < len(BIG)
+
+
+@pytest.mark.parametrize("text, line", [
+    (FLAT6.replace("omega =", f"d phi1 = {BIG}*phi{{2,2}}\nomega ="), 4),
+    (FLAT6.replace("omega =", f"d phi1 = 1/{BIG}*phi{{2,2}}\nomega ="), 4),
+    (FLAT6.replace("omega =", "symbol F real\n"
+                   f"d phi1 = F^-{BIG}*phi{{2,2}}\nomega ="), 5),
+    (FLAT6.replace("dim 6", f"dim {BIG}"), 2),
+], ids=["coefficient", "denominator", "exponent", "dim"])
+def test_oversized_number_is_a_located_syntax_error(text, line):
+    try:
+        parse_spec(text)
+    except SpecSyntaxError as err:
+        assert err.line == line
+        if INT_STR_LIMITED:
+            assert err.col is not None
+            assert "characters is too long" in str(err)
+    else:
+        assert not INT_STR_LIMITED

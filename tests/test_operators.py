@@ -248,17 +248,6 @@ def test_gram_diagonal_matches_real_frame_norms(n, scale):
         assert gram == [(2 / scale) ** (p + q)] * len(gram)
 
 
-def test_full_degree_matrix_matches_per_monomial_oracle(cc_entries):
-    assert cc_entries
-    for entry in cc_entries.values():
-        spec = entry.spec
-        for k in range(2 * spec.n + 1):
-            mine = ops.full_degree_matrix(spec, k)
-            oracle = full_degree_oracle(spec, "d", k)
-            assert (mine.rows, mine.cols) == oracle.shape
-            assert matrix_to_sympy(mine) == oracle
-
-
 def test_laplacian_d_full_matches_sympy_oracle(cc_entries, ladder):
     # Delta_d = d* d + d d* in sympy, with d from ext_d and d* from
     # apply_adjoint (-*d*) one monomial at a time: neither goes through the
@@ -562,6 +551,19 @@ def test_forward_blocks_match_per_monomial_forms(block_specs):
                     spec, lambda f: fn(spec, f), op, pq)
                 assert ops.operator_block(spec, op, pq) == oracle, \
                     (spec.name, op, pq)
+
+
+def test_full_degree_matrix_matches_per_monomial_oracle(block_specs):
+    # the block writer over whole degrees, from the 1 x 0 matrix at k = -1
+    # to the 0 x 1 matrix at k = 2n
+    for spec in block_specs:
+        for k in range(-1, 2 * spec.n + 1):
+            mine = ops.full_degree_matrix(spec, k)
+            oracle = full_degree_oracle(spec, "d", k)
+            assert (mine.rows, mine.cols) == oracle.shape, (spec.name, k)
+            assert matrix_to_sympy(mine) == oracle, (spec.name, k)
+        assert ops.full_degree_matrix(spec, -1).rows == 1
+        assert ops.full_degree_matrix(spec, 2 * spec.n).cols == 1
 
 
 def test_mixed_ladder_shares_one_denominator(ladder_dsl):
