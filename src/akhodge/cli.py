@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, catalog, hodge, model, reports
 from . import operators as ops
 from .model import ManifoldSpec, SpecError
-from .scalars import NotInvertible
+from .scalars import NotInvertible, RenderLimitError, decimal_text
 
 
 def _load_spec(args) -> ManifoldSpec:
@@ -82,7 +82,7 @@ def cmd_validate(args) -> int:
     payload = {"engine_version": __version__, **report.to_dict(),
                "flags": {"constant_coefficient": spec.constant_coefficient,
                          "almost_kahler": spec.almost_kahler,
-                         "unitary_scale": (str(spec.unitary_scale)
+                         "unitary_scale": (decimal_text(spec.unitary_scale)
                                            if spec.unitary_scale is not None
                                            else None)}}
 
@@ -389,7 +389,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (SpecError, ops.OperatorError, catalog.UnknownKeyError,
             hodge.AmbientMismatchError, hodge.CrossCheckMismatchError,
-            NotInvertible) as exc:
+            NotInvertible, RenderLimitError) as exc:
+        if isinstance(exc, RenderLimitError):
+            # the number comes from the input: name its spec or entry
+            source = (getattr(args, "spec", None)
+                      or getattr(args, "entry", None))
+            exc = f"{source}: {exc}" if source else exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

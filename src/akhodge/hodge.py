@@ -12,6 +12,10 @@ sparse format of every `Matrix`; `forms_to_rows` and `rows_to_forms` are the
 only crossing between the two.  Subspace bases, block images and
 coordinates are all matrices of such rows.
 
+The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
+`harmonic_equations`, and read by both the cross-check of `harmonic_space`
+(ker A cap ker E = ker Delta_D) and `harmonic_membership` (A and E of a form).
+
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
 thm34 (delbar) and cor35 (del) at (1,1), hd_lefschetz (d) everywhere,
@@ -92,11 +96,10 @@ def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
 
 
 def apply_blocks(row: Matrix, target: Bidegree, n: int,
-                 *blocks: Matrix) -> Form:
-    """The form of the one-row matrix `row` through blocks, first to last,
-    in the target bidegree; a zero image gives Form.zero()."""
-    for block in blocks:
-        row = block.apply(row)
+                 block: Matrix) -> Form:
+    """The form of block applied to the one-row matrix `row`, in the target
+    bidegree; a zero image gives Form.zero()."""
+    row = block.apply(row)
     return Form.zero() if row.is_zero() else rows_to_forms(row, target, n)[0]
 
 
@@ -220,33 +223,35 @@ def _require_theorem_mode(spec) -> None:
 
 
 @ops.spec_memo
+def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
+    """(A, E) with H^{p,q}_D = ker A cap ker E.  A is the D block at (p,q).
+    For del and delbar, E is the partner block at (n-q, n-p) times the star
+    block at (p,q), so A alpha and E alpha are D alpha and partner(*alpha);
+    for d, mu and mubar, E is the D* block."""
+    n = spec.n
+    p, q = pq
+    A = ops.operator_block(spec, D, pq)
+    if D in ("del", "delbar"):
+        E = (ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p))
+             * ops.operator_block(spec, "star", pq))
+    else:
+        E = ops.operator_block(spec, D + "_star", pq)
+    return A, E
+
+
+@ops.spec_memo
 def harmonic_space(spec, D: str, pq: Bidegree) -> Subspace:
-    """Exact kernel of Delta_D on invariant (p,q)-forms, with the
-    two-equation characterization as a mandatory cross-check."""
+    """Exact kernel of Delta_D on invariant (p,q)-forms, with ker A cap
+    ker E of the harmonic equations as a mandatory cross-check."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
     space = kernel_subspace(ops.laplacian_matrix(spec, D, pq), pq, spec.n)
-    cross = _characterization_kernel(spec, D, pq)
-    if space != cross:
+    A, E = harmonic_equations(spec, D, pq)
+    if space != kernel_subspace(A.stack_below(E), pq, spec.n):
         raise CrossCheckMismatchError(
             f"{spec.name}: ker Delta_{D} on {pq} disagrees with the "
             "closed-and-costar-closed characterization")
     return space
-
-
-def _characterization_kernel(spec, D: str, pq: Bidegree) -> Subspace:
-    n = spec.n
-    p, q = pq
-    if D in ("del", "delbar"):
-        # ker D  intersect  ker (conjugate-operator composed with star)
-        partner = ops.STAR_PARTNERS[D]
-        first = ops.operator_block(spec, D, pq)
-        star = ops.operator_block(spec, "star", pq)
-        second = ops.operator_block(spec, partner, (n - q, n - p)) * star
-    else:
-        first = ops.operator_block(spec, D, pq)
-        second = ops.operator_block(spec, D + "_star", pq)
-    return kernel_subspace(first.stack_below(second), pq, n)
 
 
 @dataclass
@@ -277,34 +282,31 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
     return best
 
 
-def _block_witnesses(spec, D: str, partner: str, form: Form):
-    """D alpha and partner(*alpha): the cached blocks applied to the row of
-    each pure (p,q) component; a block with no valid target adds nothing."""
+def _block_witnesses(spec, D: str, form: Form):
+    """D alpha and partner(*alpha): the harmonic equations A and E applied
+    to the row of each pure (p,q) component."""
     n = spec.n
+    s, t = ops.COMPONENT_SHIFTS[D]
     closed = costar = Form.zero()
     for (p, q), comp in form.components().items():
         row = forms_to_rows([comp], (p, q), n)
-        dual = (n - q, n - p)
-        star = ops.operator_block(spec, "star", (p, q))
-        for t in ops.op_targets(D, (p, q), n):
-            closed += apply_blocks(row, t, n,
-                                   ops.operator_block(spec, D, (p, q)))
-        for t in ops.op_targets(partner, dual, n):
-            costar += apply_blocks(row, t, n, star,
-                                   ops.operator_block(spec, partner, dual))
+        A, E = harmonic_equations(spec, D, (p, q))
+        # the partner's shift is D's, swapped
+        closed += apply_blocks(row, (p + s, q + t), n, A)
+        costar += apply_blocks(row, (n - q + t, n - p + s), n, E)
     return closed, costar
 
 
 def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
     """Harmonicity of a single form, D alpha = 0 and conjugate-D *alpha = 0:
-    from the cached blocks for a constant form on a constant-coefficient
+    from `harmonic_equations` for a constant form on a constant-coefficient
     spec, else pointwise (Unknown when that needs an opaque derivative)."""
     if D not in ("del", "delbar"):
         raise ValueError("membership is defined for del and delbar")
     partner = ops.STAR_PARTNERS[D]
     try:
         if spec.constant_coefficient and form.is_constant_coefficient():
-            closed, costar = _block_witnesses(spec, D, partner, form)
+            closed, costar = _block_witnesses(spec, D, form)
         else:
             closed = ops.component(spec, D, form)
             costar = ops.component(spec, partner, ops.hodge_star(spec, form))

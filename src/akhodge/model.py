@@ -28,7 +28,7 @@ from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
-                      SymScalar)
+                      SymScalar, decimal_text)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
@@ -279,6 +279,14 @@ def parse_form(text: str, n: int, symbols: SymbolTable | None = None,
     return _parse_form_tokens(_tokenize(text, line), n, symbols, line)
 
 
+def _parse_expr(text: str, col_offset: int, n: int, symbols: SymbolTable,
+                line_no: int) -> Form:
+    """parse_form of an expression that starts after column col_offset of
+    spec line line_no, so that errors give columns of the raw line."""
+    return _parse_form_tokens(_tokenize(text, line_no, col_offset), n,
+                              symbols, line_no)
+
+
 # ---------------------------------------------------------------------------
 # Spec parsing
 
@@ -289,13 +297,14 @@ def parse_spec(text: str) -> ManifoldSpec:
     symbols = SymbolTable()
     structure: dict[int, Form] = {}
     omega: Form | None = None
-    pending_derivatives: list[tuple[str, str, int]] = []
+    pending_derivatives: list[tuple[str, str, int, int]] = []
     declared_at: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip())  # the index of line[0] in raw
         words = line.split()
         head = words[0]
         if head == "manifold":
@@ -327,7 +336,7 @@ def parse_spec(text: str) -> ManifoldSpec:
             if n is None:
                 raise SpecSyntaxError("dim must precede symbol declarations",
                                       line_no)
-            sym_name = _parse_symbol_line(line, line_no, symbols,
+            sym_name = _parse_symbol_line(line, line_no, lead, symbols,
                                           pending_derivatives)
             declared_at[sym_name] = line_no
         elif head == "d":
@@ -347,7 +356,8 @@ def parse_spec(text: str) -> ManifoldSpec:
             if j in structure:
                 raise SpecSyntaxError(f"duplicate structure equation for "
                                       f"{gen_name}", line_no)
-            form = parse_form(expr, n, symbols, line_no)
+            form = _parse_expr(expr, lead + line.index("=") + 1, n, symbols,
+                               line_no)
             bad = [pq for pq in form.bidegrees() if pq[0] + pq[1] != 2]
             if bad:
                 raise DegreeMismatchError(
@@ -360,7 +370,8 @@ def parse_spec(text: str) -> ManifoldSpec:
                 raise SpecSyntaxError("expected: omega = <(1,1)-form>", line_no)
             if n is None:
                 raise SpecSyntaxError("dim must precede omega", line_no)
-            omega = parse_form(rest[1:], n, symbols, line_no)
+            omega = _parse_expr(rest[1:], lead + line.index("=") + 1, n,
+                                symbols, line_no)
             if omega.bidegrees() not in ([], [(1, 1)]):
                 raise DegreeMismatchError(
                     f"omega has bidegrees {omega.bidegrees()}, expected (1,1)",
@@ -381,8 +392,8 @@ def parse_spec(text: str) -> ManifoldSpec:
         error = symbols.involution_error(sym)
         if error is not None:
             raise SpecSyntaxError(error, declared_at[sym.name])
-    for sym_name, expr, line_no in pending_derivatives:
-        form = parse_form(expr, n, symbols, line_no)
+    for sym_name, expr, line_no, col_offset in pending_derivatives:
+        form = _parse_expr(expr, col_offset, n, symbols, line_no)
         if any(p + q != 1 for p, q in form.bidegrees()):
             raise DegreeMismatchError(
                 f"derivative of {sym_name} must be a 1-form", line_no)
@@ -394,9 +405,11 @@ def parse_spec(text: str) -> ManifoldSpec:
     return ManifoldSpec(name, n, tuple(coframe), symbols, structure, omega)
 
 
-def _parse_symbol_line(line: str, line_no: int, symbols: SymbolTable,
-                       pending: list[tuple[str, str, int]]) -> str:
-    """Declare the symbol of one `symbol` line and return its name."""
+def _parse_symbol_line(line: str, line_no: int, lead: int,
+                       symbols: SymbolTable,
+                       pending: list[tuple[str, str, int, int]]) -> str:
+    """Declare the symbol of one `symbol` line, which starts after column
+    lead of the raw line, and return its name."""
     m = re.match(r"symbol\s+([A-Za-z_]\w*)\s*(.*)$", line)
     if m is None:
         raise SpecSyntaxError("expected: symbol <name> [...]", line_no)
@@ -412,6 +425,7 @@ def _parse_symbol_line(line: str, line_no: int, symbols: SymbolTable,
                                   line_no)
         if body != "opaque":
             derivative_expr = body
+            derivative_col = lead + m.start(2) + dm.start(1)
         rest = rest[:dm.start()].strip()
     conj_name = sym_name
     nonzero = invertible = False
@@ -439,7 +453,7 @@ def _parse_symbol_line(line: str, line_no: int, symbols: SymbolTable,
     except ValueError as exc:  # declared twice
         raise SpecSyntaxError(str(exc), line_no) from None
     if derivative_expr is not None:
-        pending.append((sym_name, derivative_expr, line_no))
+        pending.append((sym_name, derivative_expr, line_no, derivative_col))
     return sym_name
 
 
@@ -621,7 +635,8 @@ def validate(spec: ManifoldSpec) -> ValidationReport:
 
     if spec.unitary_scale is not None:
         items.append(ValidationItem("unitary_mode", "Verified",
-                                    f"scale = {spec.unitary_scale}"))
+                                    "scale = "
+                                    + decimal_text(spec.unitary_scale)))
         if spec.constant_coefficient:
             items.append(ValidationItem("omega_positive", "Verified",
                                         "unitary coframe, positivity automatic"))

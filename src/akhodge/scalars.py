@@ -9,6 +9,7 @@ exactly invertible).  No floating point anywhere; every value is immutable.
 from __future__ import annotations
 
 import enum
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -18,6 +19,22 @@ if TYPE_CHECKING:  # FunctionSymbol.derivative is a degree-1 exterior.Form
 
 class NotInvertible(ArithmeticError):
     """The scalar has no exact inverse in the Laurent ring."""
+
+
+class RenderLimitError(ValueError):
+    """A number has more digits than the interpreter converts to decimal
+    text (`sys.get_int_max_str_digits`)."""
+
+
+def decimal_text(value: int | Fraction) -> str:
+    """str(value) for a number derived from a spec; RenderLimitError when
+    the interpreter refuses to convert it to decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        raise RenderLimitError(
+            f"a number of more than {sys.get_int_max_str_digits()} digits "
+            "is too long to print") from None
 
 
 class Nonzeroness(enum.Enum):
@@ -113,12 +130,12 @@ class GaussianRational:
         if self.is_zero():
             return "0"
         if not self.im:
-            return str(self.re)
+            return decimal_text(self.re)
         if not self.re:
             return _imag_str(self.im)
         im = _imag_str(abs(self.im))
         sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{im})"
+        return f"({decimal_text(self.re)}{sign}{im})"
 
 
 def _imag_str(b: Fraction) -> str:
@@ -126,7 +143,7 @@ def _imag_str(b: Fraction) -> str:
         return "i"
     if b == -1:
         return "-i"
-    return f"{b}*i"
+    return f"{decimal_text(b)}*i"
 
 
 def _coerce(value) -> GaussianRational:
@@ -412,7 +429,8 @@ class SymScalar:
 
 
 def _render_term(coeff: GaussianRational, mono: Monomial) -> str:
-    syms = "*".join(name if k == 1 else f"{name}^{k}" for name, k in mono)
+    syms = "*".join(name if k == 1 else f"{name}^{decimal_text(k)}"
+                    for name, k in mono)
     if not syms:
         return coeff.render()
     if coeff == ONE:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -377,9 +378,9 @@ BIG = "7" * 5000
 
 
 @pytest.mark.parametrize("body, location", [
-    (f"d phi1 = {BIG}*phi{{2,2}}\n", "line 4, col 2"),
-    (f"d phi1 = 1/{BIG}*phi{{2,2}}\n", "line 4, col 2"),
-    (f"symbol F real d = 0\nd phi1 = F^{BIG}*phi{{2,2}}\n", "line 5, col 3"),
+    (f"d phi1 = {BIG}*phi{{2,2}}\n", "line 4, col 10"),
+    (f"d phi1 = 1/{BIG}*phi{{2,2}}\n", "line 4, col 10"),
+    (f"symbol F real d = 0\nd phi1 = F^{BIG}*phi{{2,2}}\n", "line 5, col 11"),
     (None, "line 2, col 5"),
 ], ids=["coefficient", "denominator", "exponent", "dim"])
 def test_validate_oversized_number_exit_2(capsys, tmp_path, body, location):
@@ -407,3 +408,53 @@ def test_decompose_oversized_number_is_located_at_the_option(capsys, form):
         assert err.startswith("error: --form, col 1: number literal of")
     else:
         assert code == 0 and err == ""
+
+
+# each product of two legal literals, or power of one, has about 4,500 to
+# 8,000 digits: beyond CPython's default limit of 4300 for decimal text
+LONG = "7" * 4000
+UNITARY_N3 = "omega = " + " + ".join(
+    f"{'7' * 1500}/2*i*phi{{{j},{j}}}" for j in (1, 2, 3)) + "\n"
+
+
+@pytest.mark.parametrize("spec_text, argv", [
+    (None, ("decompose", "--entry", "kt4",
+            "--form", f"{LONG}*{LONG}*phi{{1,1}}")),
+    (SPEC_HEAD + f"d phi1 = {LONG}*{LONG}*phi{{2,2}}\n" + UNITARY_OMEGA,
+     ("operators", "--op", "d", "--pq", "1,0")),
+    ("manifold t\ndim 6\ncoframe phi1 phi2 phi3\n" + UNITARY_N3,
+     ("operators", "--op", "star", "--pq", "0,0")),
+    (SPEC_HEAD + f"omega = {LONG}*{LONG}/2*i*phi{{1,1}} + "
+     f"{LONG}*{LONG}/2*i*phi{{2,2}}\n", ("validate",)),
+], ids=["decompose_product", "operators_d_product", "operators_star_cube",
+        "validate_scale"])
+def test_number_too_long_to_print_exit_2(capsys, tmp_path, spec_text, argv):
+    source = "kt4"
+    if spec_text is not None:
+        source = str(tmp_path / "long.akspec")
+        Path(source).write_text(spec_text)
+        argv += ("--spec", source)
+    code, out, err = run(capsys, *argv)
+    if code == 2:
+        assert out == ""
+        assert err == (f"error: {source}: a number of more than "
+                       f"{sys.get_int_max_str_digits()} digits is too long "
+                       "to print\n")
+    else:  # an interpreter without the limit prints the number
+        assert code in (0, 1) and err == ""
+
+
+@pytest.mark.parametrize("body, location", [
+    ("d phi1 = 1/2*phi{2,2} + q*phi{1,}\n" + UNITARY_OMEGA, "line 4, col 25"),
+    ("  d phi1 = q*phi{1,2}\n" + UNITARY_OMEGA, "line 4, col 12"),
+    ("omega = 1/2*i*phi{1,1} + q*phi{2,2}\n", "line 4, col 26"),
+    ("symbol F real d = q*phi{1,}\n" + UNITARY_OMEGA, "line 4, col 19"),
+], ids=["d", "indented_d", "omega", "symbol_derivative"])
+def test_unknown_symbol_column_counts_from_line_start(capsys, tmp_path, body,
+                                                      location):
+    path = tmp_path / "bad.akspec"
+    path.write_text(SPEC_HEAD + body)
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {location}: unknown symbol 'q'\n"

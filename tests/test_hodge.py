@@ -143,6 +143,35 @@ def test_membership_block_route_matches_pointwise_oracle(cc_entries, ladder,
             assert g == w, (spec.name, case)
 
 
+def test_harmonic_equations_against_oracles(cc_entries, ladder):
+    # column j of E is partner(*m_j) taken pointwise; the basis of
+    # H_D = ker A cap ker E is Harmonic and every monomial outside it is not
+    assert len(cc_entries) == 5
+    for spec in [e.spec for e in cc_entries.values()] + [ladder(3), ladder(4)]:
+        n = spec.n
+        for D in ("del", "delbar"):
+            partner = ops.STAR_PARTNERS[D]
+            s, t = ops.COMPONENT_SHIFTS[partner]
+            for p, q in all_bidegrees(n):
+                A, E = hodge.harmonic_equations(spec, D, (p, q))
+                assert A == ops.operator_block(spec, D, (p, q))
+                target = (n - q + s, n - p + t)
+                for j, m in enumerate(basis_of((p, q), n)):
+                    want = ops.component(spec, partner, ops.hodge_star(
+                        spec, Form.monomial(m)))
+                    assert E.columns([j]) == hodge.forms_to_rows(
+                        [want], target, n).transpose(), (spec.name, D, m)
+                space = hodge.harmonic_space(spec, D, (p, q))
+                for form in space.forms():
+                    assert hodge.harmonic_membership(
+                        spec, D, form).status == "Harmonic"
+                for m in basis_of((p, q), n):
+                    form = Form.monomial(m)
+                    if not space.member(form):
+                        assert hodge.harmonic_membership(
+                            spec, D, form).status == "NotHarmonic"
+
+
 def test_membership_symbolic_form_on_a_constant_spec_is_pointwise():
     # d W = phi1 + phibar1 reaches the witnesses only through the Leibniz
     # rule, which the blocks do not see
