@@ -167,6 +167,10 @@ def cmd_harmonic(args) -> int:
 def cmd_decompose(args) -> int:
     spec = _load_matrix_spec(args)
     form = model.parse_form(args.form, spec.n, spec.symbols, "--form")
+    try:
+        form_text = form.render()
+    except RenderLimitError as exc:  # the number comes from --form
+        raise SpecError(str(exc), "--form") from None
     if not form.is_constant_coefficient():
         raise SpecError(f"--form {args.form!r} has symbolic coefficients; "
                         "decompose needs constant ones")
@@ -175,7 +179,7 @@ def cmd_decompose(args) -> int:
     payload = {"spec_name": spec.name, "engine_version": __version__,
                "check_id": "primitive_decomposition",
                "status": "Computed",
-               "input": form.render(),
+               "input": form_text,
                "components": {str(r): beta.render() for r, beta in
                               sorted(decomposition.components.items())},
                "reconstruction_exact": exact}

@@ -8,15 +8,19 @@ Bidegrees are plain (p, q) tuples.
 The module also carries the real-coframe expansion used by complexification
 and realification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
 real indices, with real monomials stored as ascending index tuples.
+
+Sums of these sparse maps (forms, wedges, real forms) and their signed-term
+text come from the one `scalars` helper: `collect` and `join_terms`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .scalars import GaussianRational, I, ONE, SymbolTable, SymScalar, _coerce_sym
+from .scalars import (GaussianRational, I, SymbolTable, SymScalar, _coerce_sym,
+                      collect, join_terms, scaled_name)
 
 Bidegree = tuple[int, int]
 IndexTuple = tuple[int, ...]
@@ -192,15 +196,7 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = data.get(mono)
-            new = coeff if new is None else new + coeff
-            if new:
-                data[mono] = new
-            else:
-                data.pop(mono, None)
-        return Form(data)
+        return Form(collect(chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -215,21 +211,8 @@ class Form:
     __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
-        data: dict[BasisMonomial, SymScalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                hit = wedge_monomials(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                contrib = c1 * c2 if sign == 1 else -(c1 * c2)
-                new = data.get(mono)
-                new = contrib if new is None else new + contrib
-                if new:
-                    data[mono] = new
-                else:
-                    data.pop(mono, None)
-        return Form(data)
+        return Form(collect(_signed_products(self._terms, other._terms,
+                                             wedge_monomials)))
 
     def conj(self, table: SymbolTable) -> "Form":
         data: dict[BasisMonomial, SymScalar] = {}
@@ -262,27 +245,23 @@ class Form:
         return f"Form<{self.render()}>"
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            c = coeff.render()
-            if c == "1":
-                parts.append(mono.render())
-            elif c == "-1":
-                parts.append("-" + mono.render())
-            else:
-                parts.append(f"{c}*{mono.render()}")
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms(scaled_name(coeff.render(), mono.render())
+                          for mono, coeff in self.terms())
 
 
 _FORM_ZERO = Form()
+
+
+def _signed_products(a: Mapping, b: Mapping, merge: Callable
+                     ) -> Iterator[tuple]:
+    """(monomial, +-c1*c2) for each pair of terms whose monomials merge."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            hit = merge(m1, m2)
+            if hit is None:
+                continue
+            sign, mono = hit
+            yield mono, c1 * c2 if sign == 1 else -(c1 * c2)
 
 
 def basis_of(pq: Bidegree, n: int) -> list[BasisMonomial]:
@@ -326,27 +305,8 @@ def check_pairing(pairing: Pairing, n: int) -> None:
                          f"{{1..{2 * n}}}")
 
 
-def _real_accumulate(acc: RealForm, mono: IndexTuple, coeff: SymScalar) -> None:
-    if not coeff:
-        return
-    new = acc.get(mono)
-    new = coeff if new is None else new + coeff
-    if new:
-        acc[mono] = new
-    else:
-        acc.pop(mono, None)
-
-
 def real_wedge(a: RealForm, b: RealForm) -> RealForm:
-    out: RealForm = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            hit = merge_indices(m1, m2)
-            if hit is None:
-                continue
-            sign, mono = hit
-            _real_accumulate(out, mono, c1 * c2 if sign == 1 else -(c1 * c2))
-    return out
+    return collect(_signed_products(a, b, merge_indices))
 
 
 _HALF = SymScalar.const(GaussianRational(1, 0) / 2)
@@ -355,7 +315,7 @@ _MINUS_HALF_I = SymScalar.const(GaussianRational(0, -1) / 2)
 
 def complex_to_real(form: Form, pairing: Pairing) -> RealForm:
     """Expand each phi/phibar factor into the paired real generators."""
-    out: RealForm = {}
+    pairs: list[tuple[IndexTuple, SymScalar]] = []
     for mono, coeff in form._terms.items():
         acc: RealForm = {(): coeff}
         factors = [(pairing[j - 1], I) for j in mono.holo]
@@ -364,9 +324,8 @@ def complex_to_real(form: Form, pairing: Pairing) -> RealForm:
             factor: RealForm = {(a_idx,): SymScalar.one(),
                                 (b_idx,): SymScalar.const(im_unit)}
             acc = real_wedge(acc, factor)
-        for m, c in acc.items():
-            _real_accumulate(out, m, c)
-    return out
+        pairs += acc.items()
+    return collect(pairs)
 
 
 def real_to_complex(rform: Mapping[IndexTuple, SymScalar], pairing: Pairing) -> Form:

@@ -28,7 +28,7 @@ from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
-                      SymScalar, decimal_text)
+                      SymScalar, collect, decimal_text, join_terms)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
@@ -482,16 +482,12 @@ def _coeff_dsl_terms(coeff: SymScalar) -> list[tuple[int, list[str]]]:
 def render_form_dsl(form: Form) -> str:
     if form.is_zero():
         raise ValueError("the zero form has no DSL rendering; omit the line")
-    chunks: list[tuple[int, str]] = []
+    parts = []
     for mono, coeff in form.terms():
         for sign, factors in _coeff_dsl_terms(coeff):
-            body = "*".join(factors + [mono.render()]) if factors \
-                else mono.render()
-            chunks.append((sign, body))
-    text = ("-" if chunks[0][0] < 0 else "") + chunks[0][1]
-    for sign, body in chunks[1:]:
-        text += (" - " if sign < 0 else " + ") + body
-    return text
+            body = "*".join(factors + [mono.render()])
+            parts.append(body if sign > 0 else "-" + body)
+    return join_terms(parts)
 
 
 def render_spec(spec: ManifoldSpec) -> str:
@@ -541,33 +537,20 @@ class RealFramePresentation:
 
 def real_two_form(terms: list[tuple[int, int, int]]) -> RealForm:
     """Build a real 2-form from (coefficient, i, j) triples with i < j."""
-    out: RealForm = {}
+    pairs = []
     for coeff, i, j in terms:
         if not i < j:
             raise ValueError(f"real indices must ascend: ({i},{j})")
-        key = (i, j)
-        cur = out.get(key, SymScalar.zero()) + SymScalar.const(coeff)
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
-    return out
+        pairs.append(((i, j), SymScalar.const(coeff)))
+    return collect(pairs)
 
 
 def complexify(real: RealFramePresentation) -> dict[int, Form]:
     """Express each d(phi^j) = d e^{a_j} + i d e^{b_j} in the complex basis."""
     out: dict[int, Form] = {}
     for j, (a_idx, b_idx) in enumerate(real.pairing, start=1):
-        combined: RealForm = {}
-        for mono, coeff in real.de.get(a_idx, {}).items():
-            combined[mono] = combined.get(mono, SymScalar.zero()) + coeff
-        for mono, coeff in real.de.get(b_idx, {}).items():
-            cur = combined.get(mono, SymScalar.zero()) + coeff * I
-            if cur:
-                combined[mono] = cur
-            else:
-                combined.pop(mono, None)
-        form = real_to_complex(combined, real.pairing)
+        form = (real_to_complex(real.de.get(a_idx, {}), real.pairing)
+                + real_to_complex(real.de.get(b_idx, {}), real.pairing) * I)
         if not form.is_zero():
             out[j] = form
     return out

@@ -59,15 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import xor
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .exterior import (BasisMonomial, Bidegree, Form, basis_of,
                        bidegree_dim, bidegrees_of_degree)
 from .linalg import Matrix, _lowest_terms
 from .scalars import GaussianRational, I, SymScalar, i_power
-
-if TYPE_CHECKING:
-    from .model import ManifoldSpec
 
 
 class OperatorError(Exception):

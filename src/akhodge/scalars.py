@@ -4,6 +4,10 @@ Two layers: ``GaussianRational`` is an element of Q(i) with arbitrary-precision
 rational real and imaginary parts, and ``SymScalar`` extends it to Laurent
 polynomials in declared function symbols (so metric factors like e^{-f} stay
 exactly invertible).  No floating point anywhere; every value is immutable.
+
+``collect`` sums the sparse key -> value maps of scalars, forms and real forms
+(dropping zero sums) and ``join_terms`` writes their signed terms as text;
+`exterior` and `model` use them too.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import enum
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # FunctionSymbol.derivative is a degree-1 exterior.Form
@@ -35,6 +40,42 @@ def decimal_text(value: int | Fraction) -> str:
         raise RenderLimitError(
             f"a number of more than {sys.get_int_max_str_digits()} digits "
             "is too long to print") from None
+
+
+def collect(pairs: Iterable[tuple]) -> dict:
+    """Sum (key, value) pairs by key; keys whose sum is zero are dropped."""
+    sums: dict = {}
+    for key, value in pairs:
+        if key in sums:
+            value = sums[key] + value
+        if value:
+            sums[key] = value
+        else:
+            sums.pop(key, None)
+    return sums
+
+
+def join_terms(parts: Iterable[str]) -> str:
+    """Join rendered terms with ` + `, or with ` - ` before a term that starts
+    with `-`; no terms read `0`."""
+    out = []
+    for part in parts:
+        if not out:
+            out.append(part)
+        elif part.startswith("-"):
+            out.append(" - " + part[1:])
+        else:
+            out.append(" + " + part)
+    return "".join(out) or "0"
+
+
+def scaled_name(coeff: str, name: str) -> str:
+    """`coeff*name`, with a coefficient of `1` or `-1` left out."""
+    if coeff == "1":
+        return name
+    if coeff == "-1":
+        return "-" + name
+    return f"{coeff}*{name}"
 
 
 class Nonzeroness(enum.Enum):
@@ -132,18 +173,10 @@ class GaussianRational:
         if not self.im:
             return decimal_text(self.re)
         if not self.re:
-            return _imag_str(self.im)
-        im = _imag_str(abs(self.im))
+            return scaled_name(decimal_text(self.im), "i")
+        im = scaled_name(decimal_text(abs(self.im)), "i")
         sign = "+" if self.im > 0 else "-"
         return f"({decimal_text(self.re)}{sign}{im})"
-
-
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{decimal_text(b)}*i"
 
 
 def _coerce(value) -> GaussianRational:
@@ -254,14 +287,7 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    exps: dict[str, int] = dict(a)
-    for name, k in b:
-        new = exps.get(name, 0) + k
-        if new:
-            exps[name] = new
-        else:
-            del exps[name]
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(collect(a + b).items()))
 
 
 class SymScalar:
@@ -329,14 +355,8 @@ class SymScalar:
 
     def __add__(self, other):
         other = _coerce_sym(other)
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = data.get(mono, ZERO) + coeff
-            if new:
-                data[mono] = new
-            else:
-                data.pop(mono, None)
-        return SymScalar(data)
+        return SymScalar(collect(chain(self._terms.items(),
+                                       other._terms.items())))
 
     __radd__ = __add__
 
@@ -351,27 +371,20 @@ class SymScalar:
 
     def __mul__(self, other):
         other = _coerce_sym(other)
-        data: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mul_monomials(m1, m2)
-                new = data.get(mono, ZERO) + c1 * c2
-                if new:
-                    data[mono] = new
-                else:
-                    data.pop(mono, None)
-        return SymScalar(data)
+        return SymScalar(collect((_mul_monomials(m1, m2), c1 * c2)
+                                 for m1, c1 in self._terms.items()
+                                 for m2, c2 in other._terms.items()))
 
     __rmul__ = __mul__
 
     # -- table-aware operations ----------------------------------------------
 
     def conj(self, table: SymbolTable) -> "SymScalar":
-        data: dict[Monomial, GaussianRational] = {}
+        pairs = []
         for mono, coeff in self._terms.items():
             swapped = tuple(sorted((table[name].conj_name, k) for name, k in mono))
-            data[swapped] = data.get(swapped, ZERO) + coeff.conj()
-        return SymScalar(data)
+            pairs.append((swapped, coeff.conj()))
+        return SymScalar(collect(pairs))
 
     def invert(self, table: SymbolTable) -> "SymScalar":
         if len(self._terms) != 1:
@@ -414,18 +427,8 @@ class SymScalar:
 
     def render(self) -> str:
         """Canonical text, e.g. `-1/4*i*F` or `1/2 + V3g*V3g_bar`."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            parts.append(_render_term(coeff, mono))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms(_render_term(coeff, mono)
+                          for mono, coeff in self.terms())
 
 
 def _render_term(coeff: GaussianRational, mono: Monomial) -> str:
@@ -433,11 +436,7 @@ def _render_term(coeff: GaussianRational, mono: Monomial) -> str:
                     for name, k in mono)
     if not syms:
         return coeff.render()
-    if coeff == ONE:
-        return syms
-    if coeff == -ONE:
-        return "-" + syms
-    return f"{coeff.render()}*{syms}"
+    return scaled_name(coeff.render(), syms)
 
 
 def _coerce_sym(value) -> SymScalar:

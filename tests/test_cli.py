@@ -429,7 +429,7 @@ UNITARY_N3 = "omega = " + " + ".join(
 ], ids=["decompose_product", "operators_d_product", "operators_star_cube",
         "validate_scale"])
 def test_number_too_long_to_print_exit_2(capsys, tmp_path, spec_text, argv):
-    source = "kt4"
+    source = "--form"  # decompose_product's number comes from the option
     if spec_text is not None:
         source = str(tmp_path / "long.akspec")
         Path(source).write_text(spec_text)

@@ -134,6 +134,10 @@ def test_wedge_matches_brute_force(a, b):
     lhs = form_to_letters(a.wedge(b), 3)
     rhs = brute_wedge(form_to_letters(a, 3), form_to_letters(b, 3))
     assert lhs == rhs
+    for value in (a + b, a - b, a.wedge(b)):
+        assert all(not coeff.is_zero() for _, coeff in value.terms())
+    assert a - a == Form.zero()
+    assert a.wedge(b) - a.wedge(b) == Form.zero()
 
 
 def test_monomial_rendering():

@@ -1,5 +1,6 @@
 """The package is stdlib-only: every import in src/akhodge/*.py names the
-package itself (or a relative module) or a standard-library module."""
+package itself (or a relative module) or a standard-library module; and every
+name a module imports at module level is used by that module."""
 
 import ast
 import sys
@@ -35,4 +36,72 @@ def test_package_imports_only_the_standard_library():
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) >= 10
     assert {path.name: foreign_imports(path.read_text(encoding="utf-8"))
+            for path in files} == {path.name: [] for path in files}
+
+
+def module_level_imports(node: ast.AST):
+    """Import statements outside every function and class body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+            yield from module_level_imports(child)
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: in code, in string annotations, in __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= referenced_names(ast.parse(node.value))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports of source that it never reads."""
+    tree = ast.parse(source)
+    used = referenced_names(tree)
+    unused = []
+    for node in module_level_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in used:
+                unused.append(bound)
+    return unused
+
+
+def test_detector_flags_unused_imports():
+    source = ('"""Fraction named only in a docstring."""\n'
+              "from __future__ import annotations\n"
+              "import os, os.path as osp\nimport json\n"
+              "from typing import TYPE_CHECKING, Mapping\n"
+              "from fractions import Fraction\n"
+              "from . import linalg, hodge\n"
+              "if TYPE_CHECKING:\n    from .model import ManifoldSpec, Form\n"
+              "__all__ = ['hodge']\n"
+              "def f(spec: 'list[ManifoldSpec]') -> Mapping:\n"
+              "    import re\n    return os.sep\n")
+    assert unused_imports(source) == ["osp", "json", "Fraction", "linalg",
+                                      "Form"]
+
+
+def test_package_has_no_unused_imports():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 10
+    assert {path.name: unused_imports(path.read_text(encoding="utf-8"))
             for path in files} == {path.name: [] for path in files}

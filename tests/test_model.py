@@ -109,6 +109,14 @@ def test_iwasawa_complexify_matches_printed_equations():
     assert 3 not in derived
 
 
+def test_real_two_form_sums_triples_by_index_pair():
+    assert real_two_form([(1, 1, 2), (-1, 1, 2)]) == {}
+    assert real_two_form([(2, 1, 3), (1, 2, 4), (-2, 1, 3), (0, 5, 6)]) == \
+        {(2, 4): SymScalar.const(1)}
+    with pytest.raises(ValueError, match=r"must ascend: \(2,1\)"):
+        real_two_form([(1, 1, 3), (1, 2, 1)])
+
+
 def test_complexify_of_closed_frame_is_zero():
     real = RealFramePresentation(n=2, de={},
                                  pairing=((1, 2), (3, 4)))

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akhodge.exterior import BasisMonomial, Form
+from akhodge.model import render_form_dsl
 from akhodge.scalars import (FunctionSymbol, GaussianRational, I, Nonzeroness,
                              NotInvertible, ONE, SymbolTable, SymScalar)
 
@@ -94,6 +96,30 @@ def test_rendering():
     assert SymScalar.symbol("E", -1).render() == "E^-1"
     mixed = SymScalar.const(GaussianRational(Fraction(1, 2), Fraction(-3, 4)))
     assert mixed.render() == "(1/2-3/4*i)"
+    # several terms: a negative first term, negative and +-1 later ones
+    several = SymScalar({
+        (): GaussianRational(Fraction(-1, 2)),
+        (("E", -1),): GaussianRational(3),
+        (("F", 1),): GaussianRational(-1),
+        (("E", 1), ("F", 2)): GaussianRational(Fraction(1, 2), -1),
+        (("E", 2),): GaussianRational(0, -1)})
+    assert several.render() == "-1/2 + 3*E^-1 + (1/2-i)*E*F^2 - i*E^2 - F"
+    form = Form({
+        BasisMonomial((1,), ()): SymScalar.const(-1),
+        BasisMonomial((2,), ()): SymScalar.const(1),
+        BasisMonomial((1,), (2,)): SymScalar.const(GaussianRational(0, -2)),
+        BasisMonomial((2,), (1,)): SymScalar.symbol("F", coeff=-1),
+        BasisMonomial((), (1,)): SymScalar.const(
+            GaussianRational(Fraction(-1, 3), Fraction(1, 4)))})
+    assert form.render() == ("(-1/3+1/4*i)*phi{,1} - phi{1,} - 2*i*phi{1,2}"
+                             " + phi{2,} - F*phi{2,1}")
+    assert render_form_dsl(form) == (
+        "-1/3*phi{,1} + 1/4*i*phi{,1} - 1*phi{1,} - 2*i*phi{1,2}"
+        " + 1*phi{2,} - F*phi{2,1}")
+    first_negative = Form({BasisMonomial((1,), (1,)): several})
+    assert render_form_dsl(first_negative) == (
+        "-1/2*phi{1,1} + 3*E^-1*phi{1,1} + 1/2*E*F^2*phi{1,1}"
+        " - i*E*F^2*phi{1,1} - i*E^2*phi{1,1} - F*phi{1,1}")
 
 
 # -- property tests ----------------------------------------------------------
@@ -119,6 +145,12 @@ def scalars(draw):
     return SymScalar(terms)
 
 
+def assert_no_zero_stored(*values):
+    """Sums and products never store a zero coefficient."""
+    for value in values:
+        assert all(not coeff.is_zero() for _, coeff in value.terms())
+
+
 @given(gaussian_rationals(), gaussian_rationals(), gaussian_rationals())
 @settings(max_examples=200)
 def test_field_axioms_on_constants(a, b, c):
@@ -139,6 +171,8 @@ def test_ring_axioms_on_symbolic_scalars(a, b, c):
     assert a * b == b * a
     assert a * SymScalar.one() == a
     assert (a + SymScalar.zero()) == a
+    assert_no_zero_stored(a + b, a * b, (a + b) * c, a * b - b * a)
+    assert a - a == SymScalar.zero()
 
 
 @given(scalars(), scalars())
@@ -147,6 +181,9 @@ def test_conj_is_ring_involution(a, b):
     assert a.conj(T_EX42).conj(T_EX42) == a
     assert (a + b).conj(T_EX42) == a.conj(T_EX42) + b.conj(T_EX42)
     assert (a * b).conj(T_EX42) == a.conj(T_EX42) * b.conj(T_EX42)
+    assert_no_zero_stored(a.conj(T_EX42), (a + b).conj(T_EX42),
+                          (a * b).conj(T_EX42))
+    assert a.conj(T_EX42) - a.conj(T_EX42) == SymScalar.zero()
 
 
 def test_involution_validation_rejects_bad_pairing():
