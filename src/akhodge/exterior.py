@@ -5,21 +5,21 @@ ascending index tuples (I, J); every sign in the engine derives from this one
 ordering convention (holomorphic factors first, each block ascending).
 Bidegrees are plain (p, q) tuples.
 
-The module also carries the real-coframe expansion used by complexification
-and realification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
+The module also carries the real-coframe substitution used by
+complexification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
 real indices, with real monomials stored as ascending index tuples.
 
-Sums of these sparse maps (forms, wedges, real forms) and their signed-term
-text come from the one `scalars` helper: `collect` and `join_terms`.
+Sums of forms and wedges and their signed-term text come from the one
+`scalars` helper: `collect` and `join_terms`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .scalars import (GaussianRational, I, SymbolTable, SymScalar, _coerce_sym,
+from .scalars import (GaussianRational, SymbolTable, SymScalar, _coerce_sym,
                       collect, join_terms, scaled_name)
 
 Bidegree = tuple[int, int]
@@ -85,10 +85,6 @@ class BasisMonomial(tuple):
     @property
     def bidegree(self) -> Bidegree:
         return (len(self[0]), len(self[1]))
-
-    @property
-    def degree(self) -> int:
-        return len(self[0]) + len(self[1])
 
     def render(self) -> str:
         return "phi{%s,%s}" % ("".join(map(str, self[0])), "".join(map(str, self[1])))
@@ -211,8 +207,15 @@ class Form:
     __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
-        return Form(collect(_signed_products(self._terms, other._terms,
-                                             wedge_monomials)))
+        products = []
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                hit = wedge_monomials(m1, m2)
+                if hit is not None:
+                    sign, mono = hit
+                    products.append((mono, c1 * c2 if sign == 1
+                                     else -(c1 * c2)))
+        return Form(collect(products))
 
     def conj(self, table: SymbolTable) -> "Form":
         data: dict[BasisMonomial, SymScalar] = {}
@@ -245,23 +248,15 @@ class Form:
         return f"Form<{self.render()}>"
 
     def render(self) -> str:
-        return join_terms(scaled_name(coeff.render(), mono.render())
-                          for mono, coeff in self.terms())
+        """Signed terms `coeff*phi{I,J}`; a coefficient of several terms is
+        parenthesized, as in `(F + G)*phi{123,}`."""
+        return join_terms(
+            scaled_name(coeff.render() if len(coeff._terms) == 1
+                        else f"({coeff.render()})", mono.render())
+            for mono, coeff in self.terms())
 
 
 _FORM_ZERO = Form()
-
-
-def _signed_products(a: Mapping, b: Mapping, merge: Callable
-                     ) -> Iterator[tuple]:
-    """(monomial, +-c1*c2) for each pair of terms whose monomials merge."""
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            hit = merge(m1, m2)
-            if hit is None:
-                continue
-            sign, mono = hit
-            yield mono, c1 * c2 if sign == 1 else -(c1 * c2)
 
 
 def basis_of(pq: Bidegree, n: int) -> list[BasisMonomial]:
@@ -288,7 +283,7 @@ def bidegrees_of_degree(k: int, n: int) -> list[Bidegree]:
 
 
 # --------------------------------------------------------------------------
-# Real-coframe expansion.
+# Real-coframe substitution.
 #
 # A pairing maps each complex index j to the pair (a_j, b_j) of real coframe
 # indices with phi^j = e^{a_j} + i e^{b_j}.  Real forms are plain dicts from
@@ -305,27 +300,8 @@ def check_pairing(pairing: Pairing, n: int) -> None:
                          f"{{1..{2 * n}}}")
 
 
-def real_wedge(a: RealForm, b: RealForm) -> RealForm:
-    return collect(_signed_products(a, b, merge_indices))
-
-
 _HALF = SymScalar.const(GaussianRational(1, 0) / 2)
 _MINUS_HALF_I = SymScalar.const(GaussianRational(0, -1) / 2)
-
-
-def complex_to_real(form: Form, pairing: Pairing) -> RealForm:
-    """Expand each phi/phibar factor into the paired real generators."""
-    pairs: list[tuple[IndexTuple, SymScalar]] = []
-    for mono, coeff in form._terms.items():
-        acc: RealForm = {(): coeff}
-        factors = [(pairing[j - 1], I) for j in mono.holo]
-        factors += [(pairing[j - 1], -I) for j in mono.anti]
-        for (a_idx, b_idx), im_unit in factors:
-            factor: RealForm = {(a_idx,): SymScalar.one(),
-                                (b_idx,): SymScalar.const(im_unit)}
-            acc = real_wedge(acc, factor)
-        pairs += acc.items()
-    return collect(pairs)
 
 
 def real_to_complex(rform: Mapping[IndexTuple, SymScalar], pairing: Pairing) -> Form:

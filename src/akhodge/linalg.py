@@ -8,9 +8,10 @@ form is unique, so equal matrices have equal rows and a zero row is
 nonzero entries only; rows are never changed once built, so matrices share
 them.  A vector is a matrix row in the same format: `apply` maps each row
 of a matrix through a block, and `entries` reads one row's nonzero values.
-Dense `GaussianRational` rows enter only through the constructors and leave
-only through `row` and `data`, a read-only view whose rows are built when
-read (for rendering and JSON).
+`Matrix(rows, cols, sparse)` is the one constructor and takes stored rows;
+`GaussianRational` values enter only through `from_dicts` and leave through
+`entries` and `data`, a read-only dense view whose rows are built when read
+(for rendering and JSON).
 
 Elimination (`rref`, and through it `nullspace` and `solve_map`) reads the
 stored rows directly: updates are fraction-free cross-multiplications over
@@ -111,8 +112,11 @@ class DenseRows(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._matrix.row(k) for k in range(*i.indices(len(self)))]
-        return self._matrix.row(i)
+            return [self[k] for k in range(*i.indices(len(self)))]
+        out = [ZERO] * self._matrix.cols
+        for j, x in self._matrix.entries(i).items():
+            out[j] = x
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -130,46 +134,21 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "sparse")
 
-    def __init__(self, rows: int, cols: int, data: list[Vector]):
-        """From dense rows, each of length cols."""
-        if len(data) != rows:
-            raise ValueError(f"{len(data)} rows given for {rows}")
-        for row in data:
-            if len(row) != cols:
-                raise ValueError(f"a row of length {len(row)} in a matrix "
-                                 f"with {cols} columns")
+    def __init__(self, rows: int, cols: int, sparse: list[Row]):
+        """From stored rows (den, entries), which it shares, not copies."""
         self.rows = rows
         self.cols = cols
-        self.sparse = [_row_of(enumerate(row)) for row in data]
+        self.sparse = sparse
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _of(cls, rows: int, cols: int, sparse: list[Row]) -> "Matrix":
-        matrix = object.__new__(cls)
-        matrix.rows = rows
-        matrix.cols = cols
-        matrix.sparse = sparse
-        return matrix
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of(rows, cols, [_ZERO_ROW] * rows)
+        return cls(rows, cols, [_ZERO_ROW] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.diagonal([GaussianRational(1)] * n)
-
-    @classmethod
-    def diagonal(cls, values: Vector) -> "Matrix":
-        n = len(values)
-        return cls._of(n, n, [_row_of([(i, x)]) for i, x in enumerate(values)])
-
-    @classmethod
-    def from_rows(cls, rows: list[Vector], cols: int | None = None) -> "Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, rows)
+        return cls(n, n, [(1, {i: (1, 0)}) for i in range(n)])
 
     @classmethod
     def from_dicts(cls, rows: list[dict[int, GaussianRational]],
@@ -178,7 +157,7 @@ class Matrix:
         for row in rows:
             if row and not 0 <= min(row) <= max(row) < cols:
                 raise ValueError(f"a column index outside 0..{cols - 1}")
-        return cls._of(len(rows), cols, [_row_of(row.items()) for row in rows])
+        return cls(len(rows), cols, [_row_of(row.items()) for row in rows])
 
     # -- reads -----------------------------------------------------------------
 
@@ -188,12 +167,6 @@ class Matrix:
         return {j: GaussianRational(Fraction(a, den), Fraction(b, den))
                 for j, (a, b) in entries.items()}
 
-    def row(self, i: int) -> Vector:
-        out = [ZERO] * self.cols
-        for j, x in self.entries(i).items():
-            out[j] = x
-        return out
-
     @property
     def data(self) -> DenseRows:
         return DenseRows(self)
@@ -202,15 +175,15 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix._of(self.rows, self.cols,
-                          [_add_rows(r, s, 1)
-                           for r, s in zip(self.sparse, other.sparse)])
+        return Matrix(self.rows, self.cols,
+                      [_add_rows(r, s, 1)
+                       for r, s in zip(self.sparse, other.sparse)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix._of(self.rows, self.cols,
-                          [_add_rows(r, s, -1)
-                           for r, s in zip(self.sparse, other.sparse)])
+        return Matrix(self.rows, self.cols,
+                      [_add_rows(r, s, -1)
+                       for r, s in zip(self.sparse, other.sparse)])
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -222,7 +195,7 @@ class Matrix:
         if not entries:
             return Matrix.zeros(self.rows, self.cols)
         fr, fi = entries[0]
-        return Matrix._of(self.rows, self.cols, [
+        return Matrix(self.rows, self.cols, [
             _lowest_terms(den * fd, {j: (a * fr - b * fi, a * fi + b * fr)
                                      for j, (a, b) in row.items()})
             for den, row in self.sparse])
@@ -251,7 +224,7 @@ class Matrix:
             out.append(_lowest_terms(den * common,
                                      {j: v for j, v in acc.items()
                                       if v[0] or v[1]}))
-        return Matrix._of(self.rows, other.cols, out)
+        return Matrix(self.rows, other.cols, out)
 
     def apply(self, vectors: "Matrix") -> "Matrix":
         """Row i is self times row i of vectors, that is vectors * self^T,
@@ -272,7 +245,7 @@ class Matrix:
                 if re or im:
                     image[i] = (re * (common // den), im * (common // den))
             out.append(_lowest_terms(common * vden, image))
-        return Matrix._of(vectors.rows, self.rows, out)
+        return Matrix(vectors.rows, self.rows, out)
 
     def _transposed(self, sign: int) -> "Matrix":
         """The transpose, with every imaginary part times sign."""
@@ -286,7 +259,7 @@ class Matrix:
             out.append(_lowest_terms(common, {
                 i: (a * (common // den), b * (common // den))
                 for i, den, a, b in column}))
-        return Matrix._of(self.cols, self.rows, out)
+        return Matrix(self.cols, self.rows, out)
 
     def conj_transpose(self) -> "Matrix":
         return self._transposed(-1)
@@ -298,8 +271,8 @@ class Matrix:
 
     def stack_below(self, other: "Matrix") -> "Matrix":
         assert self.cols == other.cols
-        return Matrix._of(self.rows + other.rows, self.cols,
-                          self.sparse + other.sparse)
+        return Matrix(self.rows + other.rows, self.cols,
+                      self.sparse + other.sparse)
 
     def stack_beside(self, other: "Matrix") -> "Matrix":
         assert self.rows == other.rows
@@ -314,15 +287,15 @@ class Matrix:
             for j, (a, b) in e2.items():
                 row[j + shift] = (a * m2, b * m2)
             out.append((den, row))
-        return Matrix._of(self.rows, self.cols + other.cols, out)
+        return Matrix(self.rows, self.cols + other.cols, out)
 
     def row_slice(self, start: int, stop: int) -> "Matrix":
-        return Matrix._of(stop - start, self.cols, self.sparse[start:stop])
+        return Matrix(stop - start, self.cols, self.sparse[start:stop])
 
     def columns(self, keep: Sequence[int]) -> "Matrix":
         """The columns keep, in that order."""
         index = {c: j for j, c in enumerate(keep)}
-        return Matrix._of(self.rows, len(keep), [
+        return Matrix(self.rows, len(keep), [
             _lowest_terms(den, {index[c]: v for c, v in row.items()
                                 if c in index})
             for den, row in self.sparse])
@@ -406,10 +379,7 @@ class Matrix:
                 for j, (a, b) in row.items()}))
         # zero rows sink to the bottom in canonical order
         out.extend([_ZERO_ROW] * (self.rows - len(pivots)))
-        return Matrix._of(self.rows, self.cols, out), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+        return Matrix(self.rows, self.cols, out), tuple(pivots)
 
     def nullspace(self) -> "Matrix":
         """Rows span ker(self): one vector per free column, with 1 there and
@@ -432,7 +402,7 @@ class Matrix:
                    for pc, den, a, b in hits}
             vec[fc] = (common, 0)
             out.append(_lowest_terms(common, vec))
-        return Matrix._of(len(free), self.cols, out)
+        return Matrix(len(free), self.cols, out)
 
     def solve_map(self) -> tuple["Matrix", "Matrix"]:
         """For a full-column-rank matrix M, return (R, K) with R (cols x rows)

@@ -15,6 +15,10 @@ Monomials are written `phi{I,J}` with one digit per index (e.g. `phi{13,2}`
 for phi^13 wedge phibar^2, hence 2n <= 18); coefficients are rationals `a/b`,
 the unit `i`, and symbol factors with optional integer exponents (`E^-1`),
 joined by `*`, with unary `-`.
+
+The `invertible` flag is informational: `parse_spec` accepts it and
+`render_spec` writes it back, but nothing else reads it, and a negative
+exponent is accepted on any symbol, flagged or not.
 """
 
 from __future__ import annotations

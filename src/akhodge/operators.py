@@ -1,6 +1,6 @@
 """The bigraded operator zoo: d and its four components, d^c, the C-linear
-Hodge star, L and its dual, the J-action, formal adjoints, Laplacians, the
-Hermitian pairing, and exact matrices of all of these between bidegree bases.
+Hodge star, L and its dual, the J-action, formal adjoints, Laplacians and the
+Hermitian pairing, as exact matrices between bidegree bases.
 
 Sign conventions all derive from the monomial order fixed in `exterior`.
 
@@ -24,7 +24,7 @@ bitmasks of its index sets I and J, so that every sign is a popcount parity:
 - The pairing is diagonal on the monomial basis, and it is a scalar on each
   degree: with omega = (i c/2) sum phi^{j jbar}, |phi^j|^2 = 2/c, and the
   pairing is the product one, so <m, m> = (2/c)^k on every k-form monomial
-  (`gram_diagonal`).
+  (`norm`).
 
 Matrices: the blocks of d, L and * are written straight from these closed
 forms into integer rows, a hit finding its row by its target masks; the
@@ -38,14 +38,12 @@ transpose of a cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H
 for A from src to tgt, for A in {mu, del, delbar, mubar} and for Lambda,
 the adjoint of L; d* is the four component adjoints stacked.  At full
 degree the same rule gives
-Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The dual
-Lefschetz operator on single forms is (-1)^k * L * on k-forms (the classical
--*L* formula holds verbatim on odd degrees only; the adjoint sign is forced
-by [L, Lambda] = (k - n) id).  The pointwise `ext_d`, `apply_adjoint`,
-`dual_Lambda`, `component`, `dc`, `hodge_star`, `lefschetz_L` and
-`j_action` serve single forms with symbolic coefficients, and the tests as
-the blocks' oracles; theorem checks and constant membership queries use the
-blocks.
+Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The pointwise
+`ext_d`, `component`, `hodge_star` and `lefschetz_L` serve single forms with
+symbolic coefficients (symbolic specs, `model.validate`, the
+reconstruction of a decomposition); theorem checks and constant membership
+queries use the blocks.  The pointwise adjoints, Lambda, J, d^c and
+pairing that the blocks are tested against live with the tests' oracles.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
@@ -249,14 +247,8 @@ def component(spec, op: str, form: Form) -> Form:
     return out
 
 
-def dc(spec, form: Form) -> Form:
-    """d^c = i (delbar - del + mu - mubar)."""
-    return (component(spec, "delbar", form) - component(spec, "del", form)
-            + component(spec, "mu", form) - component(spec, "mubar", form)) * I
-
-
 # ---------------------------------------------------------------------------
-# Star, Lefschetz operators, J
+# Star and L
 
 def require_unitary(spec) -> Fraction:
     if spec.unitary_scale is None:
@@ -309,65 +301,15 @@ def hodge_star(spec, form: Form) -> Form:
                  for factor, target in [_star_monomial(spec, mono)]})
 
 
-@spec_memo
-def volume_form(spec) -> Form:
-    return hodge_star(spec, Form.one())
-
-
 def lefschetz_L(spec, form: Form) -> Form:
     """L a = omega wedge a (any coefficient mode)."""
     return spec.omega.wedge(form)
-
-
-def dual_Lambda(spec, form: Form) -> Form:
-    """Metric adjoint of L: (-1)^k * L * on k-forms (unitary mode)."""
-    out = Form.zero()
-    for pq, comp in form.components().items():
-        k = pq[0] + pq[1]
-        res = hodge_star(spec, lefschetz_L(spec, hodge_star(spec, comp)))
-        out = out + (res if k % 2 == 0 else -res)
-    return out
-
-
-def j_action(form: Form) -> Form:
-    """Multiplies the (p,q) part by i^{p-q}."""
-    out = Form.zero()
-    for pq, comp in form.components().items():
-        out = out + comp * i_power(pq[0] - pq[1])
-    return out
-
-
-def apply_adjoint(spec, op: str, form: Form) -> Form:
-    """D* = -*(Dbar)* for D in {d, mu, del, delbar, mubar}."""
-    partner = STAR_PARTNERS[op]
-    inner = hodge_star(spec, form)
-    return -hodge_star(spec, ext_d(spec, inner) if partner == "d"
-                       else component(spec, partner, inner))
-
-
-def inner_product(spec, a: Form, b: Form) -> SymScalar:
-    """Hermitian pairing <a,b> with <a,b> vol = a wedge *(conj b)."""
-    require_unitary(spec)
-    if a.is_zero() or b.is_zero():
-        return SymScalar.zero()
-    n = spec.n
-    top = BasisMonomial(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    vol_coeff = volume_form(spec).coeff(top).constant_value()
-    wedge = a.wedge(hodge_star(spec, b.conj(spec.symbols)))
-    return wedge.coeff(top) * vol_coeff.inverse()
 
 
 def norm(spec, k: int) -> Fraction:
     """<m, m> of every monomial m of degree k: (2/c)^k, since
     |phi^j|^2 = 2/c for omega = (i c/2) sum phi^{j jbar}."""
     return (2 / Fraction(require_unitary(spec))) ** k
-
-
-def gram_diagonal(spec, pq: Bidegree) -> list[GaussianRational]:
-    """Squared norms <m, m> of the basis monomials of pq; the pairing is
-    diagonal on the unitary coframe and the same on every monomial."""
-    value = GaussianRational(norm(spec, pq[0] + pq[1]))
-    return [value] * bidegree_dim(pq, spec.n)
 
 
 def is_integrable(spec) -> bool:
@@ -466,7 +408,7 @@ def _wedge_block(spec, op: str, sources: list[Bidegree],
                 re, im = -re, -im
             cur = row.get(col)
             row[col] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return Matrix._of(len(rows), len(columns), [
+    return Matrix(len(rows), len(columns), [
         _lowest_terms(den, {j: v for j, v in row.items() if v != (0, 0)})
         for row in rows])
 
@@ -481,7 +423,7 @@ def _star_block(spec, pq: Bidegree) -> Matrix:
         unit = i_power(e)
         rows[row_of[target]] = _lowest_terms(
             den, {col: (unit.re.numerator * num, unit.im.numerator * num)})
-    return Matrix._of(len(rows), len(rows), rows)
+    return Matrix(len(rows), len(rows), rows)
 
 
 def _component_block(spec, op: str, pq: Bidegree) -> Matrix:

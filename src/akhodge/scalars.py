@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # FunctionSymbol.derivative is a degree-1 exterior.Form
 
 
 class NotInvertible(ArithmeticError):
-    """The scalar has no exact inverse in the Laurent ring."""
+    """The scalar has no exact inverse: division by zero in Q(i)."""
 
 
 class RenderLimitError(ValueError):
@@ -385,16 +385,6 @@ class SymScalar:
             swapped = tuple(sorted((table[name].conj_name, k) for name, k in mono))
             pairs.append((swapped, coeff.conj()))
         return SymScalar(collect(pairs))
-
-    def invert(self, table: SymbolTable) -> "SymScalar":
-        if len(self._terms) != 1:
-            raise NotInvertible(f"{self.render()} is not a single Laurent monomial")
-        (mono, coeff), = self._terms.items()
-        for name, _ in mono:
-            if not table[name].invertible:
-                raise NotInvertible(f"symbol {name!r} is not declared invertible")
-        inv_mono = tuple((name, -k) for name, k in mono)
-        return SymScalar({inv_mono: coeff.inverse()})
 
     def classify(self, table: SymbolTable) -> Nonzeroness:
         if not self._terms:

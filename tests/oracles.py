@@ -1,17 +1,26 @@
-"""Independent brute-force implementations used as oracles.
+"""Independent implementations used as oracles.
 
-Nothing here shares code with the package: wedges are bubble-sorted letter
-tuples, signs come from counting swaps, linear algebra is sympy's.  Complex
-monomials are encoded as ascending tuples of letters 1..2n, where letters
-1..n are the holomorphic generators and n+1..2n their conjugates.
+The brute-force ones share no code with the package: wedges are
+bubble-sorted letter tuples, signs come from counting swaps, linear algebra
+is sympy's.  Complex monomials are encoded as ascending tuples of letters
+1..2n, where letters 1..n are the holomorphic generators and n+1..2n their
+conjugates.
 
-Four oracles check a fast path against the slow route it replaced instead:
-the real-frame Hodge star (built on the package's real-coframe expansion,
-which the complexify round-trip tests check, and on none of its star code),
-d of a monomial by whole-`Form` wedges (the Leibniz rule on the package's
-`Form` algebra, none of its term lists), the degree-k matrices of d and
-d* taken one monomial at a time, and harmonic membership by the pointwise
-`component` and `hodge_star` instead of the cached blocks.
+The others check a fast path against the slow route it replaced, and use
+none of the package's block code:
+- the adjoints D* = -*(partner)*, Lambda, J, d^c and the Hermitian pairing
+  of single forms, on the package's pointwise `ext_d`, `component`,
+  `hodge_star` and `lefschetz_L`;
+- the real-frame Hodge star, on a real-coframe expansion whose wedge signs
+  come from `sort_sign` (the complexify round-trip tests check the
+  expansion), and on none of the package's star code;
+- d of a monomial by whole-`Form` wedges (the Leibniz rule on the package's
+  `Form` algebra, none of its term lists);
+- the degree-k matrices of d and d* taken one monomial at a time;
+- harmonic membership by the pointwise `component` and `hodge_star` instead
+  of the cached blocks.
+
+`dense` builds an engine `Matrix` from dense rows, through `from_dicts`.
 """
 
 from __future__ import annotations
@@ -22,10 +31,9 @@ from fractions import Fraction
 import sympy
 from sympy import I, Matrix, Rational
 
-from akhodge import hodge, operators as ops
-from akhodge.exterior import (BasisMonomial, Form, basis_of, complex_to_real,
-                              real_to_complex)
-from akhodge.scalars import GaussianRational
+from akhodge import hodge, linalg, operators as ops
+from akhodge.exterior import BasisMonomial, Form, basis_of, real_to_complex
+from akhodge.scalars import GaussianRational, SymScalar, i_power
 
 
 def sort_sign(seq):
@@ -134,11 +142,50 @@ def matrix_to_sympy(M) -> Matrix:
                   [gr_to_sympy(a) for row in M.data for a in row])
 
 
+def dense(rows: list, cols: int | None = None) -> linalg.Matrix:
+    """The engine matrix of dense GaussianRational rows, each of cols
+    entries (by default the first row's length)."""
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    assert all(len(row) == cols for row in rows)
+    return linalg.Matrix.from_dicts(
+        [{j: x for j, x in enumerate(row) if x} for row in rows], cols)
+
+
 def same_row_space(A: Matrix, B: Matrix) -> bool:
     if A.cols != B.cols:
         return False
     stacked = A.col_join(B)
     return (A.rank() == B.rank() == stacked.rank())
+
+
+def real_wedge(a: dict, b: dict) -> dict:
+    """Wedge of real forms, ascending real index tuples -> SymScalar, with
+    each sign from `sort_sign`."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, mono = sort_sign(m1 + m2)
+            if sign:
+                out[mono] = out.get(mono, SymScalar.zero()) + c1 * c2 * sign
+    return {m: c for m, c in out.items() if c}
+
+
+def complex_to_real(form: Form, pairing) -> dict:
+    """The real form of form: each phi^j expands to e^{a_j} + i e^{b_j} and
+    each phibar^j to e^{a_j} - i e^{b_j}, (a_j, b_j) = pairing[j - 1]."""
+    out = {}
+    for mono, coeff in form.terms():
+        acc = {(): coeff}
+        factors = [(pairing[j - 1], 1) for j in mono.holo]
+        factors += [(pairing[j - 1], -1) for j in mono.anti]
+        for (a_idx, b_idx), im in factors:
+            acc = real_wedge(acc, {(a_idx,): SymScalar.one(),
+                                   (b_idx,): SymScalar.const(
+                                       GaussianRational(0, im))})
+        for m, c in acc.items():
+            out[m] = out.get(m, SymScalar.zero()) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def real_frame_star(spec, mono: BasisMonomial):
@@ -153,7 +200,7 @@ def real_frame_star(spec, mono: BasisMonomial):
         sign, _ = sort_sign(rmono + comp)
         starred[comp] = coeff if sign == 1 else -coeff
     (target, value), = real_to_complex(starred, pairing).terms()
-    scale = Fraction(spec.unitary_scale) ** (n - mono.degree)
+    scale = Fraction(spec.unitary_scale) ** (n - sum(mono.bidegree))
     return value.constant_value() * scale, target
 
 
@@ -200,6 +247,60 @@ def real_frame_norms(spec) -> dict:
     return norms
 
 
+# -- pointwise operators on single forms ---------------------------------------
+
+def dc(spec, form: Form) -> Form:
+    """d^c = i (delbar - del + mu - mubar)."""
+    return (ops.component(spec, "delbar", form)
+            - ops.component(spec, "del", form)
+            + ops.component(spec, "mu", form)
+            - ops.component(spec, "mubar", form)) * GaussianRational(0, 1)
+
+
+def dual_Lambda(spec, form: Form) -> Form:
+    """Metric adjoint of L: (-1)^k * L * on k-forms (unitary mode).  The
+    classical -*L* formula holds verbatim on odd degrees only; the sign is
+    forced by [L, Lambda] = (k - n) id."""
+    out = Form.zero()
+    for pq, comp in form.components().items():
+        res = ops.hodge_star(spec, ops.lefschetz_L(
+            spec, ops.hodge_star(spec, comp)))
+        out = out + (res if sum(pq) % 2 == 0 else -res)
+    return out
+
+
+def j_action(form: Form) -> Form:
+    """Multiplies the (p,q) part by i^{p-q}."""
+    out = Form.zero()
+    for pq, comp in form.components().items():
+        out = out + comp * i_power(pq[0] - pq[1])
+    return out
+
+
+def apply_adjoint(spec, op: str, form: Form) -> Form:
+    """D* = -*(Dbar)* for D in {d, mu, del, delbar, mubar}."""
+    partner = ops.STAR_PARTNERS[op]
+    inner = ops.hodge_star(spec, form)
+    return -ops.hodge_star(spec, ops.ext_d(spec, inner) if partner == "d"
+                           else ops.component(spec, partner, inner))
+
+
+def volume_form(spec) -> Form:
+    return ops.hodge_star(spec, Form.one())
+
+
+def inner_product(spec, a: Form, b: Form) -> SymScalar:
+    """Hermitian pairing <a,b> with <a,b> vol = a wedge *(conj b)."""
+    ops.require_unitary(spec)
+    if a.is_zero() or b.is_zero():
+        return SymScalar.zero()
+    n = spec.n
+    top = BasisMonomial(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    vol_coeff = volume_form(spec).coeff(top).constant_value()
+    wedge = a.wedge(ops.hodge_star(spec, b.conj(spec.symbols)))
+    return wedge.coeff(top) * vol_coeff.inverse()
+
+
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:
     """sympy matrix of d (op "d") or d* (op "d_star") on the whole degree-k
     space, applying ext_d / apply_adjoint to one monomial at a time."""
@@ -215,7 +316,7 @@ def full_degree_oracle(spec, op: str, k: int) -> Matrix:
     for col, mono in enumerate(src):
         form = Form.monomial(mono)
         image = (ops.ext_d(spec, form) if op == "d"
-                 else ops.apply_adjoint(spec, "d", form))
+                 else apply_adjoint(spec, "d", form))
         for m, c in image.terms():
             M[index[m], col] = gr_to_sympy(c.constant_value())
     return M

@@ -289,6 +289,23 @@ def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
     assert err.startswith(f"error: line {line}") and message in err
 
 
+def test_validate_parenthesizes_a_multi_term_coefficient(capsys, tmp_path):
+    # d^2(phi1) = (dF + dG) ^ phi{23,} = (G + F) phi{123,}, which must not
+    # read as the different form F + G*phi{123,}
+    path = tmp_path / "d2_multi.akspec"
+    path.write_text("manifold d2_multi\ndim 6\ncoframe phi1 phi2 phi3\n"
+                    "symbol F real d = G*phi{1,}\n"
+                    "symbol G real d = F*phi{1,}\n"
+                    "d phi1 = F*phi{23,} + G*phi{23,}\n"
+                    "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + "
+                    "1/2*i*phi{3,3}\n")
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: d^2(phi1) = (F + G)*phi{123,} != 0 with all "
+                   "derivatives known\n")
+
+
 def test_non_utf8_spec_file_exit_2(capsys, tmp_path):
     path = tmp_path / "latin1.akspec"
     path.write_bytes((SPEC_HEAD + UNITARY_OMEGA).encode() + b"# caf\xe9\n")

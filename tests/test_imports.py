@@ -1,6 +1,7 @@
 """The package is stdlib-only: every import in src/akhodge/*.py names the
-package itself (or a relative module) or a standard-library module; and every
-name a module imports at module level is used by that module."""
+package itself (or a relative module) or a standard-library module; every
+name a module imports at module level is used by that module; and every
+function, class and method it defines is named somewhere in the package."""
 
 import ast
 import sys
@@ -105,3 +106,77 @@ def test_package_has_no_unused_imports():
     assert len(files) >= 10
     assert {path.name: unused_imports(path.read_text(encoding="utf-8"))
             for path in files} == {path.name: [] for path in files}
+
+
+# Definitions that no engine module names, each kept for the outside caller
+# given.
+KEPT_FOR_OUTSIDE_CALLERS = {
+    "catalog.dsl_source": "perfbench/workloads.py parses its oracle specs "
+                          "from it",
+    "linalg.Matrix.solve_map": "the perfbench tracer wraps it",
+    "hodge.Subspace.contains": "the perfbench tracer wraps it",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module, module: str):
+    """(qualified name, name) of each top-level function and class of a
+    module, and of each non-dunder method of its classes."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, DEFINITIONS[:2])
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every name the code mentions: names, attributes, imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """Qualified names of the definitions in sources (module -> text) whose
+    name no module mentions."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = set().union(*map(names_in, trees.values()))
+    return sorted(qualified for module, tree in trees.items()
+                  for qualified, name in definitions(tree, module)
+                  if name not in named)
+
+
+def test_detector_flags_uncalled_definitions():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def imported():\n    pass\n"
+              "def unused():\n    return 'unused'\n"
+              "class K:\n"
+              "    def __init__(self):\n        self.m()\n"
+              "    def m(self):\n        pass\n"
+              "    @property\n    def p(self):\n        pass\n"
+              "    def n(self):\n        pass\n"),
+        "b": ("from .a import imported as alias\n"
+              "def f(x):\n    return used(), x.p\n"),
+    }
+    assert uncalled_definitions(sources) == ["a.K", "a.K.n", "a.unused",
+                                             "b.f"]
+
+
+def test_engine_defines_only_what_it_calls():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 10
+    assert uncalled_definitions(sources) == sorted(KEPT_FOR_OUTSIDE_CALLERS)

@@ -3,13 +3,15 @@ import sys
 import pytest
 
 from akhodge import catalog
-from akhodge.exterior import BasisMonomial, Form, complex_to_real
+from akhodge.exterior import BasisMonomial, Form
 from akhodge.model import (DegreeMismatchError, InvalidSpecError,
                            NonRealOmegaError, RealFramePresentation,
                            SpecSyntaxError, UnknownSymbolError, complexify,
                            parse_form, parse_spec, real_two_form,
                            render_spec, validate)
 from akhodge.scalars import GaussianRational, I, SymScalar
+
+from oracles import complex_to_real
 
 FLAT6 = """\
 manifold flat

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from akhodge.exterior import BasisMonomial, Form
 from akhodge.model import render_form_dsl
 from akhodge.scalars import (FunctionSymbol, GaussianRational, I, Nonzeroness,
-                             NotInvertible, ONE, SymbolTable, SymScalar)
+                             ONE, SymbolTable, SymScalar)
 
 
 def table_with(*symbols):
@@ -50,26 +50,6 @@ def test_conj_swaps_declared_pair():
 def test_conj_fixes_real_symbol():
     f = SymScalar.symbol("F")
     assert f.conj(T_EX42) == f
-
-
-def test_invert_constant():
-    two_i = SymScalar.const(GaussianRational(0, 2))
-    assert two_i.invert(SymbolTable()) == \
-        SymScalar.const(GaussianRational(0, Fraction(-1, 2)))
-
-
-def test_invert_laurent_unit():
-    e = SymScalar.symbol("E")
-    assert e.invert(T_EX42) == SymScalar.symbol("E", -1)
-    assert e.invert(T_EX42) * e == SymScalar.one()
-
-
-def test_invert_polynomial_rejected():
-    poly = SymScalar.one() + SymScalar.symbol("F")
-    with pytest.raises(NotInvertible):
-        poly.invert(T_EX42)
-    with pytest.raises(NotInvertible):
-        SymScalar.symbol("F").invert(T_EX42)  # F not declared invertible
 
 
 def test_nonzero_classification():
@@ -120,6 +100,13 @@ def test_rendering():
     assert render_form_dsl(first_negative) == (
         "-1/2*phi{1,1} + 3*E^-1*phi{1,1} + 1/2*E*F^2*phi{1,1}"
         " - i*E*F^2*phi{1,1} - i*E^2*phi{1,1} - F*phi{1,1}")
+    # a coefficient of several terms keeps its parentheses
+    assert first_negative.render() == (
+        "(-1/2 + 3*E^-1 + (1/2-i)*E*F^2 - i*E^2 - F)*phi{1,1}")
+    f_plus_g = SymScalar.symbol("F") + SymScalar.symbol("G")
+    assert Form({BasisMonomial((1, 2, 3), ()): f_plus_g,
+                 BasisMonomial((1,), ()): -f_plus_g}).render() == \
+        "(-F - G)*phi{1,} + (F + G)*phi{123,}"
 
 
 # -- property tests ----------------------------------------------------------
