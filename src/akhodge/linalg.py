@@ -13,15 +13,17 @@ of a matrix through a block, and `entries` reads one row's nonzero values.
 `entries` and `data`, a read-only dense view whose rows are built when read
 (for rendering and JSON).
 
-Elimination (`rref`, and through it `nullspace` and `solve_map`) reads the
-stored rows directly: updates are fraction-free cross-multiplications over
-the pivot row's nonzero columns, after which the row is divided by the
-integer gcd of its parts (the integer-preserving elimination of E. H.
-Bareiss, Math. Comp. 22, 1968, with the gcd in place of his exact division);
-only the final pass divides every pivot row by its pivot, giving the unique
-reduced row echelon form.  Pivoting is deterministic: first nonzero entry in
-column order, rows scanned top-down, so every echelon basis is canonical and
-subspace equality is syntactic.
+Elimination (`rref`, and through it `nullspace` and `solve_map`) is
+row-incremental Gauss-Jordan on the stored rows: each nonzero row is read
+once and reduced by the basis rows at its pivot columns, and if anything is
+left, its first column becomes a new pivot, cleared from the basis rows
+that hold it.  Updates are fraction-free cross-multiplications over the
+pivot row's nonzero columns, after which the row is divided by the integer
+gcd of its parts (the integer-preserving elimination of E. H. Bareiss, Math.
+Comp. 22, 1968, with the gcd in place of his exact division); only the final
+pass divides every pivot row by its pivot.  The result is the reduced row
+echelon form, which is unique, so every echelon basis is canonical and
+subspace equality is syntactic whatever order the rows are reduced in.
 """
 
 from __future__ import annotations
@@ -71,6 +73,35 @@ def _primitive(row: SparseRow) -> SparseRow:
     if g == 0:
         return row
     return {j: (a // g, b // g) for j, (a, b) in row.items()}
+
+
+def _reduce(row: SparseRow, c: int, pivot: SparseRow) -> SparseRow:
+    """p*row - row[c]*pivot with p = pivot[c], divided by its gcd: row with
+    column c cleared, still in Z[i].  The subtraction visits only the
+    pivot's nonzero columns; rows are shared, so it works on a copy."""
+    pr, pi = pivot[c]
+    fr, fi = row[c]
+    if pi:
+        row = {j: (pr * a - pi * b, pr * b + pi * a)
+               for j, (a, b) in row.items()}
+    elif pr != 1:
+        row = {j: (pr * a, pr * b) for j, (a, b) in row.items()}
+    else:
+        row = dict(row)
+    for j, (a, b) in pivot.items():
+        sr = fr * a - fi * b
+        si = fr * b + fi * a
+        if j in row:
+            xr, xi = row[j]
+            xr -= sr
+            xi -= si
+            if xr or xi:
+                row[j] = (xr, xi)
+            else:
+                del row[j]
+        else:
+            row[j] = (-sr, -si)
+    return _primitive(row)
 
 
 def _add_rows(first: Row, second: Row, sign: int) -> Row:
@@ -319,57 +350,25 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Unique reduced row echelon form and pivot columns."""
-        # the denominators only scale rows; elimination needs none of them
-        work = [_primitive(row) for _, row in self.sparse]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for k in range(r, self.rows):
-                if c in work[k]:
-                    pivot_row = k
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r]
-            pr, pi = pivot[c]
-            for k in range(self.rows):
-                row = work[k]
-                if k == r or c not in row:
-                    continue
-                # row <- p*row - f*pivot_row stays in Z[i]; the subtraction
-                # visits only the pivot row's nonzero columns.  Stored rows
-                # are shared, so the update works on a copy.
-                fr, fi = row[c]
-                if pi:
-                    row = {j: (pr * a - pi * b, pr * b + pi * a)
-                           for j, (a, b) in row.items()}
-                elif pr != 1:
-                    row = {j: (pr * a, pr * b) for j, (a, b) in row.items()}
-                else:
-                    row = dict(row)
-                for j, (a, b) in pivot.items():
-                    sr = fr * a - fi * b
-                    si = fr * b + fi * a
-                    if j in row:
-                        xr, xi = row[j]
-                        xr -= sr
-                        xi -= si
-                        if xr or xi:
-                            row[j] = (xr, xi)
-                        else:
-                            del row[j]
-                    else:
-                        row[j] = (-sr, -si)
-                work[k] = _primitive(row)
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        # pivot column -> primitive row, zero before it and at every other
+        # pivot column; the denominators only scale rows, so are dropped
+        basis: dict[int, SparseRow] = {}
+        for _, row in self.sparse:
+            # basis rows add entries at non-pivot columns only: one pass
+            for c in [c for c in row if c in basis]:
+                row = _reduce(row, c, basis[c])
+            if row:
+                row = _primitive(row)
+                c0 = min(row)
+                for c, held in basis.items():
+                    if c0 in held:
+                        basis[c] = _reduce(held, c0, row)
+                basis[c0] = row
+        pivots = sorted(basis)
         out = []
-        for row, c in zip(work, pivots):
+        for c in pivots:
             # divide by the pivot p: x / p = x * conj(p) / |p|^2
+            row = basis[c]
             pr, pi = row[c]
             if (pr, pi) == (1, 0):
                 out.append((1, row))

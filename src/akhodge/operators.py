@@ -336,7 +336,8 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the cold delbar Hodge table of the H(1,2)-type nilmanifold
-# takes about 0.5 s (2-vCPU Linux VM, CPython 3.11.7); n = 7 has 1225.
+# takes about 0.2-0.3 s; n = 7 has 1225, and its table 1.2-1.5 s (2-vCPU
+# Linux VM, CPython 3.11.7).
 MAX_BIDEGREE_DIM = 400
 
 

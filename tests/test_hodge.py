@@ -771,6 +771,21 @@ def test_ladder_delbar_tables_match_recorded(ladder, n):
         RECORDED["ladder_table"][str(n)]
 
 
+# computed before elimination became row-incremental; at n = 6 elimination
+# sees heavy fill-in and clears many earlier basis rows
+LADDER_N6_DELBAR_TABLE = [[1, 4, 7, 8, 7, 4, 1],
+                          [4, 20, 42, 49, 35, 15, 3],
+                          [6, 39, 98, 124, 84, 29, 4],
+                          [5, 41, 119, 166, 119, 41, 5],
+                          [4, 29, 84, 124, 98, 39, 6],
+                          [3, 15, 35, 49, 42, 20, 4],
+                          [1, 4, 7, 8, 7, 4, 1]]
+
+
+def test_ladder_n6_delbar_table_matches_recorded(ladder):
+    assert hodge.hodge_table(ladder(6), "delbar") == LADDER_N6_DELBAR_TABLE
+
+
 def test_ladder_n4_verify_all_has_no_fails(ladder):
     statuses = {r.check_id: r.status for r in hodge.verify_all(ladder(4))}
     assert "Fails" not in statuses.values()

@@ -248,6 +248,90 @@ def test_rref_equals_sympy_over_catalog(monkeypatch, cc_entries):
         assert matrix_to_sympy(reduced) == sy_rref
 
 
+# -- tall sparse elimination against sympy --------------------------------------
+
+# Gaussian integers whose division sympy must do exactly: purely imaginary
+# ones and non-units of Z[i]
+HARD_PIVOTS = [GaussianRational(0, 1), GaussianRational(0, -3),
+               GaussianRational(2, 1), GaussianRational(1, -2),
+               GaussianRational(3, 4), GaussianRational(0, Fraction(2, 3))]
+
+
+def tall_sparse_rows(rng, rows, cols):
+    """Shuffled rows of a tall sparse matrix: more than half of them zero,
+    the rest a few sparse source rows (each starting at a hard pivot), their
+    duplicates, scaled copies, and two-row combinations whose entries
+    cancel during elimination."""
+    def value():
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                                Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    sources = []
+    for _ in range(cols // 2):
+        lead = rng.randrange(cols)
+        row = {lead: rng.choice(HARD_PIVOTS)}
+        for j in rng.sample(range(lead, cols), min(3, cols - lead)):
+            row.setdefault(j, value())
+        sources.append(row)
+
+    def combination(*weights):
+        out = {}
+        for w, row in zip(weights, rng.sample(sources, len(weights))):
+            for j, x in row.items():
+                out[j] = out.get(j, ZERO) + w * x
+        return {j: x for j, x in out.items() if x}
+    out = [{} for _ in range(rows // 2 + 1)] + sources
+    while len(out) < rows:
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(dict(rng.choice(sources)))
+        elif kind == 1:
+            out.append(combination(rng.choice(HARD_PIVOTS + [value()])))
+        else:
+            out.append(combination(value(), rng.choice(HARD_PIVOTS)))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (48, 16), (60, 20)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rref_matches_sympy_on_tall_sparse_matrices(shape, seed):
+    rows, cols = shape
+    rng = random.Random(seed * 100 + rows)
+    M = Matrix.from_dicts(tall_sparse_rows(rng, rows, cols), cols)
+    assert sum(1 for _, row in M.sparse if not row) > rows // 2
+    assert_rref_matches_sympy(M)
+
+
+@pytest.mark.parametrize("order", ["top_down", "bottom_up"])
+def test_rref_of_tall_band_matrices(order):
+    """Row k holds columns k, k+1, k+2, led by a hard pivot.  Top-down, each
+    new row's pivot k is held by the earlier basis rows, which get cleared;
+    bottom-up, each new row's pivot lies left of every earlier pivot.  Zero
+    rows and i-scaled copies fill the matrix to 40 rows."""
+    g = GaussianRational
+    cols = 12
+    band = [{k: HARD_PIVOTS[k % len(HARD_PIVOTS)], k + 1: g(1, k),
+             k + 2: g(Fraction(1, k + 2), -1)} for k in range(cols - 2)]
+    if order == "bottom_up":
+        band.reverse()
+    rows = []
+    for row in band:
+        rows += [row, {}, {j: x * g(0, 1) for j, x in row.items()}, {}]
+    M = Matrix.from_dicts(rows, cols)
+    assert M.rows == 40
+    assert_rref_matches_sympy(M)
+    assert M.rref()[1] == tuple(range(cols - 2))
+
+
+def test_rref_matches_sympy_on_stacked_harmonic_equations(ladder):
+    """A stacked over E for Delta_delbar at (2, 2) on the n = 5 ladder: 150
+    x 100, 43 zero rows, rank 57."""
+    A, E = hodge.harmonic_equations(ladder(5), "delbar", (2, 2))
+    M = A.stack_below(E)
+    assert (M.rows, M.cols) == (150, 100)
+    assert_rref_matches_sympy(M)
+
+
 # -- sparse storage against sympy ----------------------------------------------
 
 def sparse_rows(rng, rows, cols, density=0.3):
