@@ -1,9 +1,14 @@
 """The bigraded exterior algebra over a (1,0)-coframe.
 
-A basis monomial phi^I wedge phibar^J is stored as the pair of strictly
-ascending index tuples (I, J); every sign in the engine derives from this one
-ordering convention (holomorphic factors first, each block ascending).
-Bidegrees are plain (p, q) tuples.
+A basis monomial phi^I wedge phibar^J is stored as the pair (holo, anti) of
+index bitmasks of I and J: bit j for each index j.  Every sign in the engine
+derives from one ordering convention (holomorphic factors first, each block
+ascending), and every wedge of monomials is signed by one rule, the popcount
+parities of `_wedge_hits`: `Form.wedge`, and the d and L of `operators`, all
+sign through it.  `basis_index` is the one position map of the basis_of
+order, the row and column order of every operator matrix.  `Form.terms()`
+and text list monomials by (I, J) as ascending index tuples.  Bidegrees are
+plain (p, q) tuples.
 
 The module also carries the real-coframe substitution used by
 complexification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
@@ -15,8 +20,10 @@ Sums of forms and wedges and their signed-term text come from the one
 
 from __future__ import annotations
 
+import functools
 from itertools import chain, combinations
 from math import comb
+from operator import xor
 from typing import Iterable, Mapping
 
 from .scalars import (GaussianRational, SymbolTable, SymScalar, _coerce_sym,
@@ -26,97 +33,91 @@ Bidegree = tuple[int, int]
 IndexTuple = tuple[int, ...]
 
 
-def merge_indices(a: IndexTuple, b: IndexTuple) -> tuple[int, IndexTuple] | None:
-    """Merge two ascending tuples, returning (permutation sign, merged).
+def _mask(indices) -> int:
+    return sum(1 << j for j in indices)
 
-    None signals a repeated index (the wedge annihilates).
-    """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+
+@functools.cache
+def _bits(mask: int) -> IndexTuple:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+@functools.cache
+def _below(mask: int) -> int:
+    """XOR of 2^j - 1 over the bits j of mask: popcount(other & _below(mask))
+    is, mod 2, the number of pairs i < j with i in other and j in mask."""
+    return functools.reduce(xor, [(1 << j) - 1 for j in _bits(mask)], 0)
 
 
 class BasisMonomial(tuple):
-    """phi^I wedge phibar^J, I and J strictly ascending."""
+    """phi^I wedge phibar^J as the pair (holo mask, anti mask) of I and J."""
 
     __slots__ = ()
 
     def __new__(cls, holo: Iterable[int], anti: Iterable[int]):
+        """From the strictly ascending index tuples I and J."""
         holo = tuple(holo)
         anti = tuple(anti)
         if any(holo[i] >= holo[i + 1] for i in range(len(holo) - 1)):
             raise ValueError(f"holomorphic indices not ascending: {holo}")
         if any(anti[i] >= anti[i + 1] for i in range(len(anti) - 1)):
             raise ValueError(f"antiholomorphic indices not ascending: {anti}")
-        return tuple.__new__(cls, (holo, anti))
+        return tuple.__new__(cls, (_mask(holo), _mask(anti)))
 
     @classmethod
-    def ordered(cls, holo: IndexTuple, anti: IndexTuple) -> "BasisMonomial":
-        """From index tuples known to be strictly ascending, unchecked."""
+    def of_masks(cls, holo: int, anti: int) -> "BasisMonomial":
         return tuple.__new__(cls, (holo, anti))
 
     @property
     def holo(self) -> IndexTuple:
-        return self[0]
+        return _bits(self[0])
 
     @property
     def anti(self) -> IndexTuple:
-        return self[1]
+        return _bits(self[1])
 
     @property
     def bidegree(self) -> Bidegree:
-        return (len(self[0]), len(self[1]))
+        return (self[0].bit_count(), self[1].bit_count())
 
     def render(self) -> str:
-        return "phi{%s,%s}" % ("".join(map(str, self[0])), "".join(map(str, self[1])))
+        return "phi{%s,%s}" % ("".join(map(str, self.holo)),
+                               "".join(map(str, self.anti)))
 
     def __repr__(self):
         return self.render()
 
 
-SCALAR_MONOMIAL = BasisMonomial((), ())
+SCALAR_MONOMIAL = BasisMonomial.of_masks(0, 0)
 
 
-def wedge_monomials(a: BasisMonomial, b: BasisMonomial
-                    ) -> tuple[int, BasisMonomial] | None:
-    """Signed product of two monomials, or None if an index repeats."""
-    mh = merge_indices(a.holo, b.holo)
-    if mh is None:
-        return None
-    ma = merge_indices(a.anti, b.anti)
-    if ma is None:
-        return None
-    sign_h, holo = mh
-    sign_a, anti = ma
-    # b's holomorphic block crosses a's antiholomorphic block
-    sign = sign_h * sign_a * (-1 if (len(a.anti) * len(b.holo)) % 2 else 1)
-    return sign, BasisMonomial.ordered(holo, anti)
+def _wedge_terms(pairs) -> list[tuple]:
+    """The left factors of `_wedge_hits`: (holo, anti, _below of both, anti
+    degree, value) of each (monomial, value) pair."""
+    return [(holo, anti, _below(holo), _below(anti), anti.bit_count(), value)
+            for (holo, anti), value in pairs]
 
 
-def conj_monomial(m: BasisMonomial) -> tuple[int, BasisMonomial]:
-    """Conjugate of a monomial: (I,J) -> (-1)^{pq} (J,I)."""
-    p, q = m.bidegree
-    sign = -1 if (p * q) % 2 else 1
-    return sign, BasisMonomial.ordered(m.anti, m.holo)
+def _wedge_hits(terms, holo: int, anti: int, odd: int, out: list) -> list:
+    """Append (target holo mask, target anti mask, value, sign parity + odd)
+    of t ^ m for each term t of `_wedge_terms` that m = (holo, anti) does
+    not annihilate.  The parity counts the swaps that sort t ^ m: within each
+    block the pairs of an index of m below one of t, and m's holomorphic
+    factors crossing t's antiholomorphic ones."""
+    crossed = holo.bit_count()
+    for t_holo, t_anti, below_holo, below_anti, t_deg, value in terms:
+        if not (t_holo & holo or t_anti & anti):
+            out.append((t_holo | holo, t_anti | anti, value,
+                        ((holo & below_holo).bit_count()
+                         + (anti & below_anti).bit_count()
+                         + t_deg * crossed + odd) & 1))
+    return out
+
+
+def _index_order(term) -> tuple[IndexTuple, IndexTuple]:
+    """Sort key of a (monomial, value) pair: (I, J) as index tuples."""
+    holo, anti = term[0]
+    return _bits(holo), _bits(anti)
 
 
 class Form:
@@ -151,10 +152,6 @@ class Form:
         return cls({mono: _coerce_sym(coeff)})
 
     @classmethod
-    def one(cls) -> "Form":
-        return cls({SCALAR_MONOMIAL: SymScalar.one()})
-
-    @classmethod
     def generator(cls, j: int) -> "Form":
         return cls.monomial(BasisMonomial((j,), ()))
 
@@ -171,10 +168,8 @@ class Form:
         return bool(self._terms)
 
     def terms(self) -> list[tuple[BasisMonomial, SymScalar]]:
-        return sorted(self._terms.items())
-
-    def coeff(self, mono: BasisMonomial) -> SymScalar:
-        return self._terms.get(mono, SymScalar.zero())
+        """The (monomial, coefficient) pairs by (I, J) as index tuples."""
+        return sorted(self._terms.items(), key=_index_order)
 
     def bidegrees(self) -> list[Bidegree]:
         return sorted({m.bidegree for m in self._terms})
@@ -207,22 +202,21 @@ class Form:
     __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
+        left = _wedge_terms(self._terms.items())
         products = []
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                hit = wedge_monomials(m1, m2)
-                if hit is not None:
-                    sign, mono = hit
-                    products.append((mono, c1 * c2 if sign == 1
-                                     else -(c1 * c2)))
+        for (holo, anti), c2 in other._terms.items():
+            for t_holo, t_anti, c1, odd in _wedge_hits(left, holo, anti, 0, []):
+                products.append((BasisMonomial.of_masks(t_holo, t_anti),
+                                 -(c1 * c2) if odd else c1 * c2))
         return Form(collect(products))
 
     def conj(self, table: SymbolTable) -> "Form":
+        """Termwise, (I,J) -> (-1)^{pq} (J,I) with conjugate coefficients."""
         data: dict[BasisMonomial, SymScalar] = {}
-        for mono, coeff in self._terms.items():
-            sign, swapped = conj_monomial(mono)
+        for (holo, anti), coeff in self._terms.items():
             new = coeff.conj(table)
-            data[swapped] = new if sign == 1 else -new
+            data[BasisMonomial.of_masks(anti, holo)] = (
+                -new if holo.bit_count() * anti.bit_count() % 2 else new)
         return Form(data)
 
     def project(self, pq: Bidegree) -> "Form":
@@ -265,9 +259,16 @@ def basis_of(pq: Bidegree, n: int) -> list[BasisMonomial]:
     p, q = pq
     if not (0 <= p <= n and 0 <= q <= n):
         return []
-    return [BasisMonomial.ordered(holo, anti)
-            for holo in combinations(range(1, n + 1), p)
-            for anti in combinations(range(1, n + 1), q)]
+    antis = [_mask(anti) for anti in combinations(range(1, n + 1), q)]
+    return [BasisMonomial.of_masks(_mask(holo), anti)
+            for holo in combinations(range(1, n + 1), p) for anti in antis]
+
+
+@functools.cache
+def basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
+    """{monomial: position} over basis_of(pq, n), in order; a plain mask
+    pair (holo, anti) finds its position too."""
+    return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
 def bidegree_dim(pq: Bidegree, n: int) -> int:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import operators as ops
-from .exterior import (BasisMonomial, Bidegree, Form, basis_of, bidegree_dim,
+from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, Vector
 from .scalars import Nonzeroness, SymScalar
@@ -72,7 +72,7 @@ class SolveFailureError(AssertionError):
 
 def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
     """One row per constant (p,q)-form, over the basis_of(pq, n) columns."""
-    index = _basis_index(pq, n)
+    index = basis_index(pq, n)
     try:
         rows = [{index[mono]: coeff.constant_value()
                  for mono, coeff in form.terms()} for form in forms]
@@ -84,15 +84,10 @@ def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
 
 def rows_to_forms(rows: Matrix, pq: Bidegree, n: int) -> list[Form]:
     """The (p,q)-form of each row."""
-    monos = list(_basis_index(pq, n))  # the cached basis_of(pq, n)
+    monos = list(basis_index(pq, n))  # the cached basis_of(pq, n)
     return [Form({monos[j]: SymScalar.const(x)
                   for j, x in rows.entries(i).items()})
             for i in range(rows.rows)]
-
-
-@functools.cache
-def _basis_index(pq: Bidegree, n: int) -> dict[BasisMonomial, int]:
-    return {m: i for i, m in enumerate(basis_of(pq, n))}
 
 
 def apply_blocks(row: Matrix, target: Bidegree, n: int,
@@ -126,10 +121,6 @@ class Subspace:
     @classmethod
     def zero(cls, n: int, pq: Bidegree) -> "Subspace":
         return cls(pq, n, Matrix.zeros(0, bidegree_dim(pq, n)))
-
-    @classmethod
-    def full(cls, n: int, pq: Bidegree) -> "Subspace":
-        return cls(pq, n, Matrix.identity(bidegree_dim(pq, n)))
 
     @property
     def dim(self) -> int:

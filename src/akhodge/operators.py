@@ -2,10 +2,13 @@
 Hodge star, L and its dual, the J-action, formal adjoints, Laplacians and the
 Hermitian pairing, as exact matrices between bidegree bases.
 
-Sign conventions all derive from the monomial order fixed in `exterior`.
+A monomial is its pair of index bitmasks (`exterior.BasisMonomial`), and
+sign conventions all derive from the monomial order fixed in `exterior`,
+whose one wedge rule `_wedge_hits` signs d and L here as it signs
+`Form.wedge`.
 
-Closed forms on one basis monomial m = a_0 ^ ... ^ a_{k-1}, taken on the
-bitmasks of its index sets I and J, so that every sign is a popcount parity:
+Closed forms on one basis monomial m = a_0 ^ ... ^ a_{k-1}, taken on its
+masks, so that every sign is a popcount parity:
 
 - d(m) = sum_i (-1)^i d(a_i) ^ (m without a_i), and L(m) = omega ^ m: 2-form
   terms of d(phi^j), d(phibar^j) and omega, memoized per spec, wedged onto
@@ -27,7 +30,8 @@ bitmasks of its index sets I and J, so that every sign is a popcount parity:
   (`norm`).
 
 Matrices: the blocks of d, L and * are written straight from these closed
-forms into integer rows, a hit finding its row by its target masks; the
+forms into integer rows, a hit finding its row by its target masks in
+`exterior.basis_index`, the map that `hodge` reads too; the
 same block writer writes the full-degree d, from every bidegree of degree
 k into every bidegree of degree k + 1.  Every other block derives from
 them: the four components of d are row slices of the cached "d" block,
@@ -56,13 +60,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import xor
 from typing import Callable
 
-from .exterior import (BasisMonomial, Bidegree, Form, basis_of,
-                       bidegree_dim, bidegrees_of_degree)
+from .exterior import (BasisMonomial, Bidegree, Form, _below, _bits,
+                       _wedge_hits, _wedge_terms, basis_index, bidegree_dim,
+                       bidegrees_of_degree)
 from .linalg import Matrix, _lowest_terms
-from .scalars import GaussianRational, I, SymScalar, i_power
+from .scalars import GaussianRational, I, SymScalar, collect, i_power
 
 
 class OperatorError(Exception):
@@ -113,41 +117,15 @@ OPERATOR_IDS = ("d", "mu", "del", "delbar", "mubar", "dc", "star", "L",
 
 
 # ---------------------------------------------------------------------------
-# Monomials as index masks: bit j for each index j of I, resp. of J
-
-def _mask(indices) -> int:
-    return sum(1 << j for j in indices)
-
-
-@functools.cache
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-@functools.cache
-def _below(mask: int) -> int:
-    """XOR of 2^j - 1 over the bits j of mask: popcount(other & _below(mask))
-    is, mod 2, the number of pairs i < j with i in other and j in mask."""
-    return functools.reduce(xor, [(1 << j) - 1 for j in _bits(mask)], 0)
-
-
-@functools.cache
-def _mask_index(pq: Bidegree, n: int) -> dict[tuple[int, int], int]:
-    """{(holo mask, anti mask): position} over basis_of(pq, n), in order."""
-    return {(_mask(m.holo), _mask(m.anti)): i
-            for i, m in enumerate(basis_of(pq, n))}
-
-
-# ---------------------------------------------------------------------------
 # The exterior derivative and its components
 
 @spec_memo
 def _two_form_terms(spec, exact: bool) -> tuple[int, dict]:
     """(den, terms): terms[j, True], terms[j, False] and terms[0] hold the
-    terms of d(phi^j), d(phibar^j) and omega as (holo mask, anti mask,
-    _below of both, anti degree, value).  The value is the coefficient, or
-    with exact (constant coefficients only) the ints (re, im) of den times
-    it, den the lcm of every denominator of these forms."""
+    `_wedge_terms` of d(phi^j), d(phibar^j) and omega.  Their values are the
+    coefficients, or with exact (constant coefficients only) the ints
+    (re, im) of den times them, den the lcm of every denominator of these
+    forms."""
     forms = {0: spec.omega}
     for j in range(1, spec.n + 1):
         forms[j, True] = spec.d_generator(j)
@@ -156,25 +134,9 @@ def _two_form_terms(spec, exact: bool) -> tuple[int, dict]:
                     for m, c in form.terms()] for key, form in forms.items()}
     den = lcm(*(x.denominator for terms in coeffs.values() for _, c in terms
                 for x in (c.re, c.im))) if exact else 1
-    return den, {key: [
-        (holo, anti, _below(holo), _below(anti), len(m.anti),
-         (int(c.re * den), int(c.im * den)) if exact else c)
-        for m, c in terms for holo, anti in [(_mask(m.holo), _mask(m.anti))]]
-        for key, terms in coeffs.items()}
-
-
-def _wedge_hits(terms, holo: int, anti: int, odd: int, out: list) -> list:
-    """Append (target holo mask, target anti mask, value, sign parity + odd)
-    of t ^ m for each term t that m = (holo, anti) does not annihilate; the
-    parity is that of wedge_monomials' two index merges and block crossing."""
-    crossed = holo.bit_count()
-    for t_holo, t_anti, below_holo, below_anti, t_deg, value in terms:
-        if not (t_holo & holo or t_anti & anti):
-            out.append((t_holo | holo, t_anti | anti, value,
-                        ((holo & below_holo).bit_count()
-                         + (anti & below_anti).bit_count()
-                         + t_deg * crossed + odd) & 1))
-    return out
+    return den, {key: _wedge_terms(
+        (m, (int(c.re * den), int(c.im * den)) if exact else c)
+        for m, c in terms) for key, terms in coeffs.items()}
 
 
 def _d_hits(terms: dict, holo: int, anti: int) -> list:
@@ -190,11 +152,9 @@ def _d_hits(terms: dict, holo: int, anti: int) -> list:
 
 @spec_memo
 def _d_monomial(spec, mono: BasisMonomial) -> Form:
-    hits = _d_hits(_two_form_terms(spec, False)[1], _mask(mono.holo),
-                   _mask(mono.anti))
-    return sum((Form.monomial(BasisMonomial.ordered(_bits(holo), _bits(anti)),
-                              -c if odd else c)
-                for holo, anti, c, odd in hits), Form.zero())
+    hits = _d_hits(_two_form_terms(spec, False)[1], *mono)
+    return Form(collect((BasisMonomial.of_masks(holo, anti), -c if odd else c)
+                        for holo, anti, c, odd in hits))
 
 
 def _laurent_power_rule(mono, coeff: GaussianRational) -> list:
@@ -266,7 +226,7 @@ def require_constant_coefficient(spec) -> None:
 
 
 def _star_parts(spec, holo: int, anti: int) -> tuple:
-    """(e, num, den, target masks) with *m = i^e (num/den) target for
+    """(e, num, den, target) with *m = i^e (num/den) target for
     m = (holo, anti) by the complement rule: a = n + 2|I|, b = |I cap J| -
     |~I cap ~J|, and the parity counts the pairs of lines l < j with phibar^l
     before phi^j on either side, plus deg a_l deg a_j (the product rule)."""
@@ -282,16 +242,15 @@ def _star_parts(spec, holo: int, anti: int) -> tuple:
     b = both - (no_holo & no_anti).bit_count()
     c = scale if k <= n else 1 / scale  # c^{n-k} = (1/c)^{k-n}
     return (e, c.numerator ** abs(n - k) << max(b, 0),
-            c.denominator ** abs(n - k) << max(-b, 0), (no_anti, no_holo))
+            c.denominator ** abs(n - k) << max(-b, 0),
+            BasisMonomial.of_masks(no_anti, no_holo))
 
 
 @spec_memo
 def _star_monomial(spec, mono: BasisMonomial) -> tuple:
     """(factor, target) with *mono = factor * target."""
-    e, num, den, (holo, anti) = _star_parts(spec, _mask(mono.holo),
-                                            _mask(mono.anti))
-    return (i_power(e) * Fraction(num, den),
-            BasisMonomial.ordered(_bits(holo), _bits(anti)))
+    e, num, den, target = _star_parts(spec, *mono)
+    return i_power(e) * Fraction(num, den), target
 
 
 def hodge_star(spec, form: Form) -> Form:
@@ -396,10 +355,10 @@ def _wedge_block(spec, op: str, sources: list[Bidegree],
     rows over the spec-wide denominator."""
     n = spec.n
     den, terms = _two_form_terms(spec, True)
-    row_of = {masks: i for i, masks in enumerate(
-        masks for t in targets for masks in _mask_index(t, n))}
+    row_of = {m: i for i, m in enumerate(
+        m for t in targets for m in basis_index(t, n))}
     rows: list[dict] = [{} for _ in row_of]
-    columns = [masks for pq in sources for masks in _mask_index(pq, n)]
+    columns = [m for pq in sources for m in basis_index(pq, n)]
     for col, (holo, anti) in enumerate(columns):
         hits = (_d_hits(terms, holo, anti) if op == "d"
                 else _wedge_hits(terms[0], holo, anti, 0, []))
@@ -417,10 +376,10 @@ def _wedge_block(spec, op: str, sources: list[Bidegree],
 def _star_block(spec, pq: Bidegree) -> Matrix:
     """The star block of pq, one `_star_parts` entry per row and column."""
     n = spec.n
-    row_of = _mask_index((n - pq[1], n - pq[0]), n)
+    row_of = basis_index((n - pq[1], n - pq[0]), n)
     rows: list = [None] * len(row_of)
-    for col, (holo, anti) in enumerate(_mask_index(pq, n)):
-        e, num, den, target = _star_parts(spec, holo, anti)
+    for col, mono in enumerate(basis_index(pq, n)):
+        e, num, den, target = _star_parts(spec, *mono)
         unit = i_power(e)
         rows[row_of[target]] = _lowest_terms(
             den, {col: (unit.re.numerator * num, unit.im.numerator * num)})

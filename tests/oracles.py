@@ -285,8 +285,23 @@ def apply_adjoint(spec, op: str, form: Form) -> Form:
                            else ops.component(spec, partner, inner))
 
 
+def one_form() -> Form:
+    """The constant 0-form 1."""
+    return Form.monomial(BasisMonomial((), ()))
+
+
+def coeff_of(form: Form, mono: BasisMonomial) -> SymScalar:
+    """The coefficient of mono in form, zero when mono is not a term."""
+    return dict(form.terms()).get(mono, SymScalar.zero())
+
+
+def full_subspace(n: int, pq) -> hodge.Subspace:
+    """The whole of Lambda^{p,q} as a Subspace."""
+    return hodge.Subspace(pq, n, linalg.Matrix.identity(len(basis_of(pq, n))))
+
+
 def volume_form(spec) -> Form:
-    return ops.hodge_star(spec, Form.one())
+    return ops.hodge_star(spec, one_form())
 
 
 def inner_product(spec, a: Form, b: Form) -> SymScalar:
@@ -296,9 +311,9 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
         return SymScalar.zero()
     n = spec.n
     top = BasisMonomial(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    vol_coeff = volume_form(spec).coeff(top).constant_value()
+    vol_coeff = coeff_of(volume_form(spec), top).constant_value()
     wedge = a.wedge(ops.hodge_star(spec, b.conj(spec.symbols)))
-    return wedge.coeff(top) * vol_coeff.inverse()
+    return coeff_of(wedge, top) * vol_coeff.inverse()
 
 
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:

@@ -130,7 +130,7 @@ def test_criterion_4_ex42_identities(entries):
     mubar = ops.component(spec, "mubar", source)
     assert mubar == F("1/4*F*phi{,123}", spec)
     assert ops.component(spec, "mu", source).is_zero()
-    coeff = mubar.coeff(list(dict(mubar.terms()))[0])
+    ((_, coeff),) = mubar.terms()
     assert coeff.classify(spec.symbols) is Nonzeroness.NONZERO_DECLARED
     _ok("4", "mubar(Phi^{1 3bar}) = (1/4) f' Phi^{1bar 2bar 3bar} with "
         "NonzeroDeclared coefficient and mu(Phi^{1 3bar}) = 0")

@@ -12,6 +12,8 @@ from akhodge import operators as ops
 from akhodge.cli import main
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+HARMONIC_DIGESTS = (Path(__file__).resolve().parent / "data"
+                    / "harmonic_basis_digests.json")
 
 
 def run(capsys, *argv):
@@ -108,6 +110,29 @@ def test_h12_kernel_match_via_cli(capsys):
     _, out2, _ = run(capsys, "harmonic", "--entry", "h12_t3", "--op",
                      "del", "--pq", "1,1", "--json")
     assert json.loads(out1)["basis"] == json.loads(out2)["basis"]
+
+
+def test_harmonic_bases_at_the_papers_bidegrees(capsys, tmp_path,
+                                                cc_entries, ladder_dsl):
+    # the canonical bases of H^{1,1} and H^{n-1,n-1} of del and delbar,
+    # byte for byte as recorded, on each constant catalog entry and the
+    # n = 4 ladder
+    golden = json.loads(HARMONIC_DIGESTS.read_text(encoding="utf-8"))
+    ladder = tmp_path / "ladder_n4.akspec"
+    ladder.write_text(ladder_dsl(4), encoding="utf-8")
+    sources = {key: (("--entry", key), entry.spec.n)
+               for key, entry in cc_entries.items()}
+    sources["ladder_n4"] = (("--spec", str(ladder)), 4)
+    digests = {}
+    for name, (source, n) in sources.items():
+        for op in ("del", "delbar"):
+            for p in sorted({1, n - 1}):
+                code, out, _ = run(capsys, "harmonic", *source, "--op", op,
+                                   "--pq", f"{p},{p}", "--json")
+                assert code == 0
+                digests[f"{name} {op} {p},{p}"] = hashlib.sha256(
+                    out.encode("utf-8")).hexdigest()
+    assert digests == golden["sha256"]
 
 
 def test_decompose(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
-                              bidegrees_of_degree, wedge_monomials)
+                              bidegrees_of_degree)
 from akhodge.scalars import GaussianRational, I, SymbolTable, SymScalar
 
 from oracles import brute_wedge, form_to_letters, sort_sign
@@ -128,16 +128,50 @@ def test_wedge_graded_commutative_on_pure_degrees(a, b):
             assert lhs == expect
 
 
-@given(small_forms(), small_forms())
-@settings(max_examples=100)
-def test_wedge_matches_brute_force(a, b):
-    lhs = form_to_letters(a.wedge(b), 3)
-    rhs = brute_wedge(form_to_letters(a, 3), form_to_letters(b, 3))
+@st.composite
+def subset_forms(draw, n):
+    """Up to 3 terms phi^I wedge phibar^J, I and J drawn directly as subsets
+    of 1..n (basis_of over every bidegree is 4^n monomials), of at most 4
+    indices so that products often survive."""
+    subsets = st.frozensets(st.integers(1, n), max_size=4).map(sorted)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[BasisMonomial(draw(subsets), draw(subsets))] = SymScalar.const(
+            GaussianRational(draw(st.integers(-3, 3)),
+                             draw(st.integers(-3, 3))))
+    return Form(terms)
+
+
+def check_wedge_against_brute_force(a, b, n):
+    lhs = form_to_letters(a.wedge(b), n)
+    rhs = brute_wedge(form_to_letters(a, n), form_to_letters(b, n))
     assert lhs == rhs
     for value in (a + b, a - b, a.wedge(b)):
         assert all(not coeff.is_zero() for _, coeff in value.terms())
     assert a - a == Form.zero()
     assert a.wedge(b) - a.wedge(b) == Form.zero()
+
+
+@given(small_forms(), small_forms())
+@settings(max_examples=100)
+def test_wedge_matches_brute_force(a, b):
+    check_wedge_against_brute_force(a, b, 3)
+
+
+@given(subset_forms(9), subset_forms(9))
+@settings(max_examples=100, deadline=None)
+def test_wedge_matches_brute_force_up_to_index_9(a, b):
+    check_wedge_against_brute_force(a, b, 9)
+
+
+def test_terms_list_in_basis_order():
+    # terms() orders by (I, J) as index tuples, whatever the insertion order
+    for pq in [(p, q) for p in range(5) for q in range(5)]:
+        basis = basis_of(pq, 4)
+        f = Form({m: SymScalar.const(1) for m in reversed(basis)})
+        assert [m for m, _ in f.terms()] == basis
+    f = mono([2], []) + mono([1, 2], []) + mono([1], [2, 3]) + mono([], [1])
+    assert f.render() == "phi{,1} + phi{1,23} + phi{12,} + phi{2,}"
 
 
 def test_monomial_rendering():
@@ -153,7 +187,5 @@ def test_monomial_rejects_unsorted():
 
 
 def test_wedge_monomials_sign_convention():
-    s, m = wedge_monomials(BasisMonomial((2,), (3,)), BasisMonomial((3,), (1,)))
-    assert (s, m) == (1, BasisMonomial((2, 3), (1, 3)))
-    assert wedge_monomials(BasisMonomial((1,), ()),
-                           BasisMonomial((1,), ())) is None
+    assert mono([2], [3]).wedge(mono([3], [1])) == mono([2, 3], [1, 3])
+    assert mono([1], []).wedge(mono([1], [])).is_zero()

@@ -13,8 +13,9 @@ from akhodge.exterior import BasisMonomial, Form, basis_of
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, Nonzeroness, SymScalar
 
-from oracles import (brute_component_matrix, dense, dual_Lambda, letter_basis,
-                     matrix_to_sympy, pointwise_membership, same_row_space)
+from oracles import (brute_component_matrix, dense, dual_Lambda,
+                     full_subspace, letter_basis, matrix_to_sympy, one_form,
+                     pointwise_membership, same_row_space)
 
 
 def F(text, spec):
@@ -226,7 +227,7 @@ def test_decompose_omega(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
         decomposition = hodge.primitive_decompose(spec, spec.omega)
-        assert decomposition.components == {1: Form.one()}
+        assert decomposition.components == {1: one_form()}
 
 
 def test_decompose_primitive_is_identity(cc_entries):
@@ -402,8 +403,8 @@ def test_coordinates_of_matches_sympy():
 
 def test_ambient_mismatch():
     spec = catalog.get("torus6_flat").spec
-    a = hodge.Subspace.full(3, (1, 1))
-    b = hodge.Subspace.full(3, (2, 1))
+    a = full_subspace(3, (1, 1))
+    b = full_subspace(3, (2, 1))
     with pytest.raises(hodge.AmbientMismatchError):
         a.intersect(b)
     with pytest.raises(hodge.AmbientMismatchError, match="not of bidegree"):
@@ -519,7 +520,8 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}
 
         def wrong(s, *args, original=original, D=D, pq=pq, kind=kind):
             if args[-1] == pq and D in (None, args[0]):
-                return getattr(hodge.Subspace, kind)(s.n, pq)
+                return {"zero": hodge.Subspace.zero,
+                        "full": full_subspace}[kind](s.n, pq)
             return original(s, *args)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -738,7 +740,7 @@ def test_lefschetz_decomposition_not_direct_against_sympy_ranks(monkeypatch):
     original = hodge.primitive_subspace
     monkeypatch.setattr(
         hodge, "primitive_subspace",
-        lambda s, pq: hodge.Subspace.full(s.n, pq) if pq == (2, 1)
+        lambda s, pq: full_subspace(s.n, pq) if pq == (2, 1)
         else original(s, pq))
     cell = hodge.lefschetz_decomposition(spec, "delbar", "delbar", (2, 1))
     assert cell.status == _oracle_status(cell) == "NotDirect"

@@ -121,41 +121,46 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree: ast.Module, module: str):
-    """(qualified name, name) of each top-level function and class of a
-    module, and of each non-dunder method of its classes."""
+    """(qualified name, name, is a method) of each top-level function and
+    class of a module, and of each non-dunder method of its classes."""
     for node in tree.body:
         if not isinstance(node, DEFINITIONS):
             continue
-        yield f"{module}.{node.name}", node.name
+        yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, DEFINITIONS[:2])
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
-def names_in(tree: ast.Module) -> set[str]:
-    """Every name the code mentions: names, attributes, imported names."""
-    names = set()
+def names_in(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(every name the code mentions: names, attributes, imported names;
+    the names it reads as attributes)."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names
+    return names | attributes, attributes
 
 
 def uncalled_definitions(sources: dict[str, str]) -> list[str]:
-    """Qualified names of the definitions in sources (module -> text) whose
-    name no module mentions."""
+    """Qualified names of the definitions in sources (module -> text) that
+    no module mentions; a method counts as mentioned only when some module
+    reads its name as an attribute, so a local variable of the same name
+    does not hide it."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    named = set().union(*map(names_in, trees.values()))
+    mentioned = [names_in(tree) for tree in trees.values()]
+    named = set().union(*(names for names, _ in mentioned))
+    attributes = set().union(*(attrs for _, attrs in mentioned))
     return sorted(qualified for module, tree in trees.items()
-                  for qualified, name in definitions(tree, module)
-                  if name not in named)
+                  for qualified, name, method in definitions(tree, module)
+                  if name not in (attributes if method else named))
 
 
 def test_detector_flags_uncalled_definitions():
@@ -167,12 +172,13 @@ def test_detector_flags_uncalled_definitions():
               "    def __init__(self):\n        self.m()\n"
               "    def m(self):\n        pass\n"
               "    @property\n    def p(self):\n        pass\n"
-              "    def n(self):\n        pass\n"),
+              "    def n(self):\n        pass\n"
+              "    def shadowed(self):\n        pass\n"),
         "b": ("from .a import imported as alias\n"
-              "def f(x):\n    return used(), x.p\n"),
+              "def f(x):\n    shadowed = x.p\n    return used(), shadowed\n"),
     }
-    assert uncalled_definitions(sources) == ["a.K", "a.K.n", "a.unused",
-                                             "b.f"]
+    assert uncalled_definitions(sources) == ["a.K", "a.K.n", "a.K.shadowed",
+                                             "a.unused", "b.f"]
 
 
 def test_engine_defines_only_what_it_calls():

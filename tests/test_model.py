@@ -11,7 +11,7 @@ from akhodge.model import (DegreeMismatchError, InvalidSpecError,
                            render_spec, validate)
 from akhodge.scalars import GaussianRational, I, SymScalar
 
-from oracles import complex_to_real
+from oracles import coeff_of, complex_to_real
 
 FLAT6 = """\
 manifold flat
@@ -169,7 +169,7 @@ def test_validate_torus6_f_skips_opaque():
 
 def test_parse_form_standalone():
     f = parse_form("phi{13,2} + phi{23,1} - 2*i*phi{23,2}", 3)
-    assert f.coeff(BasisMonomial((2, 3), (2,))) == \
+    assert coeff_of(f, BasisMonomial((2, 3), (2,))) == \
         SymScalar.const(GaussianRational(0, -2))
 
 

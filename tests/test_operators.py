@@ -17,7 +17,7 @@ from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
                      dual_Lambda, full_degree_oracle, inner_product, j_action,
-                     leibniz_d, matrix_to_sympy, real_frame_norms,
+                     leibniz_d, matrix_to_sympy, one_form, real_frame_norms,
                      real_frame_star, volume_form)
 
 
@@ -132,10 +132,10 @@ def test_star_of_one_is_volume(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
         n = spec.n
-        omega_n = Form.one()
+        omega_n = one_form()
         for _ in range(n):
             omega_n = spec.omega.wedge(omega_n)
-        assert ops.hodge_star(spec, Form.one()) == \
+        assert ops.hodge_star(spec, one_form()) == \
             omega_n * Fraction(1, factorial(n))
 
 
@@ -143,7 +143,7 @@ def test_star_of_omega(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
         n = spec.n
-        omega_pow = Form.one()
+        omega_pow = one_form()
         for _ in range(n - 1):
             omega_pow = spec.omega.wedge(omega_pow)
         assert ops.hodge_star(spec, spec.omega) == \
@@ -273,7 +273,7 @@ def test_lambda_of_omega_is_n(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
         assert dual_Lambda(spec, spec.omega) == \
-            Form.one() * spec.n
+            one_form() * spec.n
 
 
 def test_lambda_kills_offdiagonal(cc_entries):
@@ -406,7 +406,7 @@ def test_star_primitive_low_degree_formula(cc_entries):
         for k in range(0, n + 1):
             for pq in bidegrees_of_degree(k, n):
                 for alpha in hodge.primitive_subspace(spec, pq).forms():
-                    omega_pow = Form.one()
+                    omega_pow = one_form()
                     for _ in range(n - k):
                         omega_pow = spec.omega.wedge(omega_pow)
                     sign = -1 if (k * (k + 1) // 2) % 2 else 1
@@ -424,7 +424,7 @@ def test_adjoint_examples(entries, cc_entries):
     assert apply_adjoint(t6g, "del", F("phi{1,2}", t6g)).is_zero()
     for entry in cc_entries.values():
         spec = entry.spec
-        assert apply_adjoint(spec, "d", Form.one()).is_zero()
+        assert apply_adjoint(spec, "d", one_form()).is_zero()
         if spec.almost_kahler:
             assert apply_adjoint(spec, "delbar", spec.omega).is_zero()
 
@@ -438,7 +438,7 @@ coframe phi1 phi2
 symbol h real d = phi{1,} + phi{,1}
 omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
 """)
-    h = Form.one() * SymScalar.symbol("h")
+    h = one_form() * SymScalar.symbol("h")
     dh = ops.ext_d(spec, h)
     dc_h = dc(spec, h)
     expected = (dh.project((0, 1)) - dh.project((1, 0))) * I
