@@ -13,12 +13,11 @@ from .exterior import BasisMonomial, Form, basis_of
 from .model import (InvalidSpecError, ManifoldSpec, RealFramePresentation,
                     SpecError, complexify, parse_form, parse_spec,
                     render_spec, validate)
-from .scalars import (FunctionSymbol, GaussianRational, Nonzeroness,
-                      SymbolTable, SymScalar)
+from .scalars import FunctionSymbol, GaussianRational, Nonzeroness, SymScalar
 
 __all__ = [
     "__version__", "BasisMonomial", "Form", "basis_of", "ManifoldSpec",
     "RealFramePresentation", "SpecError", "InvalidSpecError", "complexify",
     "parse_form", "parse_spec", "render_spec", "validate", "FunctionSymbol",
-    "GaussianRational", "Nonzeroness", "SymbolTable", "SymScalar",
+    "GaussianRational", "Nonzeroness", "SymScalar",
 ]

@@ -26,7 +26,7 @@ from math import comb
 from operator import xor
 from typing import Iterable, Mapping
 
-from .scalars import (GaussianRational, SymbolTable, SymScalar, _coerce_sym,
+from .scalars import (FunctionSymbol, GaussianRational, SymScalar, _coerce_sym,
                       collect, join_terms, scaled_name)
 
 Bidegree = tuple[int, int]
@@ -210,11 +210,11 @@ class Form:
                                  -(c1 * c2) if odd else c1 * c2))
         return Form(collect(products))
 
-    def conj(self, table: SymbolTable) -> "Form":
+    def conj(self, symbols: dict[str, FunctionSymbol]) -> "Form":
         """Termwise, (I,J) -> (-1)^{pq} (J,I) with conjugate coefficients."""
         data: dict[BasisMonomial, SymScalar] = {}
         for (holo, anti), coeff in self._terms.items():
-            new = coeff.conj(table)
+            new = coeff.conj(symbols)
             data[BasisMonomial.of_masks(anti, holo)] = (
                 -new if holo.bit_count() * anti.bit_count() % 2 else new)
         return Form(data)
@@ -234,9 +234,6 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(sorted((m, c._key()) for m, c in self._terms.items())))
 
     def __repr__(self):
         return f"Form<{self.render()}>"

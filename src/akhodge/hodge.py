@@ -252,14 +252,6 @@ class MembershipResult:
     witness_class: Nonzeroness | None = None
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        out = {"status": self.status, "reason": self.reason}
-        if self.witness is not None:
-            out["witness"] = self.witness.render()
-        if self.witness_class is not None:
-            out["witness_nonzeroness"] = self.witness_class.value
-        return out
-
 
 def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
     strength = {Nonzeroness.NONZERO_CONSTANT: 3,

@@ -19,6 +19,13 @@ joined by `*`, with unary `-`.
 The `invertible` flag is informational: `parse_spec` accepts it and
 `render_spec` writes it back, but nothing else reads it, and a negative
 exponent is accepted on any symbol, flagged or not.
+
+`ManifoldSpec.symbols` is a plain dict from name to `FunctionSymbol`.  The
+parser owns every check on it: `_parse_symbol_line` rejects a name declared
+twice, and `parse_spec` rejects a conjugate partner that is undeclared or
+does not pair back.  `manifold`, `dim`, `coframe` and `omega` each appear
+once; a repeat is rejected at its line, as a second `d` line for one
+generator is.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from typing import Callable
 from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
-from .scalars import (GaussianRational, I, FunctionSymbol, SymbolTable,
-                      SymScalar, collect, decimal_text, join_terms)
+from .scalars import (GaussianRational, I, FunctionSymbol, SymScalar,
+                      collect, decimal_text, join_terms)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
@@ -80,7 +87,8 @@ class ManifoldSpec:
     """
 
     def __init__(self, name: str, n: int, coframe: tuple[str, ...],
-                 symbols: SymbolTable, structure: dict[int, Form], omega: Form):
+                 symbols: dict[str, FunctionSymbol],
+                 structure: dict[int, Form], omega: Form):
         self.name = name
         self.n = n
         self.coframe = tuple(coframe)
@@ -203,7 +211,8 @@ def _number(convert: Callable, text: str, line: int | str,
             line, col) from None
 
 
-def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
+def _parse_form_tokens(tokens: list[_Token], n: int,
+                       symbols: dict[str, FunctionSymbol],
                        line: int | str) -> Form:
     if not tokens:
         raise SpecSyntaxError("empty expression", line)
@@ -274,17 +283,16 @@ def _parse_form_tokens(tokens: list[_Token], n: int, symbols: SymbolTable,
     return total
 
 
-def parse_form(text: str, n: int, symbols: SymbolTable | None = None,
+def parse_form(text: str, n: int,
+               symbols: dict[str, FunctionSymbol] | None = None,
                line: int | str = "form") -> Form:
     """Parse a form expression in the DSL grammar; errors are located at
     `line` (a spec line number, or a name such as "--form")."""
-    if symbols is None:
-        symbols = SymbolTable()
-    return _parse_form_tokens(_tokenize(text, line), n, symbols, line)
+    return _parse_form_tokens(_tokenize(text, line), n, symbols or {}, line)
 
 
-def _parse_expr(text: str, col_offset: int, n: int, symbols: SymbolTable,
-                line_no: int) -> Form:
+def _parse_expr(text: str, col_offset: int, n: int,
+                symbols: dict[str, FunctionSymbol], line_no: int) -> Form:
     """parse_form of an expression that starts after column col_offset of
     spec line line_no, so that errors give columns of the raw line."""
     return _parse_form_tokens(_tokenize(text, line_no, col_offset), n,
@@ -298,11 +306,12 @@ def parse_spec(text: str) -> ManifoldSpec:
     name = None
     n = None
     coframe: list[str] = []
-    symbols = SymbolTable()
+    symbols: dict[str, FunctionSymbol] = {}
     structure: dict[int, Form] = {}
     omega: Form | None = None
     pending_derivatives: list[tuple[str, str, int, int]] = []
     declared_at: dict[str, int] = {}
+    first_at: dict[str, int] = {}  # the line of each once-only directive
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -311,6 +320,11 @@ def parse_spec(text: str) -> ManifoldSpec:
         lead = len(raw) - len(raw.lstrip())  # the index of line[0] in raw
         words = line.split()
         head = words[0]
+        if head in ("manifold", "dim", "coframe", "omega"):
+            if head in first_at:
+                raise SpecSyntaxError(f"duplicate {head} line (first at line "
+                                      f"{first_at[head]})", line_no)
+            first_at[head] = line_no
         if head == "manifold":
             if len(words) != 2:
                 raise SpecSyntaxError("expected: manifold <name>", line_no)
@@ -392,10 +406,15 @@ def parse_spec(text: str) -> ManifoldSpec:
     if omega is None:
         raise SpecSyntaxError("missing omega line")
 
-    for sym in symbols:
-        error = symbols.involution_error(sym)
-        if error is not None:
-            raise SpecSyntaxError(error, declared_at[sym.name])
+    for sym in symbols.values():
+        partner = symbols.get(sym.conj_name)
+        if partner is None:
+            raise SpecSyntaxError(f"symbol {sym.name!r} pairs with undeclared "
+                                  f"{sym.conj_name!r}", declared_at[sym.name])
+        if partner.conj_name != sym.name:
+            raise SpecSyntaxError(
+                f"conjugate pairing {sym.name!r} <-> {sym.conj_name!r} is not "
+                "involutive", declared_at[sym.name])
     for sym_name, expr, line_no, col_offset in pending_derivatives:
         form = _parse_expr(expr, col_offset, n, symbols, line_no)
         if any(p + q != 1 for p, q in form.bidegrees()):
@@ -410,7 +429,7 @@ def parse_spec(text: str) -> ManifoldSpec:
 
 
 def _parse_symbol_line(line: str, line_no: int, lead: int,
-                       symbols: SymbolTable,
+                       symbols: dict[str, FunctionSymbol],
                        pending: list[tuple[str, str, int, int]]) -> str:
     """Declare the symbol of one `symbol` line, which starts after column
     lead of the raw line, and return its name."""
@@ -451,11 +470,10 @@ def _parse_symbol_line(line: str, line_no: int, lead: int,
         else:
             raise SpecSyntaxError(f"unknown symbol attribute {word!r}", line_no)
         idx += 1
-    try:
-        symbols.declare(FunctionSymbol(sym_name, conj_name, nonzero=nonzero,
-                                       invertible=invertible, derivative=None))
-    except ValueError as exc:  # declared twice
-        raise SpecSyntaxError(str(exc), line_no) from None
+    if sym_name in symbols:
+        raise SpecSyntaxError(f"symbol {sym_name!r} declared twice", line_no)
+    symbols[sym_name] = FunctionSymbol(sym_name, conj_name, nonzero=nonzero,
+                                       invertible=invertible)
     if derivative_expr is not None:
         pending.append((sym_name, derivative_expr, line_no, derivative_col))
     return sym_name
@@ -497,7 +515,7 @@ def render_form_dsl(form: Form) -> str:
 def render_spec(spec: ManifoldSpec) -> str:
     lines = [f"manifold {spec.name}", f"dim {2 * spec.n}",
              "coframe " + " ".join(spec.coframe)]
-    for sym in spec.symbols:
+    for sym in spec.symbols.values():
         attrs = ["real" if sym.is_real else f"conj {sym.conj_name}"]
         if sym.nonzero:
             attrs.append("nonzero")

@@ -5,6 +5,11 @@ rational real and imaginary parts, and ``SymScalar`` extends it to Laurent
 polynomials in declared function symbols (so metric factors like e^{-f} stay
 exactly invertible).  No floating point anywhere; every value is immutable.
 
+A spec's declared symbols are a plain dict from name to ``FunctionSymbol``;
+`SymScalar.conj` and `SymScalar.classify` only index it.  The checks on a
+declaration (no name twice, an involutive conjugate pairing) belong to the
+parser, `model.parse_spec`.
+
 ``collect`` sums the sparse key -> value maps of scalars, forms and real forms
 (dropping zero sums) and ``join_terms`` writes their signed terms as text;
 `exterior` and `model` use them too.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -109,13 +115,6 @@ class GaussianRational:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         other = _coerce(other)
         return GaussianRational(
@@ -131,9 +130,6 @@ class GaussianRational:
     def __truediv__(self, other):
         other = _coerce(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
@@ -162,9 +158,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return self.render()
 
     def render(self) -> str:
         """Canonical text: `5/4`, `-i`, `1/2*i`, `(1/2-3/4*i)`."""
@@ -198,81 +191,30 @@ def i_power(k: int) -> GaussianRational:
     return _I_POWERS[k % 4]
 
 
+@dataclass(slots=True)
 class FunctionSymbol:
     """A formal function on the manifold.
 
-    The conjugate is declared (a real symbol pairs with itself), the exterior
-    derivative is either a declared degree-1 form or opaque (None), and
-    nonvanishing is a declaration, never a deduction.
+    The conjugate is declared (a real symbol pairs with itself; conj_name
+    None means real), the exterior derivative is either a declared degree-1
+    form or opaque (None), and nonvanishing is a declaration, never a
+    deduction.
     """
 
-    __slots__ = ("name", "conj_name", "nonzero", "invertible", "derivative")
+    name: str
+    conj_name: str | None = None
+    _: KW_ONLY
+    nonzero: bool = False
+    invertible: bool = False
+    derivative: "Form | None" = None
 
-    def __init__(self, name: str, conj_name: str | None = None, *,
-                 nonzero: bool = False, invertible: bool = False,
-                 derivative: "Form | None" = None):
-        self.name = name
-        self.conj_name = conj_name if conj_name is not None else name
-        self.nonzero = nonzero
-        self.invertible = invertible
-        self.derivative = derivative
+    def __post_init__(self):
+        if self.conj_name is None:
+            self.conj_name = self.name
 
     @property
     def is_real(self) -> bool:
         return self.conj_name == self.name
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionSymbol):
-            return NotImplemented
-        return (self.name == other.name and self.conj_name == other.conj_name
-                and self.nonzero == other.nonzero
-                and self.invertible == other.invertible
-                and self.derivative == other.derivative)
-
-    def __repr__(self):
-        return f"FunctionSymbol({self.name!r}, conj={self.conj_name!r})"
-
-
-class SymbolTable:
-    """Declared function symbols of one manifold spec, keyed by name."""
-
-    def __init__(self, symbols: Iterable[FunctionSymbol] = ()):
-        self._symbols: dict[str, FunctionSymbol] = {}
-        for sym in symbols:
-            self.declare(sym)
-
-    def declare(self, sym: FunctionSymbol) -> None:
-        if sym.name in self._symbols:
-            raise ValueError(f"symbol {sym.name!r} declared twice")
-        self._symbols[sym.name] = sym
-
-    def involution_error(self, sym: FunctionSymbol) -> str | None:
-        """Why sym's conjugate pairing is broken, or None if it is not."""
-        partner = self._symbols.get(sym.conj_name)
-        if partner is None:
-            return (f"symbol {sym.name!r} pairs with undeclared "
-                    f"{sym.conj_name!r}")
-        if partner.conj_name != sym.name:
-            return (f"conjugate pairing {sym.name!r} <-> {sym.conj_name!r} "
-                    "is not involutive")
-        return None
-
-    def __getitem__(self, name: str) -> FunctionSymbol:
-        return self._symbols[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
-    def __iter__(self):
-        return iter(self._symbols.values())
-
-    def __len__(self):
-        return len(self._symbols)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolTable):
-            return NotImplemented
-        return self._symbols == other._symbols
 
 
 # A Laurent monomial in function symbols: ((name, exponent), ...) with names
@@ -363,9 +305,6 @@ class SymScalar:
     def __sub__(self, other):
         return self + (-_coerce_sym(other))
 
-    def __rsub__(self, other):
-        return _coerce_sym(other) + (-self)
-
     def __neg__(self):
         return SymScalar({m: -c for m, c in self._terms.items()})
 
@@ -377,30 +316,28 @@ class SymScalar:
 
     __rmul__ = __mul__
 
-    # -- table-aware operations ----------------------------------------------
+    # -- symbol-aware operations ---------------------------------------------
 
-    def conj(self, table: SymbolTable) -> "SymScalar":
+    def conj(self, symbols: dict[str, FunctionSymbol]) -> "SymScalar":
         pairs = []
         for mono, coeff in self._terms.items():
-            swapped = tuple(sorted((table[name].conj_name, k) for name, k in mono))
+            swapped = tuple(sorted((symbols[name].conj_name, k)
+                                   for name, k in mono))
             pairs.append((swapped, coeff.conj()))
         return SymScalar(collect(pairs))
 
-    def classify(self, table: SymbolTable) -> Nonzeroness:
+    def classify(self, symbols: dict[str, FunctionSymbol]) -> Nonzeroness:
         if not self._terms:
             return Nonzeroness.ZERO
         if self.is_constant():
             return Nonzeroness.NONZERO_CONSTANT
         if len(self._terms) == 1:
             (mono, _), = self._terms.items()
-            if all(table[name].nonzero for name, _ in mono):
+            if all(symbols[name].nonzero for name, _ in mono):
                 return Nonzeroness.NONZERO_DECLARED
         return Nonzeroness.NONZERO_FORMAL
 
     # -- equality / rendering -------------------------------------------------
-
-    def _key(self):
-        return tuple(sorted((m, (c.re, c.im)) for m, c in self._terms.items()))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -410,7 +347,7 @@ class SymScalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"SymScalar<{self.render()}>"

@@ -237,6 +237,56 @@ def test_human_output_subset_of_json_facts(capsys):
         assert result["status"] in human_out
 
 
+def words(text):
+    return " ".join(text.split())
+
+
+def report_facts(p):
+    for section in p["entries"]:
+        yield f"== {section['entry']}:"
+        for r in section["theorem_checks"] + section["expected_results"]:
+            yield f"{r['check_id']} {r['status']}"
+    yield "summary: 0 failing checks, 2 paper errata flagged"
+
+
+# each command's text output on a catalog entry, and the facts of its JSON
+# payload that the text must state
+TEXT_FACTS = {
+    "operators": (("--entry", "kt4", "--op", "L", "--pq", "1,0"),
+                  lambda p: [f"shape {tuple(p['shape'])}"]
+                  + ["[" + ", ".join(row) + "]" for row in p["entries"]]),
+    "harmonic": (("--entry", "iwasawa_ak", "--op", "delbar", "--pq", "2,1"),
+                 lambda p: [f"dim {p['dim']}", *p["basis"]]
+                 + [f"reference basis {c['id']}: spans_space = "
+                    f"{c['spans_space']}" for c in p["reference_bases"]]),
+    "decompose": (("--entry", "iwasawa_ak",
+                   "--form", "phi{13,2} + phi{23,1} - 2*i*phi{23,2}"),
+                  lambda p: ["reconstruction exact: True"]
+                  + [f"r = {r}: (1/{r}!) L^{r} applied to {beta}"
+                     for r, beta in p["components"].items()]),
+    "table": (("--entry", "iwasawa_ak", "--op", "delbar"),
+              lambda p: [" ".join(map(str, row)) for row in p["table"]]),
+    "catalog": ((), lambda p: [f"{row['key']} n={row['n']}"
+                               for row in p["entries"]]),
+    "report": ((), report_facts),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_FACTS))
+def test_text_output_states_the_json_facts(capsys, command):
+    args, facts = TEXT_FACTS[command]
+    json_code, json_out, _ = run(capsys, command, *args, "--json")
+    code, out, err = run(capsys, command, *args)
+    assert code == json_code == 0
+    assert err == ""
+    text = words(out)
+    missing = [fact for fact in facts(json.loads(json_out))
+               if words(fact) not in text]
+    assert missing == []
+    if command == "catalog":
+        assert len(out.splitlines()) == len(catalog.keys())
+
+
 @pytest.mark.parametrize("argv", [
     ("harmonic", "--entry", "kt4", "--op", "delbar", "--pq", "7,0"),
     ("harmonic", "--entry", "kt4", "--op", "delbar", "--pq=-1,0"),
@@ -303,6 +353,11 @@ UNITARY_OMEGA = "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n"
     ("symbol F conj i\n", 4, "undeclared 'i'"),
     ("symbol F real\nsymbol F real\n", 5, "declared twice"),
     ("d phi1 = 1/0*phi{2,2}\n", 4, "zero denominator"),
+    ("symbol F conj G\nsymbol G real\n", 4, "not involutive"),
+    ("manifold u\n", 4, "duplicate manifold line"),
+    ("dim 6\n", 4, "duplicate dim line"),
+    ("coframe phi3 phi4\n", 4, "duplicate coframe line"),
+    (UNITARY_OMEGA, 5, "duplicate omega line"),
 ])
 def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
                                                    line, message):

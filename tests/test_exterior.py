@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
-from akhodge.scalars import GaussianRational, I, SymbolTable, SymScalar
+from akhodge.scalars import GaussianRational, I, SymScalar
 
 from oracles import brute_wedge, form_to_letters, sort_sign
 
-EMPTY = SymbolTable()
+EMPTY = {}
 
 
 def mono(h, a):

@@ -1,7 +1,15 @@
 """The package is stdlib-only: every import in src/akhodge/*.py names the
 package itself (or a relative module) or a standard-library module; every
 name a module imports at module level is used by that module; and every
-function, class and method it defines is named somewhere in the package."""
+function, class and method it defines is named somewhere in the package.
+
+The last detector reads names, not calls, so it has two blind spots. It
+skips dunder methods, which operators and built-ins call without naming
+them (`a - b`, `str(x)`, `hash(x)`). And a method counts as called when any
+class's method of the same name is read: one `.to_dict` read keeps every
+`to_dict` alive. A definition in either spot is found only by tracing which
+functions a run actually enters (`sys.setprofile` over the tests, the
+benchmark and every CLI command on every catalog entry)."""
 
 import ast
 import sys

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from akhodge.exterior import BasisMonomial, Form
 from akhodge.model import render_form_dsl
 from akhodge.scalars import (FunctionSymbol, GaussianRational, I, Nonzeroness,
-                             ONE, SymbolTable, SymScalar)
+                             ONE, SymScalar)
 
 
 def table_with(*symbols):
-    t = SymbolTable(symbols)
-    assert all(t.involution_error(sym) is None for sym in t)
+    t = {sym.name: sym for sym in symbols}
+    assert all(t[sym.conj_name].conj_name == sym.name for sym in symbols)
     return t
 
 
@@ -39,7 +39,7 @@ def test_additive_inverse_of_symbol():
 
 
 def test_conj_of_i():
-    assert SymScalar.const(I).conj(SymbolTable()) == SymScalar.const(-I)
+    assert SymScalar.const(I).conj({}) == SymScalar.const(-I)
 
 
 def test_conj_swaps_declared_pair():
@@ -173,6 +173,29 @@ def test_conj_is_ring_involution(a, b):
     assert a.conj(T_EX42) - a.conj(T_EX42) == SymScalar.zero()
 
 
-def test_involution_validation_rejects_bad_pairing():
-    t = SymbolTable([FunctionSymbol("A", "B"), FunctionSymbol("B", "B")])
-    assert "not involutive" in t.involution_error(t["A"])
+@pytest.mark.parametrize("value, attribute", [
+    (GaussianRational(1, 2), "re"),
+    (SymScalar.symbol("F"), "_terms"),
+    (Form.generator(1), "_terms"),
+], ids=["GaussianRational", "SymScalar", "Form"])
+def test_values_refuse_attribute_assignment(value, attribute):
+    # cached operator data shares these values between callers
+    before = value.render()
+    for name in (attribute, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+    assert value.render() == before
+
+
+def test_function_symbol_compares_by_fields_and_is_unhashable():
+    f = FunctionSymbol("F", nonzero=True)
+    assert f.conj_name == "F" and f.is_real
+    assert f == FunctionSymbol("F", "F", nonzero=True)
+    assert f != FunctionSymbol("F", nonzero=False)
+    assert f != FunctionSymbol("F", "G", nonzero=True)
+    with pytest.raises(TypeError):
+        FunctionSymbol("F", "F", True)  # the flags are keyword-only
+    with pytest.raises(TypeError):
+        hash(f)
+    f.derivative = Form.generator(1)  # the parser sets it after declaration
+    assert f != FunctionSymbol("F", nonzero=True)
