@@ -7,8 +7,8 @@ ascending), and every wedge of monomials is signed by one rule, the popcount
 parities of `_wedge_hits`: `Form.wedge`, and the d and L of `operators`, all
 sign through it.  `basis_index` is the one position map of the basis_of
 order, the row and column order of every operator matrix.  `Form.terms()`
-and text list monomials by (I, J) as ascending index tuples.  Bidegrees are
-plain (p, q) tuples.
+and text list monomials by (I, J) as ascending index tuples; `Form.items()`
+lists them unsorted.  Bidegrees are plain (p, q) tuples.
 
 The module also carries the real-coframe substitution used by
 complexification: phi^j = e^{a_j} + i e^{b_j} for a declared pairing of
@@ -168,8 +168,15 @@ class Form:
         return bool(self._terms)
 
     def terms(self) -> list[tuple[BasisMonomial, SymScalar]]:
-        """The (monomial, coefficient) pairs by (I, J) as index tuples."""
+        """The (monomial, coefficient) pairs by (I, J) as index tuples, for
+        callers whose result depends on which term comes first: text, and
+        the opaque symbol that `ext_d` names."""
         return sorted(self._terms.items(), key=_index_order)
+
+    def items(self) -> Iterable[tuple[BasisMonomial, SymScalar]]:
+        """The (monomial, coefficient) pairs unsorted, for callers that only
+        build dicts, sums or maxima of them."""
+        return self._terms.items()
 
     def bidegrees(self) -> list[Bidegree]:
         return sorted({m.bidegree for m in self._terms})

@@ -14,7 +14,8 @@ coordinates are all matrices of such rows.
 
 The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
 `harmonic_equations`, and read by both the cross-check of `harmonic_space`
-(ker A cap ker E = ker Delta_D) and `harmonic_membership` (A and E of a form).
+(ker A cap ker E = ker Delta_D) and `harmonic_membership`, which applies A
+to a form and E only when A alpha = 0.
 
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
@@ -75,7 +76,7 @@ def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
     index = basis_index(pq, n)
     try:
         rows = [{index[mono]: coeff.constant_value()
-                 for mono, coeff in form.terms()} for form in forms]
+                 for mono, coeff in form.items()} for form in forms]
     except KeyError as exc:
         raise AmbientMismatchError(
             f"monomial {exc.args[0]} is not of bidegree {pq}") from None
@@ -258,47 +259,62 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
                 Nonzeroness.NONZERO_DECLARED: 2,
                 Nonzeroness.NONZERO_FORMAL: 1, Nonzeroness.ZERO: 0}
     best = Nonzeroness.ZERO
-    for _, coeff in form.terms():
+    for _, coeff in form.items():
         cls = coeff.classify(spec.symbols)
         if strength[cls] > strength[best]:
             best = cls
     return best
 
 
-def _block_witnesses(spec, D: str, form: Form):
-    """D alpha and partner(*alpha): the harmonic equations A and E applied
-    to the row of each pure (p,q) component."""
+def _sum(forms: list[Form]) -> Form:
+    """The sum of forms, with no addition for a single one."""
+    return functools.reduce(Form.__add__, forms) if forms else Form.zero()
+
+
+def _equation_images(spec, D: str, form: Form):
+    """[D alpha, partner(*alpha)] as thunks, for `harmonic_membership` to
+    call in order.  A constant form on a constant-coefficient spec takes
+    the blocks (A, E) of `harmonic_equations` to the row of each pure (p,q)
+    component, built once; any other form goes pointwise through
+    `component` and `hodge_star`."""
+    partner = ops.STAR_PARTNERS[D]
+    if not (spec.constant_coefficient and form.is_constant_coefficient()):
+        return [lambda: ops.component(spec, D, form),
+                lambda: ops.component(spec, partner,
+                                      ops.hodge_star(spec, form))]
     n = spec.n
     s, t = ops.COMPONENT_SHIFTS[D]
-    closed = costar = Form.zero()
-    for (p, q), comp in form.components().items():
-        row = forms_to_rows([comp], (p, q), n)
-        A, E = harmonic_equations(spec, D, (p, q))
-        # the partner's shift is D's, swapped
-        closed += apply_blocks(row, (p + s, q + t), n, A)
-        costar += apply_blocks(row, (n - q + t, n - p + s), n, E)
-    return closed, costar
+    rows = [(p, q, forms_to_rows([comp], (p, q), n),
+             harmonic_equations(spec, D, (p, q)))
+            for (p, q), comp in form.components().items()]
+    # the partner's shift is D's, swapped
+    return [lambda: _sum([apply_blocks(row, (p + s, q + t), n, A)
+                          for p, q, row, (A, _) in rows]),
+            lambda: _sum([apply_blocks(row, (n - q + t, n - p + s), n, E)
+                          for p, q, row, (_, E) in rows])]
 
 
 def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
-    """Harmonicity of a single form, D alpha = 0 and conjugate-D *alpha = 0:
-    from `harmonic_equations` for a constant form on a constant-coefficient
-    spec, else pointwise (Unknown when that needs an opaque derivative)."""
+    """Harmonicity of a single form: D alpha = 0, then conjugate-D *alpha
+    = 0, stopping at the first that fails, whose image is the witness.  The
+    blocks of `harmonic_equations` serve a constant form on a
+    constant-coefficient spec, and E is read only when A alpha = 0; any
+    other form goes pointwise, the star taken only when D alpha = 0, and is
+    Unknown when D alpha needs an opaque derivative.  A nonzero form on a
+    non-unitary spec raises NotUnitaryModeError, also when D alpha != 0."""
     if D not in ("del", "delbar"):
         raise ValueError("membership is defined for del and delbar")
-    partner = ops.STAR_PARTNERS[D]
-    try:
-        if spec.constant_coefficient and form.is_constant_coefficient():
-            closed, costar = _block_witnesses(spec, D, form)
-        else:
-            closed = ops.component(spec, D, form)
-            costar = ops.component(spec, partner, ops.hodge_star(spec, form))
-    except ops.OpaqueDerivativeError as exc:
-        return MembershipResult("Unknown",
-                                reason=f"needs d({exc.symbol}), declared opaque")
-    for witness, label in ((closed, f"{D}(form) != 0"),
-                           (costar, f"{partner}(*form) != 0")):
+    labels = (f"{D}(form) != 0", f"{ops.STAR_PARTNERS[D]}(*form) != 0")
+    for label, image in zip(labels, _equation_images(spec, D, form)):
+        try:
+            witness = image()
+        except ops.OpaqueDerivativeError as exc:
+            return MembershipResult(
+                "Unknown", reason=f"needs d({exc.symbol}), declared opaque")
         if not witness.is_zero():
+            # the star of the second equation needs the metric, so a
+            # non-unitary spec refuses a form failing the first one too
+            ops.require_unitary(spec)
             return MembershipResult("NotHarmonic", witness,
                                     _form_nonzeroness(spec, witness), label)
     return MembershipResult("Harmonic")
@@ -392,7 +408,8 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
         for r, block in _decomposition_solver(spec, pq).items():
             beta = apply_blocks(row, (pq[0] - r, pq[1] - r), n, block)
             if not beta.is_zero():
-                components[r] = components.get(r, Form.zero()) + beta
+                components[r] = (components[r] + beta if r in components
+                                 else beta)
     return PrimitiveDecomposition(form, components)
 
 

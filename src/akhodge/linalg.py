@@ -353,6 +353,7 @@ class Matrix:
         # pivot column -> primitive row, zero before it and at every other
         # pivot column; the denominators only scale rows, so are dropped
         basis: dict[int, SparseRow] = {}
+        stored: set[int] = set()  # every column a basis row ever held
         for _, row in self.sparse:
             # basis rows add entries at non-pivot columns only: one pass
             for c in [c for c in row if c in basis]:
@@ -360,9 +361,11 @@ class Matrix:
             if row:
                 row = _primitive(row)
                 c0 = min(row)
-                for c, held in basis.items():
-                    if c0 in held:
-                        basis[c] = _reduce(held, c0, row)
+                if c0 in stored:
+                    for c, held in basis.items():
+                        if c0 in held:
+                            basis[c] = _reduce(held, c0, row)
+                stored.update(row)
                 basis[c0] = row
         pivots = sorted(basis)
         out = []

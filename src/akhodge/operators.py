@@ -187,6 +187,8 @@ def ext_d(spec, form: Form) -> Form:
     """Exterior derivative: structure equations on generators, declared
     derivatives on coefficients, extended by the Leibniz rule."""
     total = Form.zero()
+    # in term order, not items(): the first OpaqueDerivativeError names the
+    # symbol of the first term that needs one, and Unknown reasons show it
     for mono, coeff in form.terms():
         dm = _d_monomial(spec, mono)
         if dm:
@@ -256,7 +258,7 @@ def _star_monomial(spec, mono: BasisMonomial) -> tuple:
 def hodge_star(spec, form: Form) -> Form:
     """C-linear Hodge star of the unitary metric; (p,q) -> (n-q,n-p)."""
     # distinct monomials have distinct targets
-    return Form({target: coeff * factor for mono, coeff in form.terms()
+    return Form({target: coeff * factor for mono, coeff in form.items()
                  for factor, target in [_star_monomial(spec, mono)]})
 
 

@@ -338,13 +338,21 @@ def full_degree_oracle(spec, op: str, k: int) -> Matrix:
 
 
 def pointwise_membership(spec, D: str, form: Form) -> hodge.MembershipResult:
-    """harmonic_membership by the pointwise route: D alpha, then
-    partner(*alpha), the first nonzero one the witness."""
+    """harmonic_membership by the eager pointwise route: D alpha (Unknown
+    when it needs an opaque derivative), then the unitary metric for a
+    nonzero form (NotUnitaryModeError), then partner(*alpha); the first
+    nonzero one is the witness."""
     partner = ops.STAR_PARTNERS[D]
-    for witness, label in (
-            (ops.component(spec, D, form), f"{D}(form) != 0"),
-            (ops.component(spec, partner, ops.hodge_star(spec, form)),
-             f"{partner}(*form) != 0")):
+    try:
+        closed = ops.component(spec, D, form)
+    except ops.OpaqueDerivativeError as exc:
+        return hodge.MembershipResult(
+            "Unknown", reason=f"needs d({exc.symbol}), declared opaque")
+    if not form.is_zero():
+        ops.require_unitary(spec)
+    costar = ops.component(spec, partner, ops.hodge_star(spec, form))
+    for witness, label in ((closed, f"{D}(form) != 0"),
+                           (costar, f"{partner}(*form) != 0")):
         if not witness.is_zero():
             return hodge.MembershipResult(
                 "NotHarmonic", witness,

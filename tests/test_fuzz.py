@@ -3,7 +3,9 @@ result or a SpecError (exit 2 from the CLI), and generated valid specs
 round-trip through render_spec; of the "d" block and the full-degree d,
 whose columns agree with the Leibniz-rule oracle on generated
 constant-coefficient specs; and of harmonic membership: the cached block
-route agrees with the pointwise one on random constant forms."""
+route agrees with the pointwise one on random constant forms, and on every
+catalog entry, with constant and symbolic forms, the engine's short-circuit
+agrees with both equations taken eagerly."""
 
 import contextlib
 import io
@@ -200,6 +202,44 @@ def test_membership_block_route_matches_the_pointwise_route(case):
     spec, D, form = case
     assert hodge.harmonic_membership(spec, D, form) == \
         pointwise_membership(spec, D, form)
+
+
+@st.composite
+def _forms(draw, spec):
+    """A form of `_constant_forms`, or one whose coefficients may each carry
+    up to two powers of the spec's symbols."""
+    form = draw(_constant_forms(spec.n))
+    names = sorted(spec.symbols)
+    if not names or draw(st.booleans()):
+        return form
+    factors = st.one_of(st.just(SymScalar.one()),
+                        st.builds(SymScalar.symbol, st.sampled_from(names),
+                                  st.sampled_from((1, 2))))
+    return Form({m: c * draw(factors) * draw(factors)
+                 for m, c in form.terms()})
+
+
+@st.composite
+def _catalog_membership_cases(draw):
+    spec = catalog.get(draw(st.sampled_from(sorted(catalog.keys())))).spec
+    return spec, draw(st.sampled_from(("del", "delbar"))), draw(_forms(spec))
+
+
+def _outcome(membership, spec, D, form):
+    try:
+        return membership(spec, D, form)
+    except ops.NotUnitaryModeError as exc:
+        return f"NotUnitaryModeError: {exc}"
+
+
+@given(_catalog_membership_cases())
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_the_eager_route_on_every_catalog_entry(case):
+    # the engine stops at the first failing equation; the eager oracle
+    # computes both, so Unknown reasons, witnesses and the refusal of
+    # non-unitary specs must come out the same either way
+    assert _outcome(hodge.harmonic_membership, *case) == \
+        _outcome(pointwise_membership, *case)
 
 
 # -- the "d" block ------------------------------------------------------------

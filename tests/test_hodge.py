@@ -119,6 +119,57 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
     assert "W" in result.reason
 
 
+def test_membership_names_the_first_opaque_symbol_in_term_order(entries):
+    # ext_d reads terms by (I, J): phi{1,} before phi{2,}, whatever order
+    # the form was written in
+    spec = entries["torus6_g"].spec
+    result = hodge.harmonic_membership(
+        spec, "delbar", F("V3g*phi{2,} + V3g_bar*phi{1,}", spec))
+    assert (result.status, result.reason) == (
+        "Unknown", "needs d(V3g_bar), declared opaque")
+
+
+class _Unread:
+    """A block that fails the test when anything reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"E.{name} read after A alpha != 0")
+
+
+def test_membership_failing_A_never_reads_E(entries, monkeypatch):
+    spec = entries["kt4"].spec
+    form = F("phi{2,}", spec)
+    A, _ = hodge.harmonic_equations(spec, "del", (1, 0))
+    assert not A.apply(hodge.forms_to_rows([form], (1, 0), spec.n)).is_zero()
+    equations = hodge.harmonic_equations
+    monkeypatch.setattr(hodge, "harmonic_equations",
+                        lambda *args: (equations(*args)[0], _Unread()))
+    result = hodge.harmonic_membership(spec, "del", form)
+    assert (result.status, result.reason) == ("NotHarmonic", "del(form) != 0")
+
+
+def test_membership_failing_D_never_takes_the_star(entries, monkeypatch):
+    def refuse(spec, form):
+        raise AssertionError("hodge_star taken after D alpha != 0")
+
+    spec = entries["torus6_g"].spec
+    monkeypatch.setattr(ops, "hodge_star", refuse)
+    result = hodge.harmonic_membership(spec, "delbar", F("phi{1,2}", spec))
+    assert (result.status, result.reason) == ("NotHarmonic",
+                                              "delbar(form) != 0")
+
+
+def test_membership_failing_D_on_a_non_unitary_spec_still_raises(entries):
+    # the star of the second equation needs the metric, so the first
+    # equation failing does not answer NotHarmonic on torus6_f
+    spec = entries["torus6_f"].spec
+    form = F("phi{1,}", spec)
+    assert not ops.component(spec, "del", form).is_zero()
+    with pytest.raises(ops.NotUnitaryModeError,
+                       match="is not in unitary mode"):
+        hodge.harmonic_membership(spec, "del", form)
+
+
 def test_membership_block_route_matches_pointwise_oracle(cc_entries, ladder,
                                                          monkeypatch):
     # every basis monomial, a seeded form per bidegree, their mixed sum, the
