@@ -49,12 +49,6 @@ def _load_matrix_spec(args) -> ManifoldSpec:
     return spec
 
 
-def _entry_or_none(args):
-    if getattr(args, "entry", None):
-        return catalog.get(args.entry)
-    return None
-
-
 def _parse_pq(text: str, n: int) -> tuple[int, int]:
     try:
         p, q = (int(x) for x in text.split(","))
@@ -125,25 +119,9 @@ def cmd_harmonic(args) -> int:
                "scope": "invariant forms only",
                "dim": space.dim,
                "basis": [f.render() for f in space.forms()]}
-    entry = _entry_or_none(args)
-    if entry is not None:
-        certificates = []
-        for item in entry.expected:
-            if item.get("kind") == "harmonic_span" and \
-                    item.get("op") == args.op and \
-                    tuple(item.get("pq", ())) == pq:
-                gens = [model.parse_form(g, spec.n, spec.symbols)
-                        for g in item["generators"]]
-                cob = hodge.change_of_basis(space, gens)
-                certificates.append({
-                    "id": item.get("id", "reference_basis"),
-                    "generators": item["generators"],
-                    "spans_space": cob is not None and len(cob) == space.dim
-                    and hodge.Subspace.from_forms(spec.n, pq, gens) == space,
-                    "change_of_basis": ([[c.render() for c in row]
-                                         for row in cob]
-                                        if cob is not None else None),
-                })
+    if args.entry:
+        certificates = reports.reference_bases(catalog.get(args.entry),
+                                               args.op, pq)
         if certificates:
             payload["reference_bases"] = certificates
 

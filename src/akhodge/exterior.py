@@ -147,6 +147,16 @@ class Form:
     def zero(cls) -> "Form":
         return _FORM_ZERO
 
+    @staticmethod
+    def sum(forms: Iterable["Form"]) -> "Form":
+        """The sum of forms, collected once; zero forms are skipped, and a
+        single nonzero form is returned as it is."""
+        nonzero = [form for form in forms if form]
+        if len(nonzero) > 1:
+            return Form(collect(chain.from_iterable(
+                form._terms.items() for form in nonzero)))
+        return nonzero[0] if nonzero else _FORM_ZERO
+
     @classmethod
     def monomial(cls, mono: BasisMonomial, coeff=1) -> "Form":
         return cls({mono: _coerce_sym(coeff)})
@@ -315,7 +325,7 @@ def real_to_complex(rform: Mapping[IndexTuple, SymScalar], pairing: Pairing) -> 
     for j, (a_idx, b_idx) in enumerate(pairing, start=1):
         role[a_idx] = (j, False)
         role[b_idx] = (j, True)
-    total = Form()
+    terms = []
     for mono, coeff in rform.items():
         acc = Form({SCALAR_MONOMIAL: coeff})
         for idx in mono:
@@ -325,6 +335,6 @@ def real_to_complex(rform: Mapping[IndexTuple, SymScalar], pairing: Pairing) -> 
             else:
                 factor = (Form.generator(j) + Form.conj_generator(j)) * _HALF
             acc = acc.wedge(factor)
-        total = total + acc
-    return total
+        terms.append(acc)
+    return Form.sum(terms)
 

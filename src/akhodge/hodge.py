@@ -266,11 +266,6 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
     return best
 
 
-def _sum(forms: list[Form]) -> Form:
-    """The sum of forms, with no addition for a single one."""
-    return functools.reduce(Form.__add__, forms) if forms else Form.zero()
-
-
 def _equation_images(spec, D: str, form: Form):
     """[D alpha, partner(*alpha)] as thunks, for `harmonic_membership` to
     call in order.  A constant form on a constant-coefficient spec takes
@@ -288,10 +283,10 @@ def _equation_images(spec, D: str, form: Form):
              harmonic_equations(spec, D, (p, q)))
             for (p, q), comp in form.components().items()]
     # the partner's shift is D's, swapped
-    return [lambda: _sum([apply_blocks(row, (p + s, q + t), n, A)
-                          for p, q, row, (A, _) in rows]),
-            lambda: _sum([apply_blocks(row, (n - q + t, n - p + s), n, E)
-                          for p, q, row, (_, E) in rows])]
+    return [lambda: Form.sum([apply_blocks(row, (p + s, q + t), n, A)
+                              for p, q, row, (A, _) in rows]),
+            lambda: Form.sum([apply_blocks(row, (n - q + t, n - p + s), n, E)
+                              for p, q, row, (_, E) in rows])]
 
 
 def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
@@ -356,13 +351,12 @@ class PrimitiveDecomposition:
     components: dict[int, Form]
 
     def reconstruct(self, spec) -> Form:
-        total = Form.zero()
+        terms = []
         for r, beta in self.components.items():
-            term = beta
             for _ in range(r):
-                term = ops.lefschetz_L(spec, term)
-            total = total + term * Fraction(1, factorial(r))
-        return total
+                beta = ops.lefschetz_L(spec, beta)
+            terms.append(beta * Fraction(1, factorial(r)))
+        return Form.sum(terms)
 
 
 @ops.spec_memo
@@ -507,6 +501,10 @@ def _inapplicable(spec, check_id: str,
         if blocked:
             return VerificationReport(spec.name, check_id, "Inapplicable",
                                       reason)
+    # last: it builds a block, which needs the constant coefficients above
+    if not ops.is_unimodular(spec):
+        return VerificationReport(spec.name, check_id, "Inapplicable",
+                                  "not unimodular")
     return None
 
 

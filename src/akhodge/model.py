@@ -216,7 +216,7 @@ def _parse_form_tokens(tokens: list[_Token], n: int,
                        line: int | str) -> Form:
     if not tokens:
         raise SpecSyntaxError("empty expression", line)
-    total = Form.zero()
+    terms = []
     pos = 0
     while pos < len(tokens):
         sign = 1
@@ -279,8 +279,8 @@ def _parse_form_tokens(tokens: list[_Token], n: int,
                                   line)
         if sign < 0:
             coeff = -coeff
-        total = total + Form.monomial(monomial, coeff)
-    return total
+        terms.append(Form.monomial(monomial, coeff))
+    return Form.sum(terms)
 
 
 def parse_form(text: str, n: int,

@@ -42,9 +42,11 @@ transpose of a cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H
 for A from src to tgt, for A in {mu, del, delbar, mubar} and for Lambda,
 the adjoint of L; d* is the four component adjoints stacked.  At full
 degree the same rule gives
-Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The pointwise
-`ext_d`, `component`, `hodge_star` and `lefschetz_L` serve single forms with
-symbolic coefficients (symbolic specs, `model.validate`, the
+Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The adjoint
+blocks of d and its components, and Delta_d, raise OperatorError on a spec
+that is not unimodular (`is_unimodular`), where they are not -*d*.
+The pointwise `ext_d`, `component`, `hodge_star` and `lefschetz_L` serve
+single forms with symbolic coefficients (symbolic specs, `model.validate`, the
 reconstruction of a decomposition); theorem checks and constant membership
 queries use the blocks.  The pointwise adjoints, Lambda, J, d^c and
 pairing that the blocks are tested against live with the tests' oracles.
@@ -171,42 +173,36 @@ def _laurent_power_rule(mono, coeff: GaussianRational) -> list:
 
 
 def _d_scalar(spec, scalar: SymScalar) -> Form:
-    total = Form.zero()
+    terms = []
     for mono, coeff in scalar.terms():
         for factor, name in _laurent_power_rule(mono, coeff):
             sym = spec.symbols[name]
             if sym.derivative is None:
                 raise OpaqueDerivativeError(name)
-            if sym.derivative.is_zero():
-                continue
-            total = total + sym.derivative * factor
-    return total
+            terms.append(sym.derivative * factor)
+    return Form.sum(terms)
 
 
 def ext_d(spec, form: Form) -> Form:
     """Exterior derivative: structure equations on generators, declared
     derivatives on coefficients, extended by the Leibniz rule."""
-    total = Form.zero()
+    terms = []
     # in term order, not items(): the first OpaqueDerivativeError names the
     # symbol of the first term that needs one, and Unknown reasons show it
     for mono, coeff in form.terms():
         dm = _d_monomial(spec, mono)
         if dm:
-            total = total + dm * coeff
+            terms.append(dm * coeff)
         if not coeff.is_constant():
-            ds = _d_scalar(spec, coeff)
-            if ds:
-                total = total + ds.wedge(Form.monomial(mono))
-    return total
+            terms.append(_d_scalar(spec, coeff).wedge(Form.monomial(mono)))
+    return Form.sum(terms)
 
 
 def component(spec, op: str, form: Form) -> Form:
     """One of the four bidegree components mu, del, delbar, mubar of d."""
     s, t = COMPONENT_SHIFTS[op]
-    out = Form.zero()
-    for pq, comp in form.components().items():
-        out = out + ext_d(spec, comp).project((pq[0] + s, pq[1] + t))
-    return out
+    return Form.sum(ext_d(spec, comp).project((pq[0] + s, pq[1] + t))
+                    for pq, comp in form.components().items())
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +267,23 @@ def norm(spec, k: int) -> Fraction:
     """<m, m> of every monomial m of degree k: (2/c)^k, since
     |phi^j|^2 = 2/c for omega = (i c/2) sum phi^{j jbar}."""
     return (2 / Fraction(require_unitary(spec))) ** k
+
+
+def is_unimodular(spec) -> bool:
+    """Whether d is zero on every invariant (2n-1)-form.  A Lie group with a
+    compact quotient is unimodular (J. Milnor, Adv. Math. 21 (1976), Sec.
+    6), and only then does Stokes' theorem make the metric adjoint of d on
+    invariant forms equal to -*d*."""
+    return full_degree_matrix(spec, 2 * spec.n - 1).is_zero()
+
+
+def require_unimodular(spec) -> None:
+    if not is_unimodular(spec):
+        raise OperatorError(
+            f"spec {spec.name!r} is not unimodular (d of an invariant "
+            f"{2 * spec.n - 1}-form is nonzero): the metric adjoints of d and "
+            "its components differ from -*d* there, and the theorems assume a "
+            "compact quotient")
 
 
 def is_integrable(spec) -> bool:
@@ -413,8 +426,11 @@ def _dc_block(spec, pq: Bidegree) -> Matrix:
 def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
     """The metric adjoint A* of A = _ADJOINT_OF[op] on Lambda^{p,q}.  The
     pairing is (2/c)^k times the identity on k-forms, so with A running
-    from src into (p,q), [A*] = (2/c)^{deg pq - deg src} [A]^H."""
+    from src into (p,q), [A*] = (2/c)^{deg pq - deg src} [A]^H.  The
+    adjoint of a component of d needs a unimodular spec."""
     require_unitary(spec)
+    if op != "Lambda":
+        require_unimodular(spec)
     n = spec.n
     sources = op_targets(op, pq, n)
     if not sources:
@@ -501,7 +517,9 @@ def laplacian_d_full(spec, k: int) -> Matrix:
     """Delta_d = d* d + d d* as an endomorphism of the whole degree-k space:
     [d*] = (2/c) [d]^H by the adjoint rule, so Delta_d = (2/c)(d_k^H d_k +
     d_{k-1} d_{k-1}^H); at k = 0 and k = 2n one factor has no rows or no
-    columns and its product is zero."""
+    columns and its product is zero.  Needs a unitary, unimodular spec."""
+    require_unitary(spec)
+    require_unimodular(spec)
     up = full_degree_matrix(spec, k)
     down = full_degree_matrix(spec, k - 1)
     return (up.conj_transpose() * up

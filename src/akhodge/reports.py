@@ -1,4 +1,6 @@
-"""JSON report assembly and the expected-value runner for catalog entries.
+"""JSON report assembly and the expected-value runner for catalog entries,
+the one reader of their expectation items (`harmonic --entry` takes its
+reference-basis certificates from `reference_bases`).
 
 Every report row carries {spec_name, engine_version, check_id, status} plus
 an optional witness; serialization is deterministic (construction order,
@@ -32,6 +34,28 @@ def base_row(spec_name: str, check_id: str, status: str, **extra) -> dict:
 
 def _parse_in_spec(spec, text: str) -> Form:
     return model.parse_form(text, spec.n, spec.symbols)
+
+
+def _span_certificate(spec, item: dict):
+    """(H, generators, certificate) of a harmonic_span item, H its invariant
+    harmonic space; the certificate says whether the generators span H and
+    gives their coordinates in H's echelon basis (None unless all lie in H)."""
+    pq = tuple(item["pq"])
+    space = hodge.harmonic_space(spec, item["op"], pq)
+    gens = [_parse_in_spec(spec, g) for g in item["generators"]]
+    cob = hodge.change_of_basis(space, gens)
+    return space, gens, {
+        "id": item["id"], "generators": item["generators"],
+        "spans_space": hodge.Subspace.from_forms(spec.n, pq, gens) == space,
+        "change_of_basis": (None if cob is None else
+                            [[c.render() for c in row] for row in cob])}
+
+
+def reference_bases(entry, op: str, pq: tuple[int, int]) -> list[dict]:
+    """The certificates of the entry's harmonic_span items on H^{p,q}_op."""
+    return [_span_certificate(entry.spec, item)[2] for item in entry.expected
+            if item["kind"] == "harmonic_span" and item["op"] == op
+            and tuple(item["pq"]) == pq]
 
 
 def run_expected_item(entry, item: dict) -> dict:
@@ -99,13 +123,12 @@ def run_expected_item(entry, item: dict) -> dict:
         ok = result.status == item["status"]
         if ok and "witness" in item:
             ok = result.witness == _parse_in_spec(spec, item["witness"])
-        row = base_row(spec.name, check_id, "Holds" if ok else "Fails",
-                       detail=f"{item['form']} is {result.status} for "
-                              f"Delta_{item['op']}"
-                              + (f" (witness {result.witness.render()}, "
-                                 f"{result.witness_class.value})"
-                                 if result.witness is not None else ""))
-        return row
+        return base_row(spec.name, check_id, "Holds" if ok else "Fails",
+                        detail=f"{item['form']} is {result.status} for "
+                               f"Delta_{item['op']}"
+                               + (f" (witness {result.witness.render()}, "
+                                  f"{result.witness_class.value})"
+                                  if result.witness is not None else ""))
 
     if kind == "harmonic_dim":
         pq = tuple(item["pq"])
@@ -116,24 +139,18 @@ def run_expected_item(entry, item: dict) -> dict:
                                f"(invariant forms only)")
 
     if kind == "harmonic_span":
-        pq = tuple(item["pq"])
-        space = hodge.harmonic_space(spec, item["op"], pq)
-        gens = [_parse_in_spec(spec, g) for g in item["generators"]]
-        span = hodge.Subspace.from_forms(spec.n, pq, gens)
-        if span == space:
-            cob = hodge.change_of_basis(space, gens)
+        space, gens, certificate = _span_certificate(spec, item)
+        if certificate["spans_space"]:
             return base_row(spec.name, check_id, "Holds",
                             detail="span matches the invariant harmonic space",
-                            change_of_basis=[[c.render() for c in row]
-                                             for row in cob])
+                            change_of_basis=certificate["change_of_basis"])
         status = "Erratum" if "erratum" in item else "Fails"
         missing = [g.render() for g in gens if not space.member(g)]
-        row = base_row(spec.name, check_id, status,
-                       detail=item.get("erratum",
-                                       "span disagrees with harmonic space"),
-                       witness=[f.render() for f in space.forms()],
-                       non_harmonic_generators=missing)
-        return row
+        return base_row(spec.name, check_id, status,
+                        detail=item.get("erratum",
+                                        "span disagrees with harmonic space"),
+                        witness=[f.render() for f in space.forms()],
+                        non_harmonic_generators=missing)
 
     if kind == "check":
         report = hodge.verify(spec, item["check"])
@@ -151,18 +168,13 @@ def run_expected_item(entry, item: dict) -> dict:
 
     if kind == "complexify_match":
         derived = model.complexify(entry.real_presentation)
-        ok = True
-        diffs = []
-        for j in range(1, spec.n + 1):
-            want = spec.structure.get(j, Form.zero())
-            got = derived.get(j, Form.zero())
-            if want != got:
-                ok = False
-                diffs.append(spec.coframe[j - 1])
-        return base_row(spec.name, check_id, "Holds" if ok else "Fails",
-                        detail="complexified real structure equations match "
-                        "the catalog equations" if ok
-                        else f"mismatch on {diffs}")
+        diffs = [spec.coframe[j - 1] for j in range(1, spec.n + 1)
+                 if spec.structure.get(j, Form.zero())
+                 != derived.get(j, Form.zero())]
+        return base_row(spec.name, check_id, "Fails" if diffs else "Holds",
+                        detail=f"mismatch on {diffs}" if diffs
+                        else "complexified real structure equations match "
+                        "the catalog equations")
 
     if kind == "member_sum21":
         form = _parse_in_spec(spec, item["form"])

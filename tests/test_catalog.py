@@ -35,6 +35,11 @@ def test_shipped_akspec_files_match_renderings(entries):
         assert parse_spec(text) == entry.spec, key
 
 
+def test_shipped_akspec_files_are_exactly_the_catalog():
+    assert sorted(path.stem for path in SPEC_DIR.glob("*.akspec")) == \
+        sorted(catalog.keys())
+
+
 def test_real_presentations_rederive_structure(entries):
     from akhodge.model import complexify
     from akhodge.exterior import Form

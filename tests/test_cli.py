@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from akhodge import catalog, model
+from akhodge import catalog, hodge, model, reports
 from akhodge import operators as ops
 from akhodge.cli import main
 
@@ -95,6 +95,25 @@ def test_harmonic_with_certificate(capsys):
     assert bases["paper_basis_21"]["spans_space"] is False
     assert bases["corrected_basis_21"]["spans_space"] is True
     assert bases["corrected_basis_21"]["change_of_basis"] is not None
+
+
+def test_harmonic_certificates_agree_with_the_report_rows(capsys, entries):
+    # each harmonic_span item: `harmonic --entry` and the report row read the
+    # same span test and change of basis
+    items = [(key, item) for key, entry in entries.items()
+             for item in entry.expected if item["kind"] == "harmonic_span"]
+    assert len(items) == 2
+    for key, item in items:
+        code, out, _ = run(capsys, "harmonic", "--entry", key, "--op",
+                           item["op"], "--pq", "{},{}".format(*item["pq"]),
+                           "--json")
+        assert code == 0
+        certificate, = [c for c in json.loads(out)["reference_bases"]
+                        if c["id"] == item["id"]]
+        row = reports.run_expected_item(entries[key], item)
+        assert certificate["spans_space"] == (row["status"] == "Holds")
+        assert certificate["generators"] == item["generators"]
+        assert certificate["change_of_basis"] == row.get("change_of_basis")
 
 
 def test_harmonic_flat(capsys):
@@ -453,6 +472,38 @@ def test_commands_refuse_a_spec_that_validate_rejects(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: d^2(phi1)")
+
+
+# aff(R) x aff(R): Kahler and not unimodular, so it has no compact quotient
+AFF2 = (SPEC_HEAD + "d phi1 = -1/2*phi{1,1}\nd phi2 = -1/2*phi{2,2}\n"
+        + UNITARY_OMEGA)
+
+
+def test_non_unimodular_spec_is_inapplicable_and_refused(capsys, tmp_path):
+    path = tmp_path / "aff2.akspec"
+    path.write_text(AFF2, encoding="utf-8")
+    source = ("--spec", str(path))
+    assert run(capsys, "validate", *source)[0] == 0
+    code, out, err = run(capsys, "verify", *source, "--all", "--json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert [r["check_id"] for r in results] == list(hodge.CHECK_IDS)
+    assert {(r["status"], r["detail"]) for r in results} == {
+        ("Inapplicable", "not unimodular")}
+    # the adjoints of d and its components would not be -*d*
+    for argv in (("table", "--op", "d"), ("table", "--op", "delbar"),
+                 ("harmonic", "--op", "del", "--pq", "1,1"),
+                 ("operators", "--op", "d_star", "--pq", "1,1"),
+                 ("operators", "--op", "Delta_d", "--pq", "2,2")):
+        code, out, err = run(capsys, argv[0], *source, *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: spec 't' is not unimodular"), argv
+    # decompose and Lambda need no adjoint of d
+    code, out, _ = run(capsys, "decompose", *source, "--form", "phi{1,1}",
+                       "--json")
+    assert code == 0 and json.loads(out)["reconstruction_exact"] is True
+    assert run(capsys, "operators", *source, "--op", "Lambda",
+               "--pq", "1,1")[0] == 0
 
 
 def test_adjoint_operators_on_a_non_unitary_spec_exit_2(capsys, tmp_path):

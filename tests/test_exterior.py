@@ -174,6 +174,16 @@ def test_terms_list_in_basis_order():
     assert f.render() == "phi{,1} + phi{1,23} + phi{12,} + phi{2,}"
 
 
+def test_form_sum_collects_once_and_passes_a_single_form_through():
+    a = mono([1], []) + mono([2], [1])
+    b = mono([1], []) * -1
+    assert Form.sum([]) == Form.zero()
+    assert Form.sum([Form.zero(), a, Form.zero()]) is a
+    assert Form.sum([a, b]) == mono([2], [1])
+    assert Form.sum([a, -a]).is_zero()
+    assert Form.sum(iter([a, b, a])) == a + b + a
+
+
 def test_monomial_rendering():
     assert BasisMonomial((1, 3), (2,)).render() == "phi{13,2}"
     assert BasisMonomial((), ()).render() == "phi{,}"

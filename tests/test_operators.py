@@ -15,6 +15,7 @@ from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
+import properties_util as props
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
                      dual_Lambda, full_degree_oracle, inner_product, j_action,
                      leibniz_d, matrix_to_sympy, one_form, real_frame_norms,
@@ -451,28 +452,10 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
 
 
 def test_adjoint_vs_gram_conjugate_transpose(cc_entries):
-    # [D*] = G_src^{-1} [D]^dagger G_tgt for D in {d, mu, del, delbar, mubar},
+    # [D*] = G_src^{-1} [D]^dagger G_tgt for D in {mu, del, delbar, mubar},
     # the Gram matrix on k-forms being norm(k) times the identity
     for entry in cc_entries.values():
-        spec = entry.spec
-        n = spec.n
-        for pq in all_bidegrees(n):
-            src_norm = ops.norm(spec, pq[0] + pq[1])
-            for op in ("mu", "del", "delbar", "mubar"):
-                s, t = ops.COMPONENT_SHIFTS[op]
-                tgt = (pq[0] + s, pq[1] + t)
-                if not (0 <= tgt[0] <= n and 0 <= tgt[1] <= n):
-                    continue
-                D = ops.operator_block(spec, op, pq)
-                D_star = ops.operator_block(spec, op + "_star", tgt)
-                tgt_norm = ops.norm(spec, tgt[0] + tgt[1])
-                lhs = D_star
-                dagger = D.conj_transpose()
-                expect = dense(
-                    [[dagger.data[i][j] * tgt_norm / src_norm
-                      for j in range(D.rows)] for i in range(D.cols)],
-                    D.rows)
-                assert lhs == expect
+        props.adjoint_gram_cases(entry.spec)
 
 
 # -- derived blocks against per-monomial oracles ---------------------------------
@@ -737,6 +720,22 @@ def test_integrability_detector(entries):
         assert ops.is_integrable(spec) == want
 
 
+def test_unimodularity_detector(cc_entries):
+    # d vanishes on (2n-1)-forms on every nilmanifold entry, not on
+    # aff(R) x aff(R), which has no compact quotient
+    assert len(cc_entries) == 5
+    assert all(ops.is_unimodular(entry.spec) for entry in cc_entries.values())
+    aff2 = parse_spec("manifold aff2\ndim 4\ncoframe phi1 phi2\n"
+                      "d phi1 = -1/2*phi{1,1}\nd phi2 = -1/2*phi{2,2}\n"
+                      "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n")
+    assert not ops.is_unimodular(aff2)
+    with pytest.raises(ops.OperatorError, match="not unimodular"):
+        ops.operator_block(aff2, "delbar_star", (1, 1))
+    with pytest.raises(ops.OperatorError, match="not unimodular"):
+        ops.laplacian_d_full(aff2, 2)
+    assert ops.operator_block(aff2, "Lambda", (1, 1)).rows == 1
+
+
 def test_integrability_matches_matrix_vanishing(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
@@ -748,36 +747,11 @@ def test_integrability_matches_matrix_vanishing(cc_entries):
 
 
 def test_laplacian_gram_hermitian_psd(cc_entries):
+    # G . Delta = Delta^dagger . G (hermitian for the pairing), and exact
+    # nonnegativity of <Delta x, x> on random x
     rng = random.Random(71)
-    checked = 0
-    for entry in cc_entries.values():
-        spec = entry.spec
-        n = spec.n
-        for pq in all_bidegrees(n):
-            dim = len(basis_of(pq, n))
-            if dim == 0:
-                continue
-            gram = [ops.norm(spec, sum(pq))] * dim
-            for D in ("mu", "del", "delbar", "mubar"):
-                lap = ops.laplacian_matrix(spec, D, pq)
-                # G . Delta = Delta^dagger . G  (hermitian for the pairing)
-                lhs = dense([[lap.data[i][j] * gram[i] for j in range(dim)]
-                             for i in range(dim)], dim)
-                dag = lap.conj_transpose()
-                rhs = dense([[dag.data[i][j] * gram[j] for j in range(dim)]
-                             for i in range(dim)], dim)
-                assert lhs == rhs
-                # random exact nonnegativity of <Delta x, x>
-                for _ in range(3):
-                    x = [GaussianRational(rng.randint(-2, 2),
-                                          rng.randint(-2, 2))
-                         for _ in range(dim)]
-                    y = lap.apply(dense([x], dim)).data[0]
-                    val = GaussianRational(0)
-                    for g, yi, xi in zip(gram, y, x):
-                        val = val + yi * xi.conj() * g
-                    assert val.im == 0 and val.re >= 0
-                    checked += 1
+    checked = sum(props.laplacian_psd_cases(entry.spec, rng, per_matrix=3)
+                  for entry in cc_entries.values())
     assert checked >= 500
 
 
