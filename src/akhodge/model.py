@@ -12,9 +12,16 @@ The DSL is line-oriented UTF-8 with `#` comments:
     omega = <(1,1)-form expr>
 
 Monomials are written `phi{I,J}` with one digit per index (e.g. `phi{13,2}`
-for phi^13 wedge phibar^2, hence 2n <= 18); coefficients are rationals `a/b`,
-the unit `i`, and symbol factors with optional integer exponents (`E^-1`),
-joined by `*`, with unary `-`.
+for phi^13 wedge phibar^2, hence 2n <= 18).  A form is the text that
+`Form.render` writes, such as `(1/2-i)*phi{1,1} + (F + (1+i)*G^-1)*phi{2,2}`:
+
+    form   := "0" | sum
+    sum    := term (("+" | "-") term)*
+    term   := ("+" | "-")* factor ("*" factor)*
+    factor := a[/b] | "i" | name ["^" [-]k] | "(" sum ")" | phi{I,J}
+
+where a term of the form has one monomial and a term in parentheses, nested
+at most `MAX_NESTING` deep, has none.
 
 The `invertible` flag is informational: `parse_spec` accepts it and
 `render_spec` writes it back, but nothing else reads it, and a negative
@@ -39,10 +46,11 @@ from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymScalar,
-                      collect, decimal_text, join_terms)
+                      collect, decimal_text)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
+MAX_NESTING = 100  # levels of parentheses, each one recursive call
 
 
 class SpecError(Exception):
@@ -154,7 +162,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>\d+(?:/\d+)?)"
     r"|(?P<pow>\^-?\d+)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[+\-*])")
+    r"|(?P<op>[+\-*()])")
 
 
 @dataclass
@@ -211,17 +219,18 @@ def _number(convert: Callable, text: str, line: int | str,
             line, col) from None
 
 
-def _parse_form_tokens(tokens: list[_Token], n: int,
-                       symbols: dict[str, FunctionSymbol],
-                       line: int | str) -> Form:
-    if not tokens:
-        raise SpecSyntaxError("empty expression", line)
+def _parse_terms(tokens: list[_Token], pos: int, n: int,
+                 symbols: dict[str, FunctionSymbol], line: int | str,
+                 groups: tuple[_Token, ...] = ()
+                 ) -> tuple[list[tuple[SymScalar, BasisMonomial | None]], int]:
+    """The signed terms from tokens[pos] on, as (coefficient, monomial)
+    pairs, and the position where they stop: the end of the expression, or
+    the ')' that closes groups[-1], the innermost open '('.  A term of the
+    expression has one monomial; a term in parentheses has none."""
     terms = []
-    pos = 0
-    while pos < len(tokens):
+    while True:
         sign = 1
-        while pos < len(tokens) and tokens[pos].kind == "op" and \
-                tokens[pos].text in "+-":
+        while pos < len(tokens) and tokens[pos].text in ("+", "-"):
             if tokens[pos].text == "-":
                 sign = -sign
             pos += 1
@@ -230,9 +239,13 @@ def _parse_form_tokens(tokens: list[_Token], n: int,
         expect_factor = True
         while pos < len(tokens):
             tok = tokens[pos]
-            if tok.kind == "op" and tok.text in "+-":
+            if tok.text in ("+", "-"):
                 break
-            if tok.kind == "op" and tok.text == "*":
+            if tok.text == ")":
+                if not groups:
+                    raise SpecSyntaxError("unmatched ')'", line, tok.col)
+                break
+            if tok.text == "*":
                 if expect_factor:
                     raise SpecSyntaxError("misplaced '*'", line, tok.col)
                 expect_factor = True
@@ -260,6 +273,16 @@ def _parse_form_tokens(tokens: list[_Token], n: int,
                                        tokens[pos + 1].col)
                     pos += 1
                 coeff = coeff * SymScalar.symbol(tok.text, exponent)
+            elif tok.text == "(":
+                if pos + 1 < len(tokens) and tokens[pos + 1].text == ")":
+                    raise SpecSyntaxError("empty parentheses", line, tok.col)
+                if len(groups) == MAX_NESTING:
+                    raise SpecSyntaxError(
+                        f"parentheses nested deeper than {MAX_NESTING}",
+                        line, tok.col)
+                inner, pos = _parse_terms(tokens, pos + 1, n, symbols, line,
+                                          groups + (tok,))
+                coeff = coeff * sum((c for c, _ in inner), SymScalar.zero())
             elif tok.kind == "mono":
                 if monomial is not None:
                     raise SpecSyntaxError("two monomials in one term",
@@ -272,15 +295,19 @@ def _parse_form_tokens(tokens: list[_Token], n: int,
                                       line, tok.col)
             expect_factor = False
             pos += 1
+        if groups and pos == len(tokens):
+            raise SpecSyntaxError("unclosed '('", line, groups[-1].col)
         if expect_factor:
             raise SpecSyntaxError("dangling operator", line)
-        if monomial is None:
+        if groups and monomial is not None:
+            raise SpecSyntaxError("a basis monomial inside parentheses",
+                                  line, groups[-1].col)
+        if not groups and monomial is None:
             raise SpecSyntaxError("term lacks a basis monomial phi{..,..}",
                                   line)
-        if sign < 0:
-            coeff = -coeff
-        terms.append(Form.monomial(monomial, coeff))
-    return Form.sum(terms)
+        terms.append((-coeff if sign < 0 else coeff, monomial))
+        if pos == len(tokens) or tokens[pos].text == ")":
+            return terms, pos
 
 
 def parse_form(text: str, n: int,
@@ -288,15 +315,21 @@ def parse_form(text: str, n: int,
                line: int | str = "form") -> Form:
     """Parse a form expression in the DSL grammar; errors are located at
     `line` (a spec line number, or a name such as "--form")."""
-    return _parse_form_tokens(_tokenize(text, line), n, symbols or {}, line)
+    return _parse_expr(text, 0, n, symbols or {}, line)
 
 
 def _parse_expr(text: str, col_offset: int, n: int,
-                symbols: dict[str, FunctionSymbol], line_no: int) -> Form:
+                symbols: dict[str, FunctionSymbol], line: int | str) -> Form:
     """parse_form of an expression that starts after column col_offset of
-    spec line line_no, so that errors give columns of the raw line."""
-    return _parse_form_tokens(_tokenize(text, line_no, col_offset), n,
-                              symbols, line_no)
+    its line, so that errors give columns of the raw line."""
+    tokens = _tokenize(text, line, col_offset)
+    if not tokens:
+        raise SpecSyntaxError("empty expression", line)
+    if len(tokens) == 1 and tokens[0].text == "0":
+        return Form.zero()
+    terms, _ = _parse_terms(tokens, 0, n, symbols, line)
+    return Form.sum([Form.monomial(monomial, coeff)
+                     for coeff, monomial in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -482,36 +515,6 @@ def _parse_symbol_line(line: str, line_no: int, lead: int,
 # ---------------------------------------------------------------------------
 # Rendering (canonical, round-trips through parse_spec)
 
-def _coeff_dsl_terms(coeff: SymScalar) -> list[tuple[int, list[str]]]:
-    """Split a scalar into DSL factor lists, one per (monomial, re/im) part."""
-    out = []
-    for mono, value in coeff.terms():
-        syms = [name if k == 1 else f"{name}^{k}" for name, k in mono]
-        for part, is_imag in ((value.re, False), (value.im, True)):
-            if not part:
-                continue
-            sign = 1 if part > 0 else -1
-            factors = []
-            if abs(part) != 1 or (not is_imag and not syms):
-                factors.append(str(abs(part)))
-            if is_imag:
-                factors.append("i")
-            factors.extend(syms)
-            out.append((sign, factors))
-    return out
-
-
-def render_form_dsl(form: Form) -> str:
-    if form.is_zero():
-        raise ValueError("the zero form has no DSL rendering; omit the line")
-    parts = []
-    for mono, coeff in form.terms():
-        for sign, factors in _coeff_dsl_terms(coeff):
-            body = "*".join(factors + [mono.render()])
-            parts.append(body if sign > 0 else "-" + body)
-    return join_terms(parts)
-
-
 def render_spec(spec: ManifoldSpec) -> str:
     lines = [f"manifold {spec.name}", f"dim {2 * spec.n}",
              "coframe " + " ".join(spec.coframe)]
@@ -521,18 +524,14 @@ def render_spec(spec: ManifoldSpec) -> str:
             attrs.append("nonzero")
         if sym.invertible:
             attrs.append("invertible")
-        if sym.derivative is None:
-            attrs.append("d = opaque")
-        elif sym.derivative.is_zero():
-            attrs.append("d = 0*phi{1,}")  # parses back to the zero 1-form
-        else:
-            attrs.append("d = " + render_form_dsl(sym.derivative))
+        attrs.append("d = " + ("opaque" if sym.derivative is None
+                               else sym.derivative.render()))
         lines.append(f"symbol {sym.name} " + " ".join(attrs))
     for j in range(1, spec.n + 1):
         form = spec.structure.get(j)
         if form and not form.is_zero():
-            lines.append(f"d {spec.coframe[j - 1]} = " + render_form_dsl(form))
-    lines.append("omega = " + render_form_dsl(spec.omega))
+            lines.append(f"d {spec.coframe[j - 1]} = " + form.render())
+    lines.append("omega = " + spec.omega.render())
     return "\n".join(lines) + "\n"
 
 

@@ -95,8 +95,7 @@ def run_expected_item(entry, item: dict) -> dict:
     if kind == "component_image":
         form = _parse_in_spec(spec, item["form"])
         image = ops.component(spec, item["op"], form)
-        expected = (Form.zero() if item["equals"] == "0"
-                    else _parse_in_spec(spec, item["equals"]))
+        expected = _parse_in_spec(spec, item["equals"])
         if image != expected:
             return base_row(spec.name, check_id, "Fails",
                             detail=f"{item['op']}({item['form']}) = "

@@ -18,7 +18,6 @@ import pytest
 
 from akhodge import catalog, hodge, operators as ops
 from akhodge.cli import main as cli_main
-from akhodge.exterior import Form
 from akhodge.model import (RealFramePresentation, complexify, parse_form,
                            parse_spec, real_two_form, render_spec)
 from akhodge.scalars import Nonzeroness

@@ -154,6 +154,39 @@ def test_harmonic_bases_at_the_papers_bidegrees(capsys, tmp_path,
     assert digests == golden["sha256"]
 
 
+def test_printed_forms_parse_back_and_print_identically(capsys, cc_entries):
+    # a form that harmonic, verify or decompose prints on a constant catalog
+    # entry is --form text: it parses in the entry's spec to a form that
+    # prints the same
+    grouped = 0
+    for key, entry in cc_entries.items():
+        spec = entry.spec
+        printed = []
+        for op in ("del", "delbar"):
+            for p in sorted({1, spec.n - 1}):
+                code, out, _ = run(capsys, "harmonic", "--entry", key,
+                                   "--op", op, "--pq", f"{p},{p}", "--json")
+                assert code == 0
+                printed += json.loads(out)["basis"]
+        code, out, _ = run(capsys, "verify", "--entry", key, "--all",
+                           "--json")
+        assert code == 0
+        printed += [w for r in json.loads(out)["results"]
+                    for w in r.get("witnesses", [])]
+        inputs = printed + ["phi{1,1} + i*phi{1,1} + 1/2*phi{2,2}"]
+        for form in inputs:
+            code, out, _ = run(capsys, "decompose", "--entry", key,
+                               "--form", form, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            printed += [payload["input"], *payload["components"].values()]
+        for text in printed:
+            assert model.parse_form(text, spec.n, spec.symbols).render() == \
+                text, key
+        grouped += sum("(" in text for text in printed)
+    assert grouped
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--entry", "iwasawa_ak",
                        "--form", "phi{13,2} + phi{23,1} - 2*i*phi{23,2}",
@@ -377,6 +410,7 @@ UNITARY_OMEGA = "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n"
     ("dim 6\n", 4, "duplicate dim line"),
     ("coframe phi3 phi4\n", 4, "duplicate coframe line"),
     (UNITARY_OMEGA, 5, "duplicate omega line"),
+    ("d phi1 = (1+i*phi{2,2}\n", 4, "col 10: unclosed '('"),
 ])
 def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
                                                    line, message):
@@ -448,6 +482,14 @@ def test_decompose_of_a_symbolic_form_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("form,message", [
     ("phi{1,}*phi{2,}", "--form, col 9: two monomials in one term"),
     ("phi{1,}+", "--form: dangling operator"),
+    ("(1/2*phi{1,}", "--form, col 1: unclosed '('"),
+    ("1/2)*phi{1,}", "--form, col 4: unmatched ')'"),
+    ("()*phi{1,}", "--form, col 1: empty parentheses"),
+    ("(phi{1,})*phi{2,}",
+     "--form, col 1: a basis monomial inside parentheses"),
+    pytest.param("(" * 101 + "1" + ")" * 101 + "*phi{1,}",
+                 "--form, col 101: parentheses nested deeper than 100",
+                 id="nested_101_deep"),
 ])
 def test_decompose_malformed_form_is_located_at_the_option(capsys, form,
                                                            message):

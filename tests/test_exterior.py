@@ -8,7 +8,7 @@ from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
 from akhodge.scalars import GaussianRational, I, SymScalar
 
-from oracles import brute_wedge, form_to_letters, sort_sign
+from oracles import brute_wedge, form_to_letters
 
 EMPTY = {}
 

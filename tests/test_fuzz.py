@@ -30,7 +30,7 @@ DSL_WORDS = (
     "^2", "^-0", "#", "phi1", "phi2", "phi3", "F", "G", "E", "0", "1", "2",
     "3", "4", "6", "18", "20", "1/2", "1/0", "-3/4", "phi{1,1}", "phi{12,}",
     "phi{,2}", "phi{21,1}", "phi{,}", "phi{9,9}", "phi{1,2}", "phi{2,1}",
-    "{", "}", ",", "\t", "é", "φ",
+    "{", "}", ",", "(", ")", "(1/2-i)", "\t", "é", "φ",
     # phrases that reach past the first word of a directive
     "symbol F", "symbol G conj", "symbol E real", "d phi1 =", "d phi2 =",
     "omega =", "dim 4", "coframe phi1 phi2", "d = opaque", "d =")

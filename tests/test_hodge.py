@@ -9,12 +9,12 @@ import pytest
 import sympy
 
 from akhodge import catalog, hodge, operators as ops, reports
-from akhodge.exterior import BasisMonomial, Form, basis_of
+from akhodge.exterior import Form, basis_of
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, Nonzeroness, SymScalar
 
 from oracles import (brute_component_matrix, dense, dual_Lambda,
-                     full_subspace, letter_basis, matrix_to_sympy, one_form,
+                     full_subspace, matrix_to_sympy, one_form,
                      pointwise_membership, same_row_space)
 
 

@@ -103,6 +103,15 @@ def test_roundtrip_all_catalog_entries():
         assert parse_spec(render_spec(spec)) == spec
 
 
+def test_render_spec_writes_a_zero_form_as_0():
+    spec = parse_spec("manifold z\ndim 4\ncoframe phi1 phi2\n"
+                      "symbol F real d = 0*phi{1,}\nomega = 0*phi{1,1}\n")
+    rendered = render_spec(spec)
+    assert rendered == ("manifold z\ndim 4\ncoframe phi1 phi2\n"
+                        "symbol F real d = 0\nomega = 0\n")
+    assert parse_spec(rendered) == spec
+
+
 def test_iwasawa_complexify_matches_printed_equations():
     entry = catalog.get("iwasawa_ak")
     derived = complexify(entry.real_presentation)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akhodge.exterior import BasisMonomial, Form
-from akhodge.model import render_form_dsl
+from akhodge.model import parse_form
 from akhodge.scalars import (FunctionSymbol, GaussianRational, I, Nonzeroness,
-                             ONE, SymScalar)
+                             SymScalar)
 
 
 def table_with(*symbols):
@@ -17,6 +17,8 @@ def table_with(*symbols):
 
 T_EX42 = table_with(FunctionSymbol("F", nonzero=True),
                     FunctionSymbol("E", nonzero=True, invertible=True))
+T_EFG = table_with(FunctionSymbol("E"), FunctionSymbol("F"),
+                   FunctionSymbol("G"))
 T_EX45 = table_with(FunctionSymbol("V3g", "V3g_bar", nonzero=True),
                     FunctionSymbol("V3g_bar", "V3g", nonzero=True))
 
@@ -93,20 +95,17 @@ def test_rendering():
             GaussianRational(Fraction(-1, 3), Fraction(1, 4)))})
     assert form.render() == ("(-1/3+1/4*i)*phi{,1} - phi{1,} - 2*i*phi{1,2}"
                              " + phi{2,} - F*phi{2,1}")
-    assert render_form_dsl(form) == (
-        "-1/3*phi{,1} + 1/4*i*phi{,1} - 1*phi{1,} - 2*i*phi{1,2}"
-        " + 1*phi{2,} - F*phi{2,1}")
+    assert parse_form(form.render(), 3, T_EFG) == form
     first_negative = Form({BasisMonomial((1,), (1,)): several})
-    assert render_form_dsl(first_negative) == (
-        "-1/2*phi{1,1} + 3*E^-1*phi{1,1} + 1/2*E*F^2*phi{1,1}"
-        " - i*E*F^2*phi{1,1} - i*E^2*phi{1,1} - F*phi{1,1}")
+    assert parse_form(first_negative.render(), 3, T_EFG) == first_negative
     # a coefficient of several terms keeps its parentheses
     assert first_negative.render() == (
         "(-1/2 + 3*E^-1 + (1/2-i)*E*F^2 - i*E^2 - F)*phi{1,1}")
     f_plus_g = SymScalar.symbol("F") + SymScalar.symbol("G")
-    assert Form({BasisMonomial((1, 2, 3), ()): f_plus_g,
-                 BasisMonomial((1,), ()): -f_plus_g}).render() == \
-        "(-F - G)*phi{1,} + (F + G)*phi{123,}"
+    sum_of_symbols = Form({BasisMonomial((1, 2, 3), ()): f_plus_g,
+                           BasisMonomial((1,), ()): -f_plus_g})
+    assert sum_of_symbols.render() == "(-F - G)*phi{1,} + (F + G)*phi{123,}"
+    assert parse_form(sum_of_symbols.render(), 3, T_EFG) == sum_of_symbols
 
 
 # -- property tests ----------------------------------------------------------
@@ -130,6 +129,22 @@ def scalars(draw):
         mono = tuple((n, e) for n, e in mono if e)
         terms[mono] = draw(gaussian_rationals())
     return SymScalar(terms)
+
+
+@st.composite
+def forms(draw, n=3):
+    """Up to 4 terms of any bidegrees with `scalars()` coefficients, so the
+    text has Q(i) groups, groups of several symbolic terms that nest them,
+    exponents from -2 to 2, and `0`."""
+    indices = st.sets(st.integers(1, n)).map(sorted)
+    monomials = st.builds(BasisMonomial, indices, indices)
+    return Form(draw(st.dictionaries(monomials, scalars(), max_size=4)))
+
+
+@given(forms())
+@settings(max_examples=300)
+def test_parse_form_reads_what_render_prints(form):
+    assert parse_form(form.render(), 3, T_EFG) == form
 
 
 def assert_no_zero_stored(*values):
