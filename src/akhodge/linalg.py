@@ -8,10 +8,12 @@ form is unique, so equal matrices have equal rows and a zero row is
 nonzero entries only; rows are never changed once built, so matrices share
 them.  A vector is a matrix row in the same format: `apply` maps each row
 of a matrix through a block, and `entries` reads one row's nonzero values.
-`Matrix(rows, cols, sparse)` is the one constructor and takes stored rows;
-`GaussianRational` values enter only through `from_dicts` and leave through
-`entries` and `data`, a read-only dense view whose rows are built when read
-(for rendering and JSON).
+`Matrix(rows, cols, sparse)` is the one constructor and takes stored rows.
+A row entry is in the number format of `scalars.GaussianRational`, the ints
+(a, b) over a denominator, so `from_dicts` brings a row's values to their
+lcm and `entries` divides each entry by its gcd with the row denominator:
+no rational arithmetic either way.  `data` is a read-only dense view whose
+rows are built when read (for rendering and JSON).
 
 Elimination (`rref`, and through it `nullspace` and `solve_map`) is
 row-incremental Gauss-Jordan on the stored rows: each nonzero row is read
@@ -29,10 +31,9 @@ subspace equality is syntactic whatever order the rows are reduced in.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, from_ints
 
 Vector = list[GaussianRational]
 SparseRow = dict[int, tuple[int, int]]
@@ -45,9 +46,8 @@ def _row_of(items: Iterable[tuple[int, GaussianRational]]) -> Row:
     """The stored row of (column, value) pairs; zero values are dropped.
     Over the lcm of the denominators the row is already in lowest terms."""
     items = [(j, x) for j, x in items if x]
-    den = lcm(*(lcm(x.re.denominator, x.im.denominator) for _, x in items))
-    return den, {j: (x.re.numerator * (den // x.re.denominator),
-                     x.im.numerator * (den // x.im.denominator))
+    den = lcm(*(x.d for _, x in items))
+    return den, {j: (x.a * (den // x.d), x.b * (den // x.d))
                  for j, x in items}
 
 
@@ -195,8 +195,7 @@ class Matrix:
     def entries(self, i: int) -> dict[int, GaussianRational]:
         """Row i as column -> value over its nonzero entries."""
         den, entries = self.sparse[i]
-        return {j: GaussianRational(Fraction(a, den), Fraction(b, den))
-                for j, (a, b) in entries.items()}
+        return {j: from_ints(a, b, den) for j, (a, b) in entries.items()}
 
     @property
     def data(self) -> DenseRows:
@@ -222,10 +221,9 @@ class Matrix:
     def scale(self, factor) -> "Matrix":
         if not isinstance(factor, GaussianRational):
             factor = GaussianRational(factor)
-        fd, entries = _row_of([(0, factor)])
-        if not entries:
+        if not factor:
             return Matrix.zeros(self.rows, self.cols)
-        fr, fi = entries[0]
+        fr, fi, fd = factor.a, factor.b, factor.d
         return Matrix(self.rows, self.cols, [
             _lowest_terms(den * fd, {j: (a * fr - b * fi, a * fi + b * fr)
                                      for j, (a, b) in row.items()})

@@ -46,7 +46,7 @@ from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymScalar,
-                      collect, decimal_text)
+                      collect, decimal_text, from_ints)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
@@ -101,7 +101,8 @@ class ManifoldSpec:
         self.n = n
         self.coframe = tuple(coframe)
         self.symbols = symbols
-        self.structure = dict(structure)
+        # a zero equation is no equation, as `render_spec` writes it
+        self.structure = {j: form for j, form in structure.items() if form}
         self.omega = omega
         self._cache: dict = {}
         self.constant_coefficient = (
@@ -219,6 +220,12 @@ def _number(convert: Callable, text: str, line: int | str,
             line, col) from None
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """The ints (a, b) of a number literal `a` or `a/b`."""
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
+
+
 def _parse_terms(tokens: list[_Token], pos: int, n: int,
                  symbols: dict[str, FunctionSymbol], line: int | str,
                  groups: tuple[_Token, ...] = ()
@@ -226,15 +233,20 @@ def _parse_terms(tokens: list[_Token], pos: int, n: int,
     """The signed terms from tokens[pos] on, as (coefficient, monomial)
     pairs, and the position where they stop: the end of the expression, or
     the ')' that closes groups[-1], the innermost open '('.  A term of the
-    expression has one monomial; a term in parentheses has none."""
+    expression has one monomial; a term in parentheses has none.
+
+    A term's coefficient is built once: its numbers, `i` and sign multiply
+    the Q(i) constant (re + im*i)/den, its symbols add their exponents, and
+    its parenthesized sums multiply that product."""
     terms = []
     while True:
-        sign = 1
+        re, im, den = 1, 0, 1
         while pos < len(tokens) and tokens[pos].text in ("+", "-"):
             if tokens[pos].text == "-":
-                sign = -sign
+                re = -re
             pos += 1
-        coeff = SymScalar.one()
+        exponents: dict[str, int] = {}
+        sums: list[SymScalar] = []
         monomial: BasisMonomial | None = None
         expect_factor = True
         while pos < len(tokens):
@@ -255,14 +267,13 @@ def _parse_terms(tokens: list[_Token], pos: int, n: int,
                 raise SpecSyntaxError(f"missing '*' before {tok.text!r}",
                                       line, tok.col)
             if tok.kind == "number":
-                try:
-                    value = _number(Fraction, tok.text, line, tok.col)
-                except ZeroDivisionError:
+                num, div = _number(_ratio, tok.text, line, tok.col)
+                if not div:
                     raise SpecSyntaxError(f"zero denominator in {tok.text!r}",
-                                          line, tok.col) from None
-                coeff = coeff * SymScalar.const(value)
+                                          line, tok.col)
+                re, im, den = re * num, im * num, den * div
             elif tok.kind == "name" and tok.text == "i":
-                coeff = coeff * SymScalar.const(I)
+                re, im = -im, re
             elif tok.kind == "name":
                 if tok.text not in symbols:
                     raise UnknownSymbolError(f"unknown symbol {tok.text!r}",
@@ -272,7 +283,7 @@ def _parse_terms(tokens: list[_Token], pos: int, n: int,
                     exponent = _number(int, tokens[pos + 1].text[1:], line,
                                        tokens[pos + 1].col)
                     pos += 1
-                coeff = coeff * SymScalar.symbol(tok.text, exponent)
+                exponents[tok.text] = exponents.get(tok.text, 0) + exponent
             elif tok.text == "(":
                 if pos + 1 < len(tokens) and tokens[pos + 1].text == ")":
                     raise SpecSyntaxError("empty parentheses", line, tok.col)
@@ -282,7 +293,7 @@ def _parse_terms(tokens: list[_Token], pos: int, n: int,
                         line, tok.col)
                 inner, pos = _parse_terms(tokens, pos + 1, n, symbols, line,
                                           groups + (tok,))
-                coeff = coeff * sum((c for c, _ in inner), SymScalar.zero())
+                sums.append(sum((c for c, _ in inner), SymScalar.zero()))
             elif tok.kind == "mono":
                 if monomial is not None:
                     raise SpecSyntaxError("two monomials in one term",
@@ -305,7 +316,12 @@ def _parse_terms(tokens: list[_Token], pos: int, n: int,
         if not groups and monomial is None:
             raise SpecSyntaxError("term lacks a basis monomial phi{..,..}",
                                   line)
-        terms.append((-coeff if sign < 0 else coeff, monomial))
+        coeff = SymScalar({tuple(sorted((name, k) for name, k
+                                        in exponents.items() if k)):
+                           from_ints(re, im, den)})
+        for factor in sums:
+            coeff = coeff * factor
+        terms.append((coeff, monomial))
         if pos == len(tokens) or tokens[pos].text == ")":
             return terms, pos
 
@@ -529,7 +545,7 @@ def render_spec(spec: ManifoldSpec) -> str:
         lines.append(f"symbol {sym.name} " + " ".join(attrs))
     for j in range(1, spec.n + 1):
         form = spec.structure.get(j)
-        if form and not form.is_zero():
+        if form:
             lines.append(f"d {spec.coframe[j - 1]} = " + form.render())
     lines.append("omega = " + spec.omega.render())
     return "\n".join(lines) + "\n"

@@ -68,7 +68,8 @@ from .exterior import (BasisMonomial, Bidegree, Form, _below, _bits,
                        _wedge_hits, _wedge_terms, basis_index, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, _lowest_terms
-from .scalars import GaussianRational, I, SymScalar, collect, i_power
+from .scalars import (GaussianRational, I, SymScalar, collect, from_ints,
+                      i_power)
 
 
 class OperatorError(Exception):
@@ -134,10 +135,10 @@ def _two_form_terms(spec, exact: bool) -> tuple[int, dict]:
         forms[j, False] = forms[j, True].conj(spec.symbols)
     coeffs = {key: [(m, c.constant_value() if exact else c)
                     for m, c in form.terms()] for key, form in forms.items()}
-    den = lcm(*(x.denominator for terms in coeffs.values() for _, c in terms
-                for x in (c.re, c.im))) if exact else 1
+    den = lcm(*(c.d for terms in coeffs.values() for _, c in terms)
+              ) if exact else 1
     return den, {key: _wedge_terms(
-        (m, (int(c.re * den), int(c.im * den)) if exact else c)
+        (m, (c.a * (den // c.d), c.b * (den // c.d)) if exact else c)
         for m, c in terms) for key, terms in coeffs.items()}
 
 
@@ -248,7 +249,8 @@ def _star_parts(spec, holo: int, anti: int) -> tuple:
 def _star_monomial(spec, mono: BasisMonomial) -> tuple:
     """(factor, target) with *mono = factor * target."""
     e, num, den, target = _star_parts(spec, *mono)
-    return i_power(e) * Fraction(num, den), target
+    unit = i_power(e)
+    return from_ints(unit.a * num, unit.b * num, den), target
 
 
 def hodge_star(spec, form: Form) -> Form:
@@ -397,7 +399,7 @@ def _star_block(spec, pq: Bidegree) -> Matrix:
         e, num, den, target = _star_parts(spec, *mono)
         unit = i_power(e)
         rows[row_of[target]] = _lowest_terms(
-            den, {col: (unit.re.numerator * num, unit.im.numerator * num)})
+            den, {col: (unit.a * num, unit.b * num)})
     return Matrix(len(rows), len(rows), rows)
 
 

@@ -1,9 +1,15 @@
 """Exact coefficient arithmetic.
 
-Two layers: ``GaussianRational`` is an element of Q(i) with arbitrary-precision
-rational real and imaginary parts, and ``SymScalar`` extends it to Laurent
-polynomials in declared function symbols (so metric factors like e^{-f} stay
-exactly invertible).  No floating point anywhere; every value is immutable.
+Two layers.  ``GaussianRational`` is an element (a + b*i)/d of Q(i), held
+as three arbitrary-precision ints with d > 0 and gcd(a, b, d) = 1.  That
+canonical form is the one number format of the package: a `linalg.Matrix`
+row holds its entries the same way over one row denominator, so values and
+rows convert with integer multiplications and a gcd, and `from_ints` makes
+a value from any such triple.  Arithmetic, equality and hashing run on the
+ints; `re` and `im` read the parts as Fractions, for text and the few cold
+readers.  ``SymScalar`` extends Q(i) to Laurent polynomials in declared
+function symbols (so metric factors like e^{-f} stay exactly invertible).
+No floating point anywhere; every value is immutable.
 
 A spec's declared symbols are a plain dict from name to ``FunctionSymbol``;
 `SymScalar.conj` and `SymScalar.classify` only index it.  The checks on a
@@ -22,6 +28,7 @@ import sys
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # FunctionSymbol.derivative is a degree-1 exterior.Form
@@ -92,69 +99,94 @@ class Nonzeroness(enum.Enum):
 
 
 class GaussianRational:
-    """An exact element a + b*i of Q(i).
+    """An exact element (a + b*i)/d of Q(i), held as the three ints a, b, d
+    with d > 0 and gcd(a, b, d) = 1.
 
-    Fractions keep themselves reduced with positive denominator, so values
-    are always in canonical form.
+    That form is unique, so equality compares the ints, and it is the entry
+    format of a `linalg.Matrix` row, so rows and values convert with no
+    rational arithmetic.  Each operation normalizes its result with one gcd;
+    `-` and `conj` need none.  `re` and `im` give the parts as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _gr(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # over the lcm of two reduced denominators the parts share no factor
+        return _gr(re.numerator * (d // re.denominator),
+                   im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return from_ints(self.a * d2 + other.a * d1,
+                         self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return from_ints(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                         self.d * other.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        return self * other.inverse()
+        return self * _coerce(other).inverse()
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
+        if not norm:
             raise NotInvertible("division by zero in Q(i)")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return from_ints(d * a, -d * b, norm)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a if self.d == 1 else self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -163,20 +195,47 @@ class GaussianRational:
         """Canonical text: `5/4`, `-i`, `1/2*i`, `(1/2-3/4*i)`."""
         if self.is_zero():
             return "0"
-        if not self.im:
-            return decimal_text(self.re)
-        if not self.re:
-            return scaled_name(decimal_text(self.im), "i")
-        im = scaled_name(decimal_text(abs(self.im)), "i")
-        sign = "+" if self.im > 0 else "-"
-        return f"({decimal_text(self.re)}{sign}{im})"
+        re, im = self.re, self.im
+        if not im:
+            return decimal_text(re)
+        if not re:
+            return scaled_name(decimal_text(im), "i")
+        text = scaled_name(decimal_text(abs(im)), "i")
+        sign = "+" if im > 0 else "-"
+        return f"({decimal_text(re)}{sign}{text})"
+
+
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from ints already in canonical form."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def from_ints(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for any ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _gr(a // g, b // g, d // g)
+    return _gr(a, b, d)
 
 
 def _coerce(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, int):
+        return _gr(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _gr(value.numerator, 0, value.denominator)
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(i)")
 
 
@@ -267,10 +326,6 @@ class SymScalar:
     @classmethod
     def zero(cls) -> "SymScalar":
         return _SYM_ZERO
-
-    @classmethod
-    def one(cls) -> "SymScalar":
-        return _SYM_ONE
 
     # -- queries -------------------------------------------------------------
 
@@ -375,4 +430,3 @@ def _coerce_sym(value) -> SymScalar:
 
 
 _SYM_ZERO = SymScalar()
-_SYM_ONE = SymScalar({_CONST: ONE})

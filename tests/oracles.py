@@ -8,6 +8,8 @@ conjugates.
 
 The others check a fast path against the slow route it replaced, and use
 none of the package's block code:
+- Q(i) arithmetic on the int triples of `GaussianRational`, by
+  `PairRational` on two Fractions;
 - the adjoints D* = -*(partner)*, Lambda, J, d^c and the Hermitian pairing
   of single forms, on the package's pointwise `ext_d`, `component`,
   `hodge_star` and `lefschetz_L`;
@@ -59,6 +61,67 @@ def brute_wedge(a: dict, b: dict) -> dict:
             if sign:
                 out[mono] = sympy.expand(out.get(mono, 0) + sign * c1 * c2)
     return {m: c for m, c in out.items() if c != 0}
+
+
+class PairRational:
+    """The reference element re + im*i of Q(i), held as two Fractions (the
+    package's former `GaussianRational`): every operation is the textbook
+    formula on the parts, and Fraction keeps each part reduced."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        other = _pair(other)
+        return PairRational(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        other = _pair(other)
+        return PairRational(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+
+    def __neg__(self):
+        return PairRational(-self.re, -self.im)
+
+    def __truediv__(self, other):
+        return self * _pair(other).inverse()
+
+    def inverse(self):
+        norm = self.re * self.re + self.im * self.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return PairRational(self.re / norm, -self.im / norm)
+
+    def conj(self):
+        return PairRational(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        if isinstance(other, PairRational):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def render(self) -> str:
+        """`5/4`, `-i`, `1/2*i`, `(1/2-3/4*i)`, as the package writes."""
+        def times_i(x):
+            return {1: "i", -1: "-i"}.get(x, f"{x}*i")
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return times_i(self.im)
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{times_i(abs(self.im))})"
+
+
+def _pair(value) -> PairRational:
+    return value if isinstance(value, PairRational) else PairRational(value)
 
 
 def gr_to_sympy(c: GaussianRational):
@@ -180,7 +243,7 @@ def complex_to_real(form: Form, pairing) -> dict:
         factors = [(pairing[j - 1], 1) for j in mono.holo]
         factors += [(pairing[j - 1], -1) for j in mono.anti]
         for (a_idx, b_idx), im in factors:
-            acc = real_wedge(acc, {(a_idx,): SymScalar.one(),
+            acc = real_wedge(acc, {(a_idx,): SymScalar.const(1),
                                    (b_idx,): SymScalar.const(
                                        GaussianRational(0, im))})
         for m, c in acc.items():

@@ -212,7 +212,7 @@ def _forms(draw, spec):
     names = sorted(spec.symbols)
     if not names or draw(st.booleans()):
         return form
-    factors = st.one_of(st.just(SymScalar.one()),
+    factors = st.one_of(st.just(SymScalar.const(1)),
                         st.builds(SymScalar.symbol, st.sampled_from(names),
                                   st.sampled_from((1, 2))))
     return Form({m: c * draw(factors) * draw(factors)

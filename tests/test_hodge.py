@@ -26,6 +26,23 @@ def all_bidegrees(n):
     return [(p, q) for p in range(n + 1) for q in range(n + 1)]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_forms_to_rows_round_trip(n):
+    rng = random.Random(n)
+
+    def value():
+        return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+
+    for pq in all_bidegrees(n):
+        monos = basis_of(pq, n)
+        forms = [Form({m: SymScalar.const(value())
+                       for m in rng.sample(monos, rng.randint(0, len(monos)))})
+                 for _ in range(4)]
+        rows = hodge.forms_to_rows(forms, pq, n)
+        assert hodge.rows_to_forms(rows, pq, n) == forms
+
+
 # -- harmonic spaces ------------------------------------------------------------
 
 def test_iwasawa_21_harmonic_space(entries):

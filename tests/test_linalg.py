@@ -203,6 +203,22 @@ def matrices(draw):
                   for _ in range(rows)], cols)
 
 
+_nonzero = st.builds(
+    GaussianRational,
+    st.one_of(_parts, st.integers(-10 ** 40, 10 ** 40)),
+    st.one_of(_parts, st.fractions(max_denominator=10 ** 20))
+).filter(bool)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 9), _nonzero, max_size=6),
+                max_size=5))
+@settings(max_examples=100)
+def test_from_dicts_entries_round_trip(rows):
+    M = Matrix.from_dicts(rows, 10)
+    assert [M.entries(i) for i in range(M.rows)] == rows
+    assert Matrix(M.rows, 10, M.sparse) == M
+
+
 @given(matrices(), st.randoms(use_true_random=False),
        st.builds(GaussianRational, _parts, _parts), st.integers(0, 5))
 @settings(max_examples=150, deadline=None)

@@ -112,6 +112,21 @@ def test_render_spec_writes_a_zero_form_as_0():
     assert parse_spec(rendered) == spec
 
 
+@pytest.mark.parametrize("equation", ["0", "0*phi{2,2}"])
+def test_zero_structure_equation_is_not_stored(equation):
+    spec = parse_spec(FLAT6.replace("omega =",
+                                    f"d phi1 = {equation}\nomega ="))
+    assert spec.structure == {}
+    assert parse_spec(render_spec(spec)) == spec
+    assert spec == parse_spec(FLAT6)
+
+
+def test_duplicate_of_a_zero_structure_equation_rejected():
+    bad = FLAT6.replace("omega =", "d phi1 = 0\nd phi1 = phi{23,}\nomega =")
+    with pytest.raises(SpecSyntaxError, match="duplicate structure equation"):
+        parse_spec(bad)
+
+
 def test_iwasawa_complexify_matches_printed_equations():
     entry = catalog.get("iwasawa_ak")
     derived = complexify(entry.real_presentation)

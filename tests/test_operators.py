@@ -618,7 +618,7 @@ def test_inner_product_values(cc_entries):
     assert inner_product(flat, Form.zero(), f12).is_zero()
     iw = cc_entries["iwasawa_ak"].spec
     assert inner_product(iw, Form.generator(1), Form.generator(1)) == \
-        SymScalar.one()
+        SymScalar.const(1)
 
 
 def test_inner_product_hermitian_positive(cc_entries):

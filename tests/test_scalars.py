@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from akhodge.exterior import BasisMonomial, Form
 from akhodge.model import parse_form
 from akhodge.scalars import (FunctionSymbol, GaussianRational, I, Nonzeroness,
-                             SymScalar)
+                             NotInvertible, SymScalar, from_ints)
+
+from oracles import PairRational
 
 
 def table_with(*symbols):
@@ -164,6 +167,63 @@ def test_field_axioms_on_constants(a, b, c):
         assert (a / b) * b == a
 
 
+# parts of the oracle comparison: zero, small, negative, reducible (the
+# triple of 2/4 + 6/4*i is (1, 3, 2)) and 60-digit ones
+_BIG = 10 ** 59
+_parts = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(-7 * _BIG, 7 * _BIG),
+              st.integers(1, 9 * _BIG)),
+    st.integers(_BIG, 10 * _BIG - 1).map(lambda k: -k))
+
+
+def assert_matches(value, reference):
+    """value equals the oracle's, and its triple is canonical."""
+    assert (value.re, value.im) == (reference.re, reference.im)
+    assert value.d > 0 and gcd(value.a, value.b, value.d) == 1
+    assert value.render() == reference.render()
+    assert bool(value) is bool(reference)
+
+
+@given(_parts, _parts, _parts, _parts)
+@settings(max_examples=300)
+def test_gaussian_rational_matches_fraction_pairs(a, b, c, e):
+    x, y = GaussianRational(a, b), GaussianRational(c, e)
+    rx, ry = PairRational(a, b), PairRational(c, e)
+    assert_matches(x, rx)
+    assert_matches(x + y, rx + ry)
+    assert_matches(-x, -rx)
+    assert_matches(x * y, rx * ry)
+    assert_matches(x.conj(), rx.conj())
+    for k in (c, e):  # an int or Fraction operand on either side
+        assert_matches(x + k, rx + k)
+        assert_matches(k + x, rx + k)
+        assert_matches(k * x, rx * k)
+    if ry:
+        assert_matches(x / y, rx / ry)
+        assert_matches(y.inverse(), ry.inverse())
+    else:
+        with pytest.raises(NotInvertible):
+            x / y
+    # equality with values of every kind, and hashes of equal values
+    assert (x == y) is (rx == ry)
+    assert (x == c) is (rx == c) and (x == a) is (rx == a)
+    twin = from_ints(x.a * 6, x.b * 6, x.d * 6)
+    assert twin == x and hash(twin) == hash(x)
+    if not b:
+        assert x == a and hash(x) == hash(a)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+       st.integers(1, 10 ** 30))
+def test_from_ints_is_canonical(a, b, d):
+    x = from_ints(a, b, d)
+    assert x == GaussianRational(Fraction(a, d), Fraction(b, d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
 @given(scalars(), scalars(), scalars())
 @settings(max_examples=200)
 def test_ring_axioms_on_symbolic_scalars(a, b, c):
@@ -171,7 +231,7 @@ def test_ring_axioms_on_symbolic_scalars(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
-    assert a * SymScalar.one() == a
+    assert a * SymScalar.const(1) == a
     assert (a + SymScalar.zero()) == a
     assert_no_zero_stored(a + b, a * b, (a + b) * c, a * b - b * a)
     assert a - a == SymScalar.zero()
