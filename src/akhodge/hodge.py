@@ -463,7 +463,7 @@ def change_of_basis(space: Subspace, generators: list[Form]
     generator falls outside the subspace."""
     coords = space.coordinates_of(
         forms_to_rows(generators, space.ambient, space.n))
-    return None if coords is None else list(coords.data)
+    return None if coords is None else coords.data
 
 
 # ---------------------------------------------------------------------------

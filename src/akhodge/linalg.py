@@ -10,10 +10,16 @@ them.  A vector is a matrix row in the same format: `apply` maps each row
 of a matrix through a block, and `entries` reads one row's nonzero values.
 `Matrix(rows, cols, sparse)` is the one constructor and takes stored rows.
 A row entry is in the number format of `scalars.GaussianRational`, the ints
-(a, b) over a denominator, so `from_dicts` brings a row's values to their
-lcm and `entries` divides each entry by its gcd with the row denominator:
-no rational arithmetic either way.  `data` is a read-only dense view whose
-rows are built when read (for rendering and JSON).
+(a, b) over a denominator, so rows are built and read with no rational
+arithmetic.  One rule brings values to a common denominator: `_over_lcm`
+takes (column, den, a, b) entries and returns the row over the lcm of the
+dens, in lowest terms; `from_dicts`, `apply`, the transposes and
+`nullspace` build their rows through it (`__mul__` and sums keep their own
+loops, which add up repeated columns).  One rule divides out a common
+factor: `_lowest_terms`, of which `_primitive` is the den = 0 case.
+`entries` divides each entry by its gcd with the row denominator, and
+`data` returns plain dense lists, built afresh on every read (for rendering
+and JSON).
 
 Elimination (`rref`, and through it `nullspace` and `solve_map`) is
 row-incremental Gauss-Jordan on the stored rows: each nonzero row is read
@@ -30,7 +36,7 @@ subspace equality is syntactic whatever order the rows are reduced in.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from math import gcd, lcm
 
 from .scalars import GaussianRational, ZERO, from_ints
@@ -42,17 +48,10 @@ Row = tuple[int, SparseRow]
 _ZERO_ROW: Row = (1, {})
 
 
-def _row_of(items: Iterable[tuple[int, GaussianRational]]) -> Row:
-    """The stored row of (column, value) pairs; zero values are dropped.
-    Over the lcm of the denominators the row is already in lowest terms."""
-    items = [(j, x) for j, x in items if x]
-    den = lcm(*(x.d for _, x in items))
-    return den, {j: (x.a * (den // x.d), x.b * (den // x.d))
-                 for j, x in items}
-
-
 def _lowest_terms(den: int, row: SparseRow) -> Row:
-    """(den, row) divided by the gcd of den and every part; den > 0."""
+    """(den, row) divided by the gcd of den and every part; den >= 0.  As
+    gcd(0, a, b) = gcd(a, b), den = 0 divides row by the gcd of its parts
+    alone (see `_primitive`)."""
     g = den
     for a, b in row.values():
         g = gcd(g, a, b)
@@ -65,14 +64,19 @@ def _lowest_terms(den: int, row: SparseRow) -> Row:
 
 def _primitive(row: SparseRow) -> SparseRow:
     """row divided by the gcd of all its integer parts."""
-    g = 0
-    for a, b in row.values():
-        g = gcd(g, a, b)
-        if g == 1:
-            return row
-    if g == 0:
-        return row
-    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+    return _lowest_terms(0, row)[1]
+
+
+def _over_lcm(entries: list[tuple[int, int, int, int]]) -> Row:
+    """The stored row of (column, den, a, b) entries, each the nonzero value
+    (a + b i)/den with den > 0: over the lcm of the dens, in lowest terms.
+    No entries give the zero row."""
+    common = lcm(*[den for _, den, _, _ in entries])
+    row = {}
+    for j, den, a, b in entries:
+        m = common // den
+        row[j] = (a * m, b * m)
+    return _lowest_terms(common, row)
 
 
 def _reduce(row: SparseRow, c: int, pivot: SparseRow) -> SparseRow:
@@ -130,33 +134,6 @@ def _add_rows(first: Row, second: Row, sign: int) -> Row:
     return _lowest_terms(den, out)
 
 
-class DenseRows(Sequence):
-    """Read-only dense rows of a Matrix; each row is built when read."""
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: "Matrix"):
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return self._matrix.rows
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        out = [ZERO] * self._matrix.cols
-        for j, x in self._matrix.entries(i).items():
-            out[j] = x
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-
 class Matrix:
     """A rows x cols matrix over Q(i), stored as sparse rows (see the module
     docstring).  Zero-dimensional shapes are legal; they show up as
@@ -188,7 +165,9 @@ class Matrix:
         for row in rows:
             if row and not 0 <= min(row) <= max(row) < cols:
                 raise ValueError(f"a column index outside 0..{cols - 1}")
-        return cls(len(rows), cols, [_row_of(row.items()) for row in rows])
+        return cls(len(rows), cols, [
+            _over_lcm([(j, x.d, x.a, x.b) for j, x in row.items() if x])
+            for row in rows])
 
     # -- reads -----------------------------------------------------------------
 
@@ -198,8 +177,15 @@ class Matrix:
         return {j: from_ints(a, b, den) for j, (a, b) in entries.items()}
 
     @property
-    def data(self) -> DenseRows:
-        return DenseRows(self)
+    def data(self) -> list[Vector]:
+        """Dense rows, built afresh on every read (for rendering and JSON)."""
+        out = []
+        for i in range(self.rows):
+            row = [ZERO] * self.cols
+            for j, x in self.entries(i).items():
+                row[j] = x
+            out.append(row)
+        return out
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -214,9 +200,6 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       [_add_rows(r, s, -1)
                        for r, s in zip(self.sparse, other.sparse)])
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
 
     def scale(self, factor) -> "Matrix":
         if not isinstance(factor, GaussianRational):
@@ -259,10 +242,9 @@ class Matrix:
         """Row i is self times row i of vectors, that is vectors * self^T,
         taken as dot products over the stored rows with no transpose."""
         assert vectors.cols == self.cols, f"{vectors.cols} != {self.cols}"
-        common = lcm(*(den for den, _ in self.sparse))
         out = []
         for vden, vec in vectors.sparse:
-            image = {}
+            hits = []
             for i, (den, row) in enumerate(self.sparse if vec else ()):
                 re = im = 0
                 for j, (a, b) in row.items():
@@ -272,8 +254,8 @@ class Matrix:
                         re += a * c - b * e
                         im += a * e + b * c
                 if re or im:
-                    image[i] = (re * (common // den), im * (common // den))
-            out.append(_lowest_terms(common * vden, image))
+                    hits.append((i, den * vden, re, im))
+            out.append(_over_lcm(hits))
         return Matrix(vectors.rows, self.rows, out)
 
     def _transposed(self, sign: int) -> "Matrix":
@@ -282,13 +264,8 @@ class Matrix:
         for i, (den, row) in enumerate(self.sparse):
             for j, (a, b) in row.items():
                 columns[j].append((i, den, a, sign * b))
-        out = []
-        for column in columns:
-            common = lcm(*(den for _, den, _, _ in column))
-            out.append(_lowest_terms(common, {
-                i: (a * (common // den), b * (common // den))
-                for i, den, a, b in column}))
-        return Matrix(self.cols, self.rows, out)
+        return Matrix(self.cols, self.rows,
+                      [_over_lcm(column) for column in columns])
 
     def conj_transpose(self) -> "Matrix":
         return self._transposed(-1)
@@ -302,21 +279,6 @@ class Matrix:
         assert self.cols == other.cols
         return Matrix(self.rows + other.rows, self.cols,
                       self.sparse + other.sparse)
-
-    def stack_beside(self, other: "Matrix") -> "Matrix":
-        assert self.rows == other.rows
-        shift = self.cols
-        out = []
-        for (d1, e1), (d2, e2) in zip(self.sparse, other.sparse):
-            # over lcm(d1, d2) both halves stay in lowest terms
-            den = lcm(d1, d2)
-            m1 = den // d1
-            m2 = den // d2
-            row = {j: (a * m1, b * m1) for j, (a, b) in e1.items()}
-            for j, (a, b) in e2.items():
-                row[j + shift] = (a * m2, b * m2)
-            out.append((den, row))
-        return Matrix(self.rows, self.cols + other.cols, out)
 
     def row_slice(self, start: int, stop: int) -> "Matrix":
         return Matrix(stop - start, self.cols, self.sparse[start:stop])
@@ -388,27 +350,23 @@ class Matrix:
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        # a reduced row is nonzero off its pivot at free columns only
-        at_free: dict[int, list] = {c: [] for c in free}
+        # a reduced row is nonzero off its pivot at free columns only; each
+        # kernel vector is 1 at its free column and -row at each pivot
+        at_free: dict[int, list] = {c: [(c, 1, 1, 0)] for c in free}
         for (den, row), pc in zip(reduced.sparse, pivots):
             for j, (a, b) in row.items():
                 if j != pc:
-                    at_free[j].append((pc, den, a, b))
-        out = []
-        for fc in free:
-            hits = at_free[fc]
-            common = lcm(*(den for _, den, _, _ in hits))
-            vec = {pc: (-a * (common // den), -b * (common // den))
-                   for pc, den, a, b in hits}
-            vec[fc] = (common, 0)
-            out.append(_lowest_terms(common, vec))
-        return Matrix(len(free), self.cols, out)
+                    at_free[j].append((pc, den, -a, -b))
+        return Matrix(len(free), self.cols,
+                      [_over_lcm(hits) for hits in at_free.values()])
 
     def solve_map(self) -> tuple["Matrix", "Matrix"]:
         """For a full-column-rank matrix M, return (R, K) with R (cols x rows)
         satisfying R @ b = x for every consistent system M x = b, and K whose
         rows test consistency (K @ b = 0 iff b lies in the column space)."""
-        aug = self.stack_beside(Matrix.identity(self.rows))
+        # [M | I] as the transpose of [M^T; I]
+        aug = self.transpose().stack_below(
+            Matrix.identity(self.rows)).transpose()
         reduced, pivots = aug.rref()
         main_pivots = [c for c in pivots if c < self.cols]
         if len(main_pivots) != self.cols:

@@ -1,5 +1,6 @@
 """Manifold specifications: the `.akspec` DSL, real-coframe ingestion, and
-structural validation (d^2 = 0, omega real/closed, unitary-mode detection).
+structural validation (d^2 = 0, omega real/closed/positive, unitary-mode
+detection).
 
 The DSL is line-oriented UTF-8 with `#` comments:
 
@@ -10,6 +11,9 @@ The DSL is line-oriented UTF-8 with `#` comments:
                   [d = <1-form expr> | d = opaque]
     d phi<j> = <sum of coeff * monomial>
     omega = <(1,1)-form expr>
+
+A directive word ends at whitespace or at `=`, so `omega=...` reads as
+`omega = ...`.
 
 Monomials are written `phi{I,J}` with one digit per index (e.g. `phi{13,2}`
 for phi^13 wedge phibar^2, hence 2n <= 18).  A form is the text that
@@ -46,7 +50,7 @@ from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
                        check_pairing, real_to_complex)
 from .scalars import (GaussianRational, I, FunctionSymbol, SymScalar,
-                      collect, decimal_text, from_ints)
+                      ZERO, collect, decimal_text, from_ints)
 
 
 MAX_DIM = 18  # indices in `phi{I,J}` are single digits 1..9
@@ -91,7 +95,9 @@ class ManifoldSpec:
     """An immutable manifold description; flags are computed once.
 
     `unitary_scale` is the positive rational c with
-    omega = (i c / 2) * sum_j phi^{j jbar}, or None.
+    omega = (i c / 2) * sum_j phi^{j jbar}, or None.  `almost_kahler` holds
+    when d(omega) = 0 and, for a constant omega, `omega_positive` (see
+    `_omega_positive`); a symbolic omega is flagged by closedness alone.
     """
 
     def __init__(self, name: str, n: int, coframe: tuple[str, ...],
@@ -109,7 +115,10 @@ class ManifoldSpec:
             omega.is_constant_coefficient()
             and all(f.is_constant_coefficient() for f in structure.values()))
         self.unitary_scale = _detect_unitary_scale(omega, n)
-        self._domega_status, self.almost_kahler = _closedness_of_omega(self)
+        # None for a symbolic omega, whose flag reads closedness alone
+        self.omega_positive = _omega_positive(omega, n)
+        self._domega_status, closed = _closedness_of_omega(self)
+        self.almost_kahler = closed and self.omega_positive is not False
 
     def d_generator(self, j: int) -> Form:
         return self.structure.get(j, Form.zero())
@@ -144,6 +153,29 @@ def _detect_unitary_scale(omega: Form, n: int) -> Fraction | None:
     if c.im != 0 or c.re <= 0:
         return None
     return c.re
+
+
+def _omega_positive(omega: Form, n: int) -> bool | None:
+    """Whether omega = sum c_jk phi^j ^ phibar^k, with constant c, is the
+    fundamental form of a metric: whether H = (-2i c_jk), Hermitian as
+    omega is real, is positive definite, that is whether every pivot of
+    its elimination in order (the D of H = L D L^H) is real and positive.
+    None for a symbolic omega."""
+    if not omega.is_constant_coefficient():
+        return None
+    H = [[ZERO] * n for _ in range(n)]
+    for monomial, coeff in omega.terms():
+        (j,), (k,) = monomial.holo, monomial.anti
+        H[j - 1][k - 1] = coeff.constant_value() * GaussianRational(0, -2)
+    for k in range(n):
+        pivot = H[k][k]
+        if pivot.im or pivot.re <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = -H[i][k] / pivot
+            for j in range(k + 1, n):
+                H[i][j] += factor * H[k][j]
+    return True
 
 
 def _closedness_of_omega(spec: ManifoldSpec) -> tuple[str, bool]:
@@ -368,7 +400,7 @@ def parse_spec(text: str) -> ManifoldSpec:
             continue
         lead = len(raw) - len(raw.lstrip())  # the index of line[0] in raw
         words = line.split()
-        head = words[0]
+        head = re.split(r"[\s=]", line, maxsplit=1)[0]  # "omega=" too
         if head in ("manifold", "dim", "coframe", "omega"):
             if head in first_at:
                 raise SpecSyntaxError(f"duplicate {head} line (first at line "
@@ -643,15 +675,14 @@ def validate(spec: ManifoldSpec) -> ValidationReport:
     else:
         raise InvalidSpecError("omega is not real")
 
+    flag = "almost_kahler = " + str(spec.almost_kahler).lower()
     if spec._domega_status == "closed":
-        items.append(ValidationItem("omega_closed", "Verified",
-                                    "almost_kahler = true"))
+        items.append(ValidationItem("omega_closed", "Verified", flag))
     elif spec._domega_status == "opaque":
-        items.append(ValidationItem("omega_closed", "SkippedOpaque",
-                                    "almost_kahler = false"))
+        items.append(ValidationItem("omega_closed", "SkippedOpaque", flag))
     else:
         items.append(ValidationItem("omega_closed", "Failed",
-                                    "d(omega) != 0; almost_kahler = false"))
+                                    "d(omega) != 0; " + flag))
 
     if spec.unitary_scale is not None:
         items.append(ValidationItem("unitary_mode", "Verified",
@@ -663,4 +694,11 @@ def validate(spec: ManifoldSpec) -> ValidationReport:
     else:
         items.append(ValidationItem("unitary_mode", "Info",
                                     "omega is not of unitary shape"))
+        if spec.omega_positive is not None:
+            items.append(ValidationItem(
+                "omega_positive",
+                "Verified" if spec.omega_positive else "Failed",
+                "H = -2i(c_jk) is "
+                + ("" if spec.omega_positive else "not ")
+                + "positive definite"))
     return ValidationReport(spec.name, items)

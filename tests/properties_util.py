@@ -133,9 +133,9 @@ def adjoint_gram_cases(spec) -> int:
             D = ops.operator_block(spec, op, pq)
             D_star = ops.operator_block(spec, op + "_star", tgt)
             tgt_norm = ops.norm(spec, tgt[0] + tgt[1])
-            dagger = D.conj_transpose()
+            dagger = D.conj_transpose().data
             expected = dense(
-                [[dagger.data[i][j] * tgt_norm / src_norm
+                [[dagger[i][j] * tgt_norm / src_norm
                   for j in range(D.rows)] for i in range(D.cols)], D.rows)
             assert D_star == expected, (spec.name, op, pq)
             cases += D.cols
@@ -152,10 +152,11 @@ def laplacian_psd_cases(spec, rng: random.Random, per_matrix: int) -> int:
         gram = [ops.norm(spec, sum(pq))] * dim
         for D in ("mu", "del", "delbar", "mubar"):
             lap = ops.laplacian_matrix(spec, D, pq)
-            lhs = dense([[lap.data[i][j] * gram[i] for j in range(dim)]
+            lap_rows = lap.data
+            lhs = dense([[lap_rows[i][j] * gram[i] for j in range(dim)]
                          for i in range(dim)], dim)
-            dag = lap.conj_transpose()
-            rhs = dense([[dag.data[i][j] * gram[j] for j in range(dim)]
+            dag = lap.conj_transpose().data
+            rhs = dense([[dag[i][j] * gram[j] for j in range(dim)]
                          for i in range(dim)], dim)
             assert lhs == rhs, (spec.name, D, pq, "gram-hermitian")
             for _ in range(per_matrix):

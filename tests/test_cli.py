@@ -422,6 +422,41 @@ def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
     assert err.startswith(f"error: line {line}") and message in err
 
 
+@pytest.mark.parametrize("omega", [
+    "omega = 0",
+    "omega = 1/2*i*phi{1,1}",  # rank 1
+    "omega = i*phi{1,1} + phi{1,2} - phi{2,1} + 1/2*i*phi{2,2}",  # det -2
+])
+def test_validate_fails_a_closed_omega_that_is_not_positive(capsys, tmp_path,
+                                                            omega):
+    path = tmp_path / "z.akspec"
+    path.write_text("manifold z\ndim 4\ncoframe phi1 phi2\n" + omega + "\n")
+    code, out, _ = run(capsys, "validate", "--spec", str(path), "--json")
+    payload = json.loads(out)
+    items = {i["check_id"]: (i["status"], i["detail"])
+             for i in payload["items"]}
+    assert code == 1 and not payload["ok"]
+    assert payload["flags"]["almost_kahler"] is False
+    assert items["omega_closed"] == ("Verified", "almost_kahler = false")
+    assert items["omega_positive"][0] == "Failed"
+
+
+def test_validate_verifies_a_positive_non_unitary_omega(capsys, tmp_path):
+    path = tmp_path / "z.akspec"
+    path.write_text("manifold z\ndim 4\ncoframe phi1 phi2\nomega = "
+                    "i*phi{1,1} + 1/4*phi{1,2} - 1/4*phi{2,1} + "
+                    "1/2*i*phi{2,2}\n")  # det 7/4
+    code, out, _ = run(capsys, "validate", "--spec", str(path), "--json")
+    payload = json.loads(out)
+    items = {i["check_id"]: (i["status"], i["detail"])
+             for i in payload["items"]}
+    assert code == 0 and payload["ok"]
+    assert payload["flags"]["almost_kahler"] is True
+    assert payload["flags"]["unitary_scale"] is None
+    assert items["omega_closed"] == ("Verified", "almost_kahler = true")
+    assert items["omega_positive"][0] == "Verified"
+
+
 def test_validate_parenthesizes_a_multi_term_coefficient(capsys, tmp_path):
     # d^2(phi1) = (dF + dG) ^ phi{23,} = (G + F) phi{123,}, which must not
     # read as the different form F + G*phi{123,}

@@ -383,16 +383,13 @@ def test_sparse_arithmetic_matches_sympy(density):
             assert matrix_to_sympy(A * C) == expanded(SA * SC)
             assert matrix_to_sympy(A + B) == expanded(SA + SB)
             assert matrix_to_sympy(A - B) == expanded(SA - SB)
-            assert matrix_to_sympy(-A) == -SA
+            assert matrix_to_sympy(A.scale(-1)) == -SA
             assert (A == B) == (SA == SB)
             assert A - A == Matrix.zeros(rows, cols) and (A - A).is_zero()
             assert (A + B).is_zero() == (expanded(SA + SB) == sympy.zeros(rows, cols))
             assert matrix_to_sympy(A.conj_transpose()) == SA.H
             assert matrix_to_sympy(A.transpose()) == SA.T
             assert matrix_to_sympy(A.stack_below(B)) == SA.col_join(SB)
-            D = dense(sparse_rows(rng, rows, inner, density), inner)
-            assert matrix_to_sympy(A.stack_beside(D)) == \
-                SA.row_join(matrix_to_sympy(D))
             factor = GaussianRational(Fraction(rng.randint(-3, 3), 7),
                                       Fraction(rng.randint(-3, 3), 5))
             assert matrix_to_sympy(A.scale(factor)) == \
@@ -428,6 +425,45 @@ def test_apply_matches_sympy(density):
             assert image == X * A.transpose()
 
 
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_nullspace_equals_sympy_basis(density):
+    """Row k of the kernel basis is sympy's k-th nullspace vector: 1 at the
+    k-th free column, 0 at the other free columns."""
+    rng = random.Random(int(density * 10) + 71)
+    for rows, cols in SHAPES + [(3, 6), (6, 9)]:
+        for trial in range(3):
+            a_rows = sparse_rows(rng, rows, cols, density)
+            if trial and rows >= 2:
+                a_rows[-1] = [x + y * GaussianRational(1, -2)
+                              for x, y in zip(a_rows[0], a_rows[1])]
+            A = dense(a_rows, cols)
+            null = A.nullspace()
+            basis = matrix_to_sympy(A).nullspace()
+            assert (null.rows, null.cols) == (len(basis), cols)
+            if basis:
+                assert matrix_to_sympy(null) == \
+                    expanded(sympy.Matrix.hstack(*basis).T)
+
+
+def test_solve_map_matches_exact_solutions_with_mixed_denominators():
+    rng = random.Random(73)
+    checked = 0
+    for rows, cols in [(1, 1), (3, 1), (3, 3), (5, 2), (6, 4), (8, 5)]:
+        for _ in range(4):
+            M = dense(sparse_rows(rng, rows, cols, 0.6), cols)
+            if len(M.rref()[1]) < cols:
+                continue
+            solver, residual = M.solve_map()
+            assert (solver.rows, solver.cols) == (cols, rows)
+            assert residual.cols == rows
+            assert residual.rows == len(residual.rref()[1]) == rows - cols
+            assert (residual * M).is_zero()
+            x = dense(sparse_rows(rng, 2, cols, 0.8), cols)
+            assert solver.apply(M.apply(x)) == x
+            checked += 1
+    assert checked >= 12
+
+
 def test_columns_matches_sympy():
     rng = random.Random(67)
     for rows, cols in SHAPES:
@@ -459,13 +495,14 @@ def test_all_zero_and_diagonal_matrices():
 
 def test_dense_view_is_read_only():
     g = GaussianRational
-    M = dense([[g(1), g(0, 2)], [ZERO, g(Fraction(1, 3))]])
-    with pytest.raises(TypeError):
-        M.data[0] = [ZERO, ZERO]
-    row = M.data[0]
-    row[0] = g(5)
-    assert M.data[0] == [g(1), g(0, 2)]
-    assert M.data[1] == [ZERO, g(Fraction(1, 3))]
+    values = [[g(1), g(0, 2)], [ZERO, g(Fraction(1, 3))]]
+    M = dense(values)
+    rows = M.data
+    rows[0][0] = g(5)
+    rows[1] = [ZERO, ZERO]
+    rows.append([ONE, ONE])
+    assert M == dense(values)
+    assert M.data == values
 
 
 def test_constructors_reject_rows_longer_than_cols():

@@ -69,6 +69,48 @@ def test_non_real_omega_rejected():
         parse_spec(bad)
 
 
+def test_omega_without_a_space_before_equals_parses():
+    assert parse_spec(FLAT6.replace("omega =", "omega=")) == parse_spec(FLAT6)
+    assert parse_spec(FLAT6.replace("omega = ", "omega=")) == parse_spec(FLAT6)
+
+
+def test_omega_with_nothing_after_equals_is_a_located_error():
+    with pytest.raises(SpecSyntaxError, match="line 4: empty expression"):
+        parse_spec(FLAT6.split("omega")[0] + "omega=\n")
+
+
+@pytest.mark.parametrize("omega, positive", [
+    ("1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}", True),
+    ("0", False),
+    ("1/2*i*phi{1,1} + 1/2*i*phi{2,2}", False),  # rank 2 of 3
+    ("-1/2*i*phi{1,1} - 1/2*i*phi{2,2} - 1/2*i*phi{3,3}", False),
+    # H = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: pivots 2, 3/2, 4/3
+    ("i*phi{1,1} + 1/2*i*phi{1,2} + 1/2*i*phi{2,1} + i*phi{2,2}"
+     " + 1/2*i*phi{2,3} + 1/2*i*phi{3,2} + i*phi{3,3}", True),
+    # H = [[1, 2, 0], [2, 1, 0], [0, 0, 1]]: every diagonal entry positive,
+    # det -3
+    ("1/2*i*phi{1,1} + i*phi{1,2} + i*phi{2,1} + 1/2*i*phi{2,2}"
+     " + 1/2*i*phi{3,3}", False),
+])
+def test_almost_kahler_needs_a_positive_constant_omega(omega, positive):
+    spec = parse_spec(FLAT6.split("omega")[0] + f"omega = {omega}\n")
+    assert spec.omega_positive is positive
+    assert spec.almost_kahler is positive
+    statuses = {i.check: i.status for i in validate(spec).items}
+    assert statuses["omega_positive"] == ("Verified" if positive
+                                          else "Failed")
+
+
+def test_symbolic_omega_is_flagged_by_closedness_alone():
+    # a negative symbol value is not checked: positivity needs constants
+    spec = parse_spec(FLAT6.split("omega")[0]
+                      + "symbol F real d = 0\nomega = i*F*phi{1,1} + "
+                      "1/2*i*phi{2,2} + 1/2*i*phi{3,3}\n")
+    assert spec.omega_positive is None
+    assert spec.almost_kahler
+    assert "omega_positive" not in {i.check for i in validate(spec).items}
+
+
 def test_duplicate_structure_equation_rejected():
     bad = FLAT6.replace(
         "omega =", "d phi1 = phi{23,}\nd phi1 = phi{23,}\nomega =")
