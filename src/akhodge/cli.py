@@ -60,6 +60,19 @@ def _parse_pq(text: str, n: int) -> tuple[int, int]:
     return p, q
 
 
+def _flags(spec: ManifoldSpec) -> dict:
+    return {"constant_coefficient": spec.constant_coefficient,
+            "almost_kahler": spec.almost_kahler,
+            "unitary_scale": (decimal_text(spec.unitary_scale)
+                              if spec.unitary_scale is not None else None)}
+
+
+def _strictness(result: dict) -> str:
+    if "strict" not in result:
+        return ""
+    return " (strict)" if result["strict"] else " (equality)"
+
+
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
     if as_json:
         sys.stdout.write(reports.dump_json(payload))
@@ -74,11 +87,7 @@ def cmd_validate(args) -> int:
     spec = _load_spec(args)
     report = model.validate(spec)
     payload = {"engine_version": __version__, **report.to_dict(),
-               "flags": {"constant_coefficient": spec.constant_coefficient,
-                         "almost_kahler": spec.almost_kahler,
-                         "unitary_scale": (decimal_text(spec.unitary_scale)
-                                           if spec.unitary_scale is not None
-                                           else None)}}
+               "flags": _flags(spec)}
 
     def human(p):
         yield f"spec {p['spec_name']}: " + ("OK" if p["ok"] else "FAILED")
@@ -182,10 +191,8 @@ def cmd_verify(args) -> int:
 
     def human(p):
         for r in p["results"]:
-            strict = ""
-            if "strict" in r:
-                strict = " (strict)" if r["strict"] else " (equality)"
-            yield f"{r['check_id']:15s} {r['status']}{strict}  {r['detail']}"
+            yield (f"{r['check_id']:15s} {r['status']}{_strictness(r)}  "
+                   f"{r['detail']}")
             for w in r.get("witnesses", []):
                 yield f"    witness: {w}"
 
@@ -216,12 +223,7 @@ def cmd_catalog(args) -> int:
     rows = []
     for key in catalog.keys():
         entry = catalog.get(key)
-        rows.append({"key": key, "n": entry.spec.n,
-                     "constant_coefficient": entry.spec.constant_coefficient,
-                     "almost_kahler": entry.spec.almost_kahler,
-                     "unitary_scale": (str(entry.spec.unitary_scale)
-                                       if entry.spec.unitary_scale is not None
-                                       else None),
+        rows.append({"key": key, "n": entry.spec.n, **_flags(entry.spec),
                      "provenance": entry.provenance})
     payload = {"engine_version": __version__, "entries": rows}
 
@@ -278,10 +280,7 @@ def cmd_report(args) -> int:
             yield ("   validation: "
                    + ("OK" if section["validation"]["ok"] else "FAILED"))
             for r in section["theorem_checks"]:
-                strict = ""
-                if "strict" in r:
-                    strict = " (strict)" if r["strict"] else " (equality)"
-                yield f"   {r['check_id']:15s} {r['status']}{strict}"
+                yield f"   {r['check_id']:15s} {r['status']}{_strictness(r)}"
             for r in section["expected_results"]:
                 yield f"   {r['check_id']:24s} {r['status']}  {r['detail']}"
                 if r["status"] == "Erratum":

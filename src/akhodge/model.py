@@ -96,8 +96,9 @@ class ManifoldSpec:
 
     `unitary_scale` is the positive rational c with
     omega = (i c / 2) * sum_j phi^{j jbar}, or None.  `almost_kahler` holds
-    when d(omega) = 0 and, for a constant omega, `omega_positive` (see
-    `_omega_positive`); a symbolic omega is flagged by closedness alone.
+    when d(omega) = 0 and `omega_positive` is not False (see `_read_omega`);
+    a symbolic omega whose constant diagonal admits a metric is flagged by
+    closedness alone.
     """
 
     def __init__(self, name: str, n: int, coframe: tuple[str, ...],
@@ -114,9 +115,7 @@ class ManifoldSpec:
         self.constant_coefficient = (
             omega.is_constant_coefficient()
             and all(f.is_constant_coefficient() for f in structure.values()))
-        self.unitary_scale = _detect_unitary_scale(omega, n)
-        # None for a symbolic omega, whose flag reads closedness alone
-        self.omega_positive = _omega_positive(omega, n)
+        self.unitary_scale, self.omega_positive = _read_omega(omega, n)
         self._domega_status, closed = _closedness_of_omega(self)
         self.almost_kahler = closed and self.omega_positive is not False
 
@@ -138,44 +137,38 @@ class ManifoldSpec:
         return f"ManifoldSpec({self.name!r}, n={self.n})"
 
 
-def _detect_unitary_scale(omega: Form, n: int) -> Fraction | None:
-    expected = {BasisMonomial((j,), (j,)) for j in range(1, n + 1)}
-    terms = dict(omega.terms())
-    if set(terms) != expected:
-        return None
-    coeffs = set(terms.values())
-    if len(coeffs) != 1:
-        return None
-    coeff = coeffs.pop()
-    if not coeff.is_constant():
-        return None
-    c = coeff.constant_value() * GaussianRational(0, -2)  # s = i c / 2
-    if c.im != 0 or c.re <= 0:
-        return None
-    return c.re
+def _read_omega(omega: Form, n: int) -> tuple[Fraction | None, bool | None]:
+    """(unitary_scale, omega_positive) of omega = sum c_jk phi^j ^ phibar^k,
+    read from H = (-2i c_jk), Hermitian as omega is real.
 
-
-def _omega_positive(omega: Form, n: int) -> bool | None:
-    """Whether omega = sum c_jk phi^j ^ phibar^k, with constant c, is the
-    fundamental form of a metric: whether H = (-2i c_jk), Hermitian as
-    omega is real, is positive definite, that is whether every pivot of
-    its elimination in order (the D of H = L D L^H) is real and positive.
-    None for a symbolic omega."""
-    if not omega.is_constant_coefficient():
-        return None
+    The scale is c when H = c I with c real and positive.  `omega_positive`
+    is whether H is positive definite, that is whether every pivot of its
+    elimination in order (the D of H = L D L^H) is real and positive.  Such
+    an H has a real, positive diagonal, so a constant diagonal entry that is
+    not gives False even when other entries are symbolic; otherwise a
+    symbolic H gives (None, None)."""
     H = [[ZERO] * n for _ in range(n)]
     for monomial, coeff in omega.terms():
         (j,), (k,) = monomial.holo, monomial.anti
-        H[j - 1][k - 1] = coeff.constant_value() * GaussianRational(0, -2)
+        H[j - 1][k - 1] = (coeff.constant_value() * GaussianRational(0, -2)
+                           if coeff.is_constant() else None)
+    if any(H[k][k] is not None and (H[k][k].im or H[k][k].re <= 0)
+           for k in range(n)):
+        return None, False
+    if any(None in row for row in H):
+        return None, None
+    c = H[0][0]
+    unitary = H == [[c if j == k else ZERO for k in range(n)]
+                    for j in range(n)]
     for k in range(n):
         pivot = H[k][k]
         if pivot.im or pivot.re <= 0:
-            return False
+            return None, False
         for i in range(k + 1, n):
             factor = -H[i][k] / pivot
             for j in range(k + 1, n):
                 H[i][j] += factor * H[k][j]
-    return True
+    return (c.re if unitary else None), True
 
 
 def _closedness_of_omega(spec: ManifoldSpec) -> tuple[str, bool]:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,7 +13,8 @@ from akhodge import catalog, hodge, model, reports
 from akhodge import operators as ops
 from akhodge.cli import main
 
-EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = ROOT / "perfbench" / "expected.json"
 HARMONIC_DIGESTS = (Path(__file__).resolve().parent / "data"
                     / "harmonic_basis_digests.json")
 
@@ -39,9 +42,21 @@ def test_validate_json_deterministic(capsys):
         "SkippedOpaque"
 
 
-def test_validate_spec_file(capsys, tmp_path):
-    code, out, _ = run(capsys, "validate", "--spec", "specs/kt4.akspec")
-    assert code == 0
+def test_validate_spec_file(capsys):
+    # every shipped spec file validates and verifies, and a constant one
+    # decomposes a form exactly
+    paths = sorted((ROOT / "specs").glob("*.akspec"))
+    assert paths
+    for path in paths:
+        source = ("--spec", str(path))
+        code, out, _ = run(capsys, "validate", *source, "--json")
+        assert code == 0, path
+        assert run(capsys, "verify", *source, "--all", "--json")[0] == 0, path
+        if json.loads(out)["flags"]["constant_coefficient"]:
+            code, out, _ = run(capsys, "decompose", *source, "--form",
+                               "phi{1,1} + 2*i*phi{2,1}", "--json")
+            assert code == 0, path
+            assert json.loads(out)["reconstruction_exact"] is True, path
 
 
 def test_validate_malformed_spec_exit_2(capsys, tmp_path):
@@ -156,8 +171,7 @@ def test_harmonic_bases_at_the_papers_bidegrees(capsys, tmp_path,
 
 def test_printed_forms_parse_back_and_print_identically(capsys, cc_entries):
     # a form that harmonic, verify or decompose prints on a constant catalog
-    # entry is --form text: it parses in the entry's spec to a form that
-    # prints the same
+    # entry is --form text: decompose reads it back and prints it the same
     grouped = 0
     for key, entry in cc_entries.items():
         spec = entry.spec
@@ -173,16 +187,17 @@ def test_printed_forms_parse_back_and_print_identically(capsys, cc_entries):
         assert code == 0
         printed += [w for r in json.loads(out)["results"]
                     for w in r.get("witnesses", [])]
-        inputs = printed + ["phi{1,1} + i*phi{1,1} + 1/2*phi{2,2}"]
+        inputs = printed + ["phi{1,1} + i*phi{1,1} + 1/2*phi{2,2}", "0"]
         for form in inputs:
             code, out, _ = run(capsys, "decompose", "--entry", key,
                                "--form", form, "--json")
             assert code == 0
             payload = json.loads(out)
             printed += [payload["input"], *payload["components"].values()]
-        for text in printed:
-            assert model.parse_form(text, spec.n, spec.symbols).render() == \
-                text, key
+        for text in printed:  # `=`: a printed form may start with `-`
+            code, out, _ = run(capsys, "decompose", "--entry", key,
+                               f"--form={text}", "--json")
+            assert code == 0 and json.loads(out)["input"] == text, key
         grouped += sum("(" in text for text in printed)
     assert grouped
 
@@ -195,6 +210,15 @@ def test_decompose(capsys):
     payload = json.loads(out)
     assert payload["reconstruction_exact"] is True
     assert payload["components"]["1"] == "phi{3,}"
+    # reducible literals read as their lowest terms
+    code, out, _ = run(capsys, "decompose", "--entry", "kt4", "--form",
+                       "6/4*phi{1,1} - 10/20*i*phi{2,2}", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["input"] == "3/2*phi{1,1} - 1/2*i*phi{2,2}"
+    assert payload["components"] == {
+        "0": "(3/4+1/4*i)*phi{1,1} + (-3/4-1/4*i)*phi{2,2}",
+        "1": "(-1/2-3/2*i)*phi{,}"}
 
 
 def test_verify_single_check(capsys):
@@ -207,13 +231,20 @@ def test_verify_single_check(capsys):
     assert result["witnesses"] == ["phi{13,3} + i*phi{23,3}"]
 
 
-def test_verify_all_exit_codes(capsys):
+def test_verify_all_exit_codes(capsys, tmp_path, ladder_dsl):
     code, out, _ = run(capsys, "verify", "--entry", "kt4", "--all")
     assert code == 0
     code, out, _ = run(capsys, "verify", "--entry", "torus6_g",
                        "--check", "thm34")
     assert code == 0  # Inapplicable is not a failure
     assert "Inapplicable" in out
+    # the n = 6 ladder, the largest the work bound admits
+    ladder = tmp_path / "ladder_n6.akspec"
+    ladder.write_text(ladder_dsl(6), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--spec", str(ladder), "--all",
+                       "--json")
+    statuses = [r["status"] for r in json.loads(out)["results"]]
+    assert code == 0 and statuses and "Fails" not in statuses
 
 
 def test_table(capsys):
@@ -260,6 +291,26 @@ def test_report_byte_identical(capsys):
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == \
         expected["catalog_report_sha256"]
+
+
+def test_module_runs_as_a_program_outside_the_checkout(tmp_path):
+    # the one run through a process: `python -m akhodge.cli` from another
+    # directory, as the installed console script runs
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def akhodge(*argv):
+        return subprocess.run([sys.executable, "-m", "akhodge.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True)
+
+    done = akhodge("report", "--json")
+    assert done.returncode == 0
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        expected["catalog_report_sha256"]
+    done = akhodge("validate", "--spec", str(tmp_path / "missing.akspec"))
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: ")
+    assert b"Traceback" not in done.stderr
 
 
 def test_report_verbose_logs_one_line_per_entry_on_stderr(capsys,
@@ -426,6 +477,8 @@ def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
     "omega = 0",
     "omega = 1/2*i*phi{1,1}",  # rank 1
     "omega = i*phi{1,1} + phi{1,2} - phi{2,1} + 1/2*i*phi{2,2}",  # det -2
+    # H22 = -1 whatever the value of F
+    "symbol F real d = 0\nomega = 1/2*i*F*phi{1,1} - 1/2*i*phi{2,2}",
 ])
 def test_validate_fails_a_closed_omega_that_is_not_positive(capsys, tmp_path,
                                                             omega):
