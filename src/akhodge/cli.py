@@ -365,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--form" in argv[:-1]:  # a printed form may start with `-`
+        i = argv.index("--form")
+        argv[i:i + 2] = ["--form=" + argv[i + 1]]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

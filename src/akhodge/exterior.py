@@ -16,6 +16,12 @@ real indices, with real monomials stored as ascending index tuples.
 
 Sums of forms and wedges and their signed-term text come from the one
 `scalars` helper: `collect` and `join_terms`.
+
+A form's coefficients are nonzero SymScalars of canonical values: `Form(...)`
+coerces and tests each one, and the private `Form._of(terms)` stores terms
+already so, unchecked.  Only `components` and `project` (terms of a checked
+form), `sum` and `+` (through `collect`, which drops zero sums), unary `-`
+and `hodge.rows_to_forms` call it.
 """
 
 from __future__ import annotations
@@ -148,12 +154,19 @@ class Form:
         return _FORM_ZERO
 
     @staticmethod
+    def _of(terms: dict[BasisMonomial, SymScalar]) -> "Form":
+        """The form of `terms`, unchecked (see the module docstring)."""
+        form = _new(Form)
+        _set_terms(form, terms)
+        return form
+
+    @staticmethod
     def sum(forms: Iterable["Form"]) -> "Form":
         """The sum of forms, collected once; zero forms are skipped, and a
         single nonzero form is returned as it is."""
         nonzero = [form for form in forms if form]
         if len(nonzero) > 1:
-            return Form(collect(chain.from_iterable(
+            return Form._of(collect(chain.from_iterable(
                 form._terms.items() for form in nonzero)))
         return nonzero[0] if nonzero else _FORM_ZERO
 
@@ -204,13 +217,14 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        return Form(collect(chain(self._terms.items(), other._terms.items())))
+        return Form._of(collect(chain(self._terms.items(),
+                                      other._terms.items())))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form({m: -c for m, c in self._terms.items()})
+        return Form._of({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "Form":
         scalar = _coerce_sym(scalar)
@@ -237,13 +251,14 @@ class Form:
         return Form(data)
 
     def project(self, pq: Bidegree) -> "Form":
-        return Form({m: c for m, c in self._terms.items() if m.bidegree == pq})
+        return Form._of({m: c for m, c in self._terms.items()
+                         if m.bidegree == pq})
 
     def components(self) -> dict[Bidegree, "Form"]:
         out: dict[Bidegree, dict] = {}
         for mono, coeff in self._terms.items():
             out.setdefault(mono.bidegree, {})[mono] = coeff
-        return {pq: Form(terms) for pq, terms in sorted(out.items())}
+        return {pq: Form._of(terms) for pq, terms in sorted(out.items())}
 
     # -- equality / rendering ---------------------------------------------------
 
@@ -264,6 +279,8 @@ class Form:
             for mono, coeff in self.terms())
 
 
+_new = object.__new__
+_set_terms = Form._terms.__set__
 _FORM_ZERO = Form()
 
 

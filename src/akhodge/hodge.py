@@ -10,7 +10,11 @@ positive statements it is a consistency verification, not a re-proof.
 A constant (p,q)-form is a row over the basis_of((p, q), n) columns, in the
 sparse format of every `Matrix`; `forms_to_rows` and `rows_to_forms` are the
 only crossing between the two.  Subspace bases, block images and
-coordinates are all matrices of such rows.
+coordinates are all matrices of such rows.  Both hold nonzero values in
+lowest terms, so neither crossing checks them again: `forms_to_rows` takes
+(column, d, a, b) entries through `linalg._over_lcm`, and `rows_to_forms`
+wraps `from_ints` of each entry by the unchecked `SymScalar._of_const` and
+`Form._of` (the only caller of either outside its module).
 
 The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
 `harmonic_equations`, and read by both the cross-check of `harmonic_space`
@@ -50,8 +54,8 @@ from math import factorial
 from . import operators as ops
 from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, Vector
-from .scalars import Nonzeroness, SymScalar
+from .linalg import Matrix, Vector, _over_lcm
+from .scalars import Nonzeroness, SymScalar, from_ints
 
 
 class AmbientMismatchError(ValueError):
@@ -75,20 +79,22 @@ def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
     """One row per constant (p,q)-form, over the basis_of(pq, n) columns."""
     index = basis_index(pq, n)
     try:
-        rows = [{index[mono]: coeff.constant_value()
-                 for mono, coeff in form.items()} for form in forms]
+        rows = [_over_lcm([(index[mono], (x := coeff.constant_value()).d,
+                            x.a, x.b) for mono, coeff in form.items()])
+                for form in forms]
     except KeyError as exc:
         raise AmbientMismatchError(
             f"monomial {exc.args[0]} is not of bidegree {pq}") from None
-    return Matrix.from_dicts(rows, len(index))
+    return Matrix(len(rows), len(index), rows)
 
 
 def rows_to_forms(rows: Matrix, pq: Bidegree, n: int) -> list[Form]:
     """The (p,q)-form of each row."""
     monos = list(basis_index(pq, n))  # the cached basis_of(pq, n)
-    return [Form({monos[j]: SymScalar.const(x)
-                  for j, x in rows.entries(i).items()})
-            for i in range(rows.rows)]
+    const = SymScalar._of_const
+    return [Form._of({monos[j]: const(from_ints(a, b, den))
+                      for j, (a, b) in entries.items()})
+            for den, entries in rows.sparse]
 
 
 def apply_blocks(row: Matrix, target: Bidegree, n: int,
@@ -254,14 +260,18 @@ class MembershipResult:
     reason: str = ""
 
 
+_STRENGTH = {Nonzeroness.ZERO: 0, Nonzeroness.NONZERO_FORMAL: 1,
+             Nonzeroness.NONZERO_DECLARED: 2, Nonzeroness.NONZERO_CONSTANT: 3}
+
+
 def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
-    strength = {Nonzeroness.NONZERO_CONSTANT: 3,
-                Nonzeroness.NONZERO_DECLARED: 2,
-                Nonzeroness.NONZERO_FORMAL: 1, Nonzeroness.ZERO: 0}
+    """The strongest class of its coefficients: the first constant one."""
     best = Nonzeroness.ZERO
     for _, coeff in form.items():
         cls = coeff.classify(spec.symbols)
-        if strength[cls] > strength[best]:
+        if cls is Nonzeroness.NONZERO_CONSTANT:
+            return cls
+        if _STRENGTH[cls] > _STRENGTH[best]:
             best = cls
     return best
 

@@ -13,10 +13,10 @@ A row entry is in the number format of `scalars.GaussianRational`, the ints
 (a, b) over a denominator, so rows are built and read with no rational
 arithmetic.  One rule brings values to a common denominator: `_over_lcm`
 takes (column, den, a, b) entries and returns the row over the lcm of the
-dens, in lowest terms; `from_dicts`, `apply`, the transposes and
-`nullspace` build their rows through it (`__mul__` and sums keep their own
-loops, which add up repeated columns).  One rule divides out a common
-factor: `_lowest_terms`, of which `_primitive` is the den = 0 case.
+dens, in lowest terms; `apply`, the transposes, `nullspace` and
+`hodge.forms_to_rows` build their rows through it (`__mul__` and sums keep
+their own loops, which add up repeated columns).  One rule divides out a
+common factor: `_lowest_terms`, of which `_primitive` is the den = 0 case.
 `entries` divides each entry by its gcd with the row denominator, and
 `data` returns plain dense lists, built afresh on every read (for rendering
 and JSON).
@@ -157,17 +157,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [(1, {i: (1, 0)}) for i in range(n)])
-
-    @classmethod
-    def from_dicts(cls, rows: list[dict[int, GaussianRational]],
-                   cols: int) -> "Matrix":
-        """From each row's entries as column -> value."""
-        for row in rows:
-            if row and not 0 <= min(row) <= max(row) < cols:
-                raise ValueError(f"a column index outside 0..{cols - 1}")
-        return cls(len(rows), cols, [
-            _over_lcm([(j, x.d, x.a, x.b) for j, x in row.items() if x])
-            for row in rows])
 
     # -- reads -----------------------------------------------------------------
 

@@ -327,6 +327,14 @@ class SymScalar:
     def zero(cls) -> "SymScalar":
         return _SYM_ZERO
 
+    @staticmethod
+    def _of_const(value: GaussianRational) -> "SymScalar":
+        """A nonzero canonical value stored unchecked, for the one caller
+        that holds such values, `hodge.rows_to_forms`."""
+        x = _new(SymScalar)
+        _set_sym_terms(x, {_CONST: value})
+        return x
+
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -429,4 +437,5 @@ def _coerce_sym(value) -> SymScalar:
     raise TypeError(f"cannot coerce {type(value).__name__} into a scalar")
 
 
+_set_sym_terms = SymScalar._terms.__set__
 _SYM_ZERO = SymScalar()

@@ -20,9 +20,13 @@ none of the package's block code:
   `Form` algebra, none of its term lists);
 - the degree-k matrices of d and d* taken one monomial at a time;
 - harmonic membership by the pointwise `component` and `hodge_star` instead
-  of the cached blocks.
+  of the cached blocks;
+- the crossing between constant forms and matrix rows, by the checked
+  constructors `Form(...)`, `SymScalar.const` and `from_dicts` instead of
+  the unchecked `Form._of` and `SymScalar._of_const`.
 
-`dense` builds an engine `Matrix` from dense rows, through `from_dicts`.
+`from_dicts` builds an engine `Matrix` from rows given as column -> value
+dicts, and `dense` from dense rows, through it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import sympy
 from sympy import I, Matrix, Rational
 
 from akhodge import hodge, linalg, operators as ops
-from akhodge.exterior import BasisMonomial, Form, basis_of, real_to_complex
+from akhodge.exterior import (BasisMonomial, Form, basis_index, basis_of,
+                              real_to_complex)
 from akhodge.scalars import GaussianRational, SymScalar, i_power
 
 
@@ -205,14 +210,47 @@ def matrix_to_sympy(M) -> Matrix:
                   [gr_to_sympy(a) for row in M.data for a in row])
 
 
+def from_dicts(rows: list[dict], cols: int) -> linalg.Matrix:
+    """The engine matrix of rows given as column -> GaussianRational; zero
+    values are dropped, and a column outside 0..cols-1 raises ValueError."""
+    for row in rows:
+        if row and not 0 <= min(row) <= max(row) < cols:
+            raise ValueError(f"a column index outside 0..{cols - 1}")
+    return linalg.Matrix(len(rows), cols, [
+        linalg._over_lcm([(j, x.d, x.a, x.b) for j, x in row.items() if x])
+        for row in rows])
+
+
 def dense(rows: list, cols: int | None = None) -> linalg.Matrix:
     """The engine matrix of dense GaussianRational rows, each of cols
     entries (by default the first row's length)."""
     if cols is None:
         cols = len(rows[0]) if rows else 0
     assert all(len(row) == cols for row in rows)
-    return linalg.Matrix.from_dicts(
+    return from_dicts(
         [{j: x for j, x in enumerate(row) if x} for row in rows], cols)
+
+
+def checked_forms_to_rows(forms: list[Form], pq, n: int) -> linalg.Matrix:
+    """`hodge.forms_to_rows` through a column -> value dict per form and
+    `from_dicts`."""
+    index = basis_index(pq, n)
+    try:
+        rows = [{index[mono]: coeff.constant_value()
+                 for mono, coeff in form.items()} for form in forms]
+    except KeyError as exc:
+        raise hodge.AmbientMismatchError(
+            f"monomial {exc.args[0]} is not of bidegree {pq}") from None
+    return from_dicts(rows, len(index))
+
+
+def checked_rows_to_forms(rows: linalg.Matrix, pq, n: int) -> list[Form]:
+    """`hodge.rows_to_forms` through `Matrix.entries`, `SymScalar.const`
+    and the public `Form(...)`."""
+    monos = list(basis_index(pq, n))  # the cached basis_of(pq, n)
+    return [Form({monos[j]: SymScalar.const(x)
+                  for j, x in rows.entries(i).items()})
+            for i in range(rows.rows)]
 
 
 def same_row_space(A: Matrix, B: Matrix) -> bool:

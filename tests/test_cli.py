@@ -194,9 +194,9 @@ def test_printed_forms_parse_back_and_print_identically(capsys, cc_entries):
             assert code == 0
             payload = json.loads(out)
             printed += [payload["input"], *payload["components"].values()]
-        for text in printed:  # `=`: a printed form may start with `-`
+        for text in printed:  # a printed form may start with `-`
             code, out, _ = run(capsys, "decompose", "--entry", key,
-                               f"--form={text}", "--json")
+                               "--form", text, "--json")
             assert code == 0 and json.loads(out)["input"] == text, key
         grouped += sum("(" in text for text in printed)
     assert grouped
@@ -219,6 +219,13 @@ def test_decompose(capsys):
     assert payload["components"] == {
         "0": "(3/4+1/4*i)*phi{1,1} + (-3/4-1/4*i)*phi{2,2}",
         "1": "(-1/2-3/2*i)*phi{,}"}
+    # a printed form that starts with `-`, given as the word after --form
+    for entry, text in (("kt4", "-phi{1,1}"),
+                        ("iwasawa_ak", "-1/2*i*phi{1,}")):
+        code, out, _ = run(capsys, "decompose", "--entry", entry, "--form",
+                           text, "--json")
+        assert code == 0
+        assert json.loads(out)["input"] == text
 
 
 def test_verify_single_check(capsys):

@@ -1,14 +1,17 @@
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akhodge import hodge
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
-from akhodge.scalars import GaussianRational, I, SymScalar
+from akhodge.scalars import GaussianRational, I, SymScalar, collect, from_ints
 
-from oracles import brute_wedge, form_to_letters
+from oracles import (brute_wedge, checked_forms_to_rows,
+                     checked_rows_to_forms, form_to_letters, from_dicts)
 
 EMPTY = {}
 
@@ -199,3 +202,135 @@ def test_monomial_rejects_unsorted():
 def test_wedge_monomials_sign_convention():
     assert mono([2], [3]).wedge(mono([3], [1])) == mono([2, 3], [1, 3])
     assert mono([1], []).wedge(mono([1], [])).is_zero()
+
+
+# -- the unchecked constructors against the checked ones ----------------------
+#
+# `Form._of` and `SymScalar._of_const` store their terms as given.  Every form
+# they return must keep the invariant that `Form(...)` enforces, and equal the
+# same form built through the checked constructors.
+
+def assert_canonical(form):
+    """No zero coefficient; each a SymScalar of canonical Q(i) values."""
+    for _, coeff in form.items():
+        assert type(coeff) is SymScalar and coeff
+        for _, x in coeff.terms():
+            assert type(x) is GaussianRational and x
+            assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+_parts = st.one_of(st.integers(-9, 9), st.integers(-10 ** 60, 10 ** 60))
+_dens = st.one_of(st.integers(1, 12), st.integers(1, 10 ** 60))
+# mixed denominators, non-real values, 60-digit parts, and zero
+_values = st.builds(from_ints, _parts, _parts, _dens)
+
+
+@st.composite
+def stored_rows(draw):
+    """(n, pq, matrix) with up to 4 sparse rows over basis_of(pq, n)."""
+    n = draw(st.integers(2, 4))
+    pq = (draw(st.integers(0, n)), draw(st.integers(0, n)))
+    dim = len(basis_of(pq, n))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), _values,
+                                         max_size=6), max_size=4))
+    return n, pq, from_dicts(rows, dim)
+
+
+@given(stored_rows())
+@settings(max_examples=150, deadline=None)
+def test_rows_to_forms_equals_the_checked_conversion(case):
+    n, pq, rows = case
+    forms = hodge.rows_to_forms(rows, pq, n)
+    assert forms == checked_rows_to_forms(rows, pq, n)
+    for form in forms:
+        assert_canonical(form)
+    assert hodge.forms_to_rows(forms, pq, n) == rows
+
+
+@st.composite
+def constant_forms(draw):
+    """(n, pq, forms): up to 3 constant (p,q)-forms through `Form(...)`,
+    from ints, Fractions and values; with `stray`, one more form holds a
+    monomial of another bidegree or a symbolic coefficient."""
+    n = draw(st.integers(2, 4))
+    pq = (draw(st.integers(0, n)), draw(st.integers(0, n)))
+    monos = basis_of(pq, n)
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=9),
+                       _values)
+    forms = [Form({draw(st.sampled_from(monos)): draw(coeffs)
+                   for _ in range(draw(st.integers(0, 4)))})
+             for _ in range(draw(st.integers(0, 3)))]
+    stray = draw(st.sampled_from([None, "bidegree", "symbol"]))
+    if stray == "bidegree":
+        other = (pq[0], (pq[1] + 1) % (n + 1))
+        forms.append(Form({draw(st.sampled_from(basis_of(other, n))): 1}))
+    elif stray == "symbol":
+        forms.append(Form({draw(st.sampled_from(monos)):
+                           SymScalar.symbol("F", draw(st.integers(-2, 2)))}))
+    return n, pq, forms
+
+
+@given(constant_forms())
+@settings(max_examples=100, deadline=None)
+def test_forms_to_rows_equals_the_checked_conversion(case):
+    n, pq, forms = case
+    try:
+        expected = checked_forms_to_rows(forms, pq, n)
+    except ValueError as exc:  # AmbientMismatchError is a ValueError
+        with pytest.raises(type(exc)):
+            hodge.forms_to_rows(forms, pq, n)
+        return
+    rows = hodge.forms_to_rows(forms, pq, n)
+    assert rows == expected
+    assert hodge.rows_to_forms(rows, pq, n) == forms
+
+
+_sym_coeffs = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), I])
+
+
+@st.composite
+def symbolic_forms(draw, n=2):
+    """Up to 4 terms of any bidegree, each coefficient c + f*F + g*G^-1 with
+    small c, f, g, so that sums often cancel."""
+    monos = [m for p in range(n + 1) for q in range(n + 1)
+             for m in basis_of((p, q), n)]
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[draw(st.sampled_from(monos))] = (
+            SymScalar.const(draw(_sym_coeffs))
+            + SymScalar.symbol("F", 1, draw(_sym_coeffs))
+            + SymScalar.symbol("G", -1, draw(_sym_coeffs)))
+    return Form(terms)
+
+
+@given(symbolic_forms(), symbolic_forms(), symbolic_forms())
+@settings(max_examples=100, deadline=None)
+def test_form_operations_equal_their_checked_rebuild(a, b, c):
+    components = a.components()
+    assert components == {pq: Form({m: x for m, x in a.items()
+                                    if m.bidegree == pq})
+                          for pq in a.bidegrees()}
+    pairs = [(a + b, Form(collect(chain(a.items(), b.items())))),
+             (-a, Form({m: -x for m, x in a.items()})),
+             (a - a, Form.zero()),
+             (Form.sum([a, b, c, -a]),
+              Form(collect(chain(b.items(), c.items()))))]
+    for pq in a.bidegrees() + [(3, 0)]:
+        pairs.append((a.project(pq), Form({m: x for m, x in a.items()
+                                           if m.bidegree == pq})))
+    pairs += [(form, Form(dict(form.items())))
+              for form in components.values()]
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got == want == Form(dict(got.items()))
+
+
+def test_form_constructor_checks_each_coefficient():
+    m = BasisMonomial((1,), (2,))
+    assert Form({m: 0}).is_zero()
+    (mono2, two), = Form({m: 2}).items()
+    assert mono2 == m and type(two) is SymScalar
+    assert two == SymScalar.const(2)
+    for bad in ("2", 2.0, None):
+        with pytest.raises(TypeError):
+            Form({m: bad})

@@ -9,7 +9,7 @@ from akhodge import catalog, hodge, model
 from akhodge.linalg import Matrix
 from akhodge.scalars import GaussianRational, ONE, ZERO
 
-from oracles import dense, gr_to_sympy, matrix_to_sympy
+from oracles import dense, from_dicts, gr_to_sympy, matrix_to_sympy
 
 
 def random_matrix(rng, rows, cols, rank_deficient=False):
@@ -214,7 +214,7 @@ _nonzero = st.builds(
                 max_size=5))
 @settings(max_examples=100)
 def test_from_dicts_entries_round_trip(rows):
-    M = Matrix.from_dicts(rows, 10)
+    M = from_dicts(rows, 10)
     assert [M.entries(i) for i in range(M.rows)] == rows
     assert Matrix(M.rows, 10, M.sparse) == M
 
@@ -313,7 +313,7 @@ def tall_sparse_rows(rng, rows, cols):
 def test_rref_matches_sympy_on_tall_sparse_matrices(shape, seed):
     rows, cols = shape
     rng = random.Random(seed * 100 + rows)
-    M = Matrix.from_dicts(tall_sparse_rows(rng, rows, cols), cols)
+    M = from_dicts(tall_sparse_rows(rng, rows, cols), cols)
     assert sum(1 for _, row in M.sparse if not row) > rows // 2
     assert_rref_matches_sympy(M)
 
@@ -333,7 +333,7 @@ def test_rref_of_tall_band_matrices(order):
     rows = []
     for row in band:
         rows += [row, {}, {j: x * g(0, 1) for j, x in row.items()}, {}]
-    M = Matrix.from_dicts(rows, cols)
+    M = from_dicts(rows, cols)
     assert M.rows == 40
     assert_rref_matches_sympy(M)
     assert M.rref()[1] == tuple(range(cols - 2))
@@ -507,7 +507,7 @@ def test_dense_view_is_read_only():
 
 def test_constructors_reject_rows_longer_than_cols():
     with pytest.raises(ValueError):
-        Matrix.from_dicts([{2: GaussianRational(1)}], 2)
+        from_dicts([{2: GaussianRational(1)}], 2)
 
 
 @st.composite

@@ -17,9 +17,9 @@ from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
 import properties_util as props
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
-                     dual_Lambda, full_degree_oracle, inner_product, j_action,
-                     leibniz_d, matrix_to_sympy, one_form, real_frame_norms,
-                     real_frame_star, volume_form)
+                     dual_Lambda, from_dicts, full_degree_oracle,
+                     inner_product, j_action, leibniz_d, matrix_to_sympy,
+                     one_form, real_frame_norms, real_frame_star, volume_form)
 
 
 def F(text, spec):
@@ -233,7 +233,7 @@ def test_star_blocks_match_real_frame_oracle(n, scale):
             factor, target = real_frame_star(spec, mono)
             rows[index[target]][col] = factor
         assert ops.operator_block(spec, "star", (p, q)) == \
-            Matrix.from_dicts(rows, len(index)), (p, q)
+            from_dicts(rows, len(index)), (p, q)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1),
