@@ -55,7 +55,7 @@ from . import operators as ops
 from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, Vector, _over_lcm
-from .scalars import Nonzeroness, SymScalar, from_ints
+from .scalars import Nonzeroness, NotConstantError, SymScalar, from_ints
 
 
 class AmbientMismatchError(ValueError):
@@ -76,7 +76,8 @@ class SolveFailureError(AssertionError):
 # Forms <-> matrix rows
 
 def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
-    """One row per constant (p,q)-form, over the basis_of(pq, n) columns."""
+    """One row per constant (p,q)-form, over the basis_of(pq, n) columns;
+    NotConstantError (a ValueError) on a symbolic coefficient."""
     index = basis_index(pq, n)
     try:
         rows = [_over_lcm([(index[mono], (x := coeff.constant_value()).d,
@@ -281,17 +282,24 @@ def _equation_images(spec, D: str, form: Form):
     call in order.  A constant form on a constant-coefficient spec takes
     the blocks (A, E) of `harmonic_equations` to the row of each pure (p,q)
     component, built once; any other form goes pointwise through
-    `component` and `hodge_star`."""
+    `component` and `hodge_star`.  The rows test each coefficient for
+    constancy once: a symbolic one sends the form pointwise."""
     partner = ops.STAR_PARTNERS[D]
-    if not (spec.constant_coefficient and form.is_constant_coefficient()):
+    n = spec.n
+    rows = None
+    if spec.constant_coefficient:
+        try:
+            rows = [(p, q, forms_to_rows([comp], (p, q), n))
+                    for (p, q), comp in form.components().items()]
+        except NotConstantError:
+            pass
+    if rows is None:
         return [lambda: ops.component(spec, D, form),
                 lambda: ops.component(spec, partner,
                                       ops.hodge_star(spec, form))]
-    n = spec.n
     s, t = ops.COMPONENT_SHIFTS[D]
-    rows = [(p, q, forms_to_rows([comp], (p, q), n),
-             harmonic_equations(spec, D, (p, q)))
-            for (p, q), comp in form.components().items()]
+    rows = [(p, q, row, harmonic_equations(spec, D, (p, q)))
+            for p, q, row in rows]
     # the partner's shift is D's, swapped
     return [lambda: Form.sum([apply_blocks(row, (p + s, q + t), n, A)
                               for p, q, row, (A, _) in rows]),
@@ -390,8 +398,9 @@ def _decomposition_solver(spec, pq: Bidegree) -> dict[int, Matrix]:
         src = (p - r, q - r)
         lift = ops.lefschetz_power_block(spec, src, r)
         m = n - (k - 2 * r)
-        solver[r] = (lift.conj_transpose() * rest).scale(
-            ops.norm(spec, 2 * r) * Fraction(factorial(m - r), factorial(m)))
+        solver[r] = lift.conj_transpose(
+            ops.norm(spec, 2 * r) * Fraction(factorial(m - r), factorial(m))
+        ) * rest
         if not (ops.operator_block(spec, "Lambda", src) * solver[r]).is_zero():
             raise SolveFailureError(
                 f"{spec.name}: component {r} on {pq} is not primitive")

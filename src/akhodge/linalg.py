@@ -37,6 +37,7 @@ subspace equality is syntactic whatever order the rows are reduced in.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import GaussianRational, ZERO, from_ints
@@ -206,6 +207,9 @@ class Matrix:
         right = other.sparse
         out = []
         for den, row in self.sparse:
+            if not row:
+                out.append(_ZERO_ROW)
+                continue
             # bring the right-hand rows this row touches to one denominator
             common = lcm(*(right[k][0] for k in row))
             acc: SparseRow = {}
@@ -247,17 +251,25 @@ class Matrix:
             out.append(_over_lcm(hits))
         return Matrix(vectors.rows, self.rows, out)
 
-    def _transposed(self, sign: int) -> "Matrix":
-        """The transpose, with every imaginary part times sign."""
+    def _transposed(self, sign: int, factor: Fraction | int = 1) -> "Matrix":
+        """The transpose times the rational factor, with every imaginary
+        part times sign, in one pass: each entry (a + b i)/den becomes
+        (a fn + sign b fn i)/(den fd) for factor = fn/fd."""
+        if not factor:
+            return Matrix.zeros(self.cols, self.rows)
+        fn, fd = factor.numerator, factor.denominator
+        bn = sign * fn
         columns: list[list] = [[] for _ in range(self.cols)]
         for i, (den, row) in enumerate(self.sparse):
+            den *= fd
             for j, (a, b) in row.items():
-                columns[j].append((i, den, a, sign * b))
+                columns[j].append((i, den, a * fn, b * bn))
         return Matrix(self.cols, self.rows,
                       [_over_lcm(column) for column in columns])
 
-    def conj_transpose(self) -> "Matrix":
-        return self._transposed(-1)
+    def conj_transpose(self, factor: Fraction | int = 1) -> "Matrix":
+        """factor times the conjugate transpose, for a rational factor."""
+        return self._transposed(-1, factor)
 
     def transpose(self) -> "Matrix":
         return self._transposed(1)

@@ -14,7 +14,8 @@ masks, so that every sign is a popcount parity:
   terms of d(phi^j), d(phibar^j) and omega, memoized per spec, wedged onto
   a monomial.  The blocks take the terms as ints over one spec-wide
   denominator; `ext_d` takes their Q(i) or symbolic coefficients through
-  the same enumeration, `_d_hits`.
+  the same enumeration, `_d_hits`, which skips the closed a_i but counts
+  their positions i.
 - The unitary metric is a product over the n complex lines, so the star
   follows the complement rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k}
   phi^{~J} phibar^{~I} (~ the complement in 1..n): each line contributes
@@ -23,7 +24,9 @@ masks, so that every sign is a popcount parity:
   *1 = e^{ab}, *e^a = e^b, *e^b = -e^a, *e^{ab} = 1), and the sign is a
   parity, from the reorderings between canonical and line order on both
   sides and from *(x ^ y) = (-1)^{deg y (2 - deg x)} *x ^ *y.  The factor
-  is an int fraction (`_star_parts`); no square root of c materializes.
+  is an int fraction (`_star_parts`): c^{n-k} is one int pair per degree
+  (`_star_scale`), taken once per block, and i^a a table entry; no square
+  root of c materializes.
 - The pairing is diagonal on the monomial basis, and it is a scalar on each
   degree: with omega = (i c/2) sum phi^{j jbar}, |phi^j|^2 = 2/c, and the
   pairing is the product one, so <m, m> = (2/c)^k on every k-form monomial
@@ -40,9 +43,9 @@ scaled by +-i, and J is i^{p-q} times the identity.  Since the Gram
 matrix is a scalar per degree, each metric adjoint is a scaled conjugate
 transpose of a cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H
 for A from src to tgt, for A in {mu, del, delbar, mubar} and for Lambda,
-the adjoint of L; d* is the four component adjoints stacked.  At full
-degree the same rule gives
-Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The adjoint
+the adjoint of L, built in one pass by `Matrix.conj_transpose(factor)`;
+d* is the four component adjoints stacked.  At full degree the same rule
+gives Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The adjoint
 blocks of d and its components, and Delta_d, raise OperatorError on a spec
 that is not unimodular (`is_unimodular`), where they are not -*d*.
 The pointwise `ext_d`, `component`, `hodge_star` and `lefschetz_L` serve
@@ -67,7 +70,7 @@ from typing import Callable
 from .exterior import (BasisMonomial, Bidegree, Form, _below, _bits,
                        _wedge_hits, _wedge_terms, basis_index, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, _lowest_terms
+from .linalg import Matrix, _ZERO_ROW, _lowest_terms
 from .scalars import (GaussianRational, I, SymScalar, collect, from_ints,
                       i_power)
 
@@ -144,12 +147,18 @@ def _two_form_terms(spec, exact: bool) -> tuple[int, dict]:
 
 def _d_hits(terms: dict, holo: int, anti: int) -> list:
     """The hits of d(a_0 ^ ... ^ a_{k-1}) = sum_i (-1)^i d(a_i) ^ (m without
-    a_i): each d(a_i) is a 2-form, so moving it to the front costs no sign."""
+    a_i): each d(a_i) is a 2-form, so moving it to the front costs no sign.
+    A closed factor adds no hit, but its position i still counts."""
     out: list = []
-    factors = [((j, True), holo ^ 1 << j, anti) for j in _bits(holo)]
-    factors += [((j, False), holo, anti ^ 1 << j) for j in _bits(anti)]
-    for i, (key, rest_holo, rest_anti) in enumerate(factors):
-        _wedge_hits(terms[key], rest_holo, rest_anti, i, out)
+    i = 0
+    for j in _bits(holo):
+        if dj := terms[j, True]:
+            _wedge_hits(dj, holo ^ 1 << j, anti, i, out)
+        i += 1
+    for j in _bits(anti):
+        if dj := terms[j, False]:
+            _wedge_hits(dj, holo, anti ^ 1 << j, i, out)
+        i += 1
     return out
 
 
@@ -224,12 +233,25 @@ def require_constant_coefficient(spec) -> None:
             "need constant coefficients")
 
 
-def _star_parts(spec, holo: int, anti: int) -> tuple:
-    """(e, num, den, target) with *m = i^e (num/den) target for
-    m = (holo, anti) by the complement rule: a = n + 2|I|, b = |I cap J| -
-    |~I cap ~J|, and the parity counts the pairs of lines l < j with phibar^l
-    before phi^j on either side, plus deg a_l deg a_j (the product rule)."""
-    n, scale = spec.n, require_unitary(spec)
+# i^e as the ints (re, im), e mod 4
+_UNIT_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _star_scale(spec, k: int) -> tuple[int, int]:
+    """c^{n-k} as the ints (num, den), for the star of a k-form; for k > n
+    it is (1/c)^{k-n}."""
+    c, n = require_unitary(spec), spec.n
+    num, den = c.numerator ** abs(n - k), c.denominator ** abs(n - k)
+    return (num, den) if k <= n else (den, num)
+
+
+def _star_parts(n: int, scale: tuple[int, int], holo: int, anti: int
+                ) -> tuple:
+    """(re, im, den, target) with *m = ((re + im i)/den) target for
+    m = (holo, anti) of degree k, scale = `_star_scale(spec, k)`, by the
+    complement rule: a = n + 2|I|, b = |I cap J| - |~I cap ~J|, and the
+    parity counts the pairs of lines l < j with phibar^l before phi^j on
+    either side, plus deg a_l deg a_j (the product rule)."""
     full = (1 << n + 1) - 2
     no_holo, no_anti = full & ~holo, full & ~anti
     k = holo.bit_count() + anti.bit_count()
@@ -237,20 +259,23 @@ def _star_parts(spec, holo: int, anti: int) -> tuple:
     parity = ((anti & _below(holo)).bit_count()
               + (no_holo & _below(no_anti)).bit_count()
               + k * (k - 1) // 2 - both)
-    e = (n + 2 * holo.bit_count() + 2 * parity) % 4
+    ur, ui = _UNIT_POWERS[(n + 2 * holo.bit_count() + 2 * parity) % 4]
     b = both - (no_holo & no_anti).bit_count()
-    c = scale if k <= n else 1 / scale  # c^{n-k} = (1/c)^{k-n}
-    return (e, c.numerator ** abs(n - k) << max(b, 0),
-            c.denominator ** abs(n - k) << max(-b, 0),
-            BasisMonomial.of_masks(no_anti, no_holo))
+    num, den = scale
+    if b > 0:
+        num <<= b
+    elif b < 0:
+        den <<= -b
+    return ur * num, ui * num, den, BasisMonomial.of_masks(no_anti, no_holo)
 
 
 @spec_memo
 def _star_monomial(spec, mono: BasisMonomial) -> tuple:
     """(factor, target) with *mono = factor * target."""
-    e, num, den, target = _star_parts(spec, *mono)
-    unit = i_power(e)
-    return from_ints(unit.a * num, unit.b * num, den), target
+    re, im, den, target = _star_parts(
+        spec.n, _star_scale(spec, mono[0].bit_count() + mono[1].bit_count()),
+        *mono)
+    return from_ints(re, im, den), target
 
 
 def hodge_star(spec, form: Form) -> Form:
@@ -312,8 +337,8 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the cold delbar Hodge table of the H(1,2)-type nilmanifold
-# takes about 0.2-0.3 s; n = 7 has 1225, and its table 1.2-1.5 s (2-vCPU
-# Linux VM, CPython 3.11.7).
+# takes about 0.11-0.19 s; n = 7 has 1225, and its table 0.5-0.75 s (one
+# fresh process per run, 2-vCPU Linux VM, CPython 3.11.7).
 MAX_BIDEGREE_DIM = 400
 
 
@@ -387,19 +412,18 @@ def _wedge_block(spec, op: str, sources: list[Bidegree],
             row[col] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
     return Matrix(len(rows), len(columns), [
         _lowest_terms(den, {j: v for j, v in row.items() if v != (0, 0)})
-        for row in rows])
+        if row else _ZERO_ROW for row in rows])
 
 
 def _star_block(spec, pq: Bidegree) -> Matrix:
     """The star block of pq, one `_star_parts` entry per row and column."""
     n = spec.n
+    scale = _star_scale(spec, pq[0] + pq[1])
     row_of = basis_index((n - pq[1], n - pq[0]), n)
     rows: list = [None] * len(row_of)
     for col, mono in enumerate(basis_index(pq, n)):
-        e, num, den, target = _star_parts(spec, *mono)
-        unit = i_power(e)
-        rows[row_of[target]] = _lowest_terms(
-            den, {col: (unit.a * num, unit.b * num)})
+        re, im, den, target = _star_parts(n, scale, *mono)
+        rows[row_of[target]] = _lowest_terms(den, {col: (re, im)})
     return Matrix(len(rows), len(rows), rows)
 
 
@@ -439,8 +463,7 @@ def _adjoint_block(spec, op: str, pq: Bidegree) -> Matrix:
         return Matrix.zeros(0, bidegree_dim(pq, n))
     (src,) = sources
     forward = operator_block(spec, _ADJOINT_OF[op], src)
-    return forward.conj_transpose().scale(
-        norm(spec, pq[0] + pq[1] - src[0] - src[1]))
+    return forward.conj_transpose(norm(spec, pq[0] + pq[1] - src[0] - src[1]))
 
 
 @spec_memo
@@ -524,8 +547,8 @@ def laplacian_d_full(spec, k: int) -> Matrix:
     require_unimodular(spec)
     up = full_degree_matrix(spec, k)
     down = full_degree_matrix(spec, k - 1)
-    return (up.conj_transpose() * up
-            + down * down.conj_transpose()).scale(norm(spec, 1))
+    factor = norm(spec, 1)
+    return up.conj_transpose(factor) * up + down * down.conj_transpose(factor)
 
 
 def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:

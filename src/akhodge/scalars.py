@@ -39,6 +39,10 @@ class NotInvertible(ArithmeticError):
     """The scalar has no exact inverse: division by zero in Q(i)."""
 
 
+class NotConstantError(ValueError):
+    """A symbolic scalar where a constant is needed (`constant_value`)."""
+
+
 class RenderLimitError(ValueError):
     """A number has more digits than the interpreter converts to decimal
     text (`sys.get_int_max_str_digits`)."""
@@ -347,11 +351,15 @@ class SymScalar:
         return not self._terms or (len(self._terms) == 1 and _CONST in self._terms)
 
     def constant_value(self) -> GaussianRational:
-        if not self._terms:
+        """The value of a constant; NotConstantError on a symbolic scalar."""
+        terms = self._terms
+        if not terms:
             return ZERO
-        if not self.is_constant():
-            raise ValueError(f"{self.render()} is not a constant")
-        return self._terms[_CONST]
+        if len(terms) == 1:
+            value = terms.get(_CONST)
+            if value is not None:
+                return value
+        raise NotConstantError(f"{self.render()} is not a constant")
 
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
         return sorted(self._terms.items())

@@ -373,6 +373,8 @@ def test_sparse_arithmetic_matches_sympy(density):
     for rows, cols in SHAPES:
         for inner in (0, 1, 3):
             a_rows = sparse_rows(rng, rows, cols, density)
+            if rows >= 2:
+                a_rows[1] = [ZERO] * cols  # a zero left row of A * C
             A = dense(a_rows, cols)
             B = dense(sparse_rows(rng, rows, cols, density), cols)
             C = dense(sparse_rows(rng, cols, inner, density), inner)
@@ -388,6 +390,12 @@ def test_sparse_arithmetic_matches_sympy(density):
             assert A - A == Matrix.zeros(rows, cols) and (A - A).is_zero()
             assert (A + B).is_zero() == (expanded(SA + SB) == sympy.zeros(rows, cols))
             assert matrix_to_sympy(A.conj_transpose()) == SA.H
+            # the scaled conjugate transpose, in one pass
+            f = Fraction(rng.choice((-6, 2, 5, 9)), rng.choice((7, 11)))
+            assert matrix_to_sympy(A.conj_transpose(f)) == \
+                expanded(SA.H * sympy.Rational(f.numerator, f.denominator))
+            assert A.conj_transpose(f) == A.conj_transpose().scale(f)
+            assert A.conj_transpose(0) == Matrix.zeros(cols, rows)
             assert matrix_to_sympy(A.transpose()) == SA.T
             assert matrix_to_sympy(A.stack_below(B)) == SA.col_join(SB)
             factor = GaussianRational(Fraction(rng.randint(-3, 3), 7),

@@ -19,7 +19,8 @@ import properties_util as props
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
                      dual_Lambda, from_dicts, full_degree_oracle,
                      inner_product, j_action, leibniz_d, matrix_to_sympy,
-                     one_form, real_frame_norms, real_frame_star, volume_form)
+                     one_form, real_frame_norms, real_frame_star, sort_sign,
+                     volume_form)
 
 
 def F(text, spec):
@@ -208,7 +209,10 @@ def flat_spec(n, scale):
                       f"omega = {omega}\n")
 
 
-@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)])
+# c^{n-k} and (1/c)^{k-n} are int pairs per degree: scales with both parts
+# other than 1 tell the numerator from the denominator
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2),
+                                   Fraction(2, 3), Fraction(3, 2)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_star_matches_real_frame_oracle(n, scale):
     spec = flat_spec(n, scale)
@@ -219,7 +223,8 @@ def test_star_matches_real_frame_oracle(n, scale):
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1),
-                                   Fraction(2), Fraction(3)])
+                                   Fraction(2), Fraction(3),
+                                   Fraction(2, 3), Fraction(3, 2)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_star_blocks_match_real_frame_oracle(n, scale):
     # column m of the star block at every bidegree, k > n included, is
@@ -479,10 +484,11 @@ def _per_monomial_block(spec, fn, op: str, pq) -> Matrix:
 def block_specs(cc_entries, ladder, ladder_dsl):
     """Fresh specs of the constant-coefficient entries (iwasawa_ak at
     scale 2), the n = 3, 4 ladder, the n = 3 ladder with omega halved
-    (scale 1/2), and `mixed_ladder`."""
+    (scale 1/2), `mixed_ladder` and `swapped_ladder`."""
     specs = [parse_spec(catalog.dsl_source(key)) for key in cc_entries]
     half = parse_spec(ladder_dsl(3).replace("1/2*i*", "1/4*i*"))
-    return specs + [ladder(3), ladder(4), half, mixed_ladder(ladder_dsl)]
+    return specs + [ladder(3), ladder(4), half, mixed_ladder(ladder_dsl),
+                    swapped_ladder(ladder_dsl)]
 
 
 def mixed_ladder(ladder_dsl):
@@ -492,6 +498,39 @@ def mixed_ladder(ladder_dsl):
     dsl = ladder_dsl(3).replace("manifold ladder_n3", "manifold mixed3")
     line = next(l for l in dsl.splitlines() if l.startswith("d phi1 = "))
     return parse_spec(dsl.replace(line, line.replace("1/4*", "1/12*")))
+
+
+def swapped_ladder(ladder_dsl):
+    """The n = 4 ladder with its lines relabelled, phi^1 <-> phi^3 and
+    phi^2 <-> phi^4: d acts on phi^3 and phi^4 only, so every closed factor
+    that `_d_hits` skips comes before a non-closed one and still counts in
+    the sign."""
+    swap = {1: 3, 2: 4, 3: 1, 4: 2}
+    ladder = parse_spec(ladder_dsl(4))
+    lines = ["manifold swapped4", "dim 8", "coframe phi1 phi2 phi3 phi4"]
+    for j in (1, 2):
+        terms = {}
+        for mono, c in ladder.d_generator(j).terms():
+            holo_sign, holo = sort_sign(swap[g] for g in mono.holo)
+            anti_sign, anti = sort_sign(swap[g] for g in mono.anti)
+            terms[BasisMonomial(holo, anti)] = c * (holo_sign * anti_sign)
+        lines.append(f"d phi{swap[j]} = {Form(terms).render()}")
+    lines.append(next(line for line in ladder_dsl(4).splitlines()
+                      if line.startswith("omega = ")))
+    return parse_spec("\n".join(lines) + "\n")
+
+
+def test_swapped_ladder_is_the_ladder_relabelled(ladder, ladder_dsl):
+    spec = swapped_ladder(ladder_dsl)
+    checks = {item.check: item.status for item in model.validate(spec).items}
+    assert [checks[f"d2_phi{j}"] for j in (1, 2, 3, 4)] == ["Verified"] * 4
+    assert spec.unitary_scale == 1
+    assert [spec.d_generator(j).is_zero() for j in (1, 2, 3, 4)] == \
+        [True, True, False, False]
+    assert spec.d_generator(3) == F("1/4*i*phi{14,} - 1/4*i*phi{4,1} "
+                                    "+ 1/4*i*phi{1,4} + 1/4*i*phi{,14}", spec)
+    assert hodge.hodge_table(spec, "delbar") == \
+        hodge.hodge_table(ladder(4), "delbar")
 
 
 def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
@@ -511,8 +550,9 @@ def test_adjoint_and_lambda_blocks_match_per_monomial_oracles(block_specs):
             assert ops.operator_block(spec, "Lambda", pq) == oracle, \
                 (spec.name, pq)
             cases += 1
-    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4, 3, 3
-    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16
+    # bidegrees: 5 catalog entries (n = 3, 2, 4, 3, 2), ladder n = 3, 4, 3,
+    # 3, 4
+    assert cases == 16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16 + 25
 
 
 def test_component_blocks_match_per_monomial_component(block_specs):
