@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, catalog, hodge, model, reports
 from . import operators as ops
 from .model import ManifoldSpec, SpecError
-from .scalars import NotInvertible, RenderLimitError, decimal_text
+from .scalars import NotInvertible, RenderLimitError
 
 
 def _load_spec(args) -> ManifoldSpec:
@@ -60,13 +60,6 @@ def _parse_pq(text: str, n: int) -> tuple[int, int]:
     return p, q
 
 
-def _flags(spec: ManifoldSpec) -> dict:
-    return {"constant_coefficient": spec.constant_coefficient,
-            "almost_kahler": spec.almost_kahler,
-            "unitary_scale": (decimal_text(spec.unitary_scale)
-                              if spec.unitary_scale is not None else None)}
-
-
 def _strictness(result: dict) -> str:
     if "strict" not in result:
         return ""
@@ -87,7 +80,7 @@ def cmd_validate(args) -> int:
     spec = _load_spec(args)
     report = model.validate(spec)
     payload = {"engine_version": __version__, **report.to_dict(),
-               "flags": _flags(spec)}
+               "flags": reports.spec_flags(spec)}
 
     def human(p):
         yield f"spec {p['spec_name']}: " + ("OK" if p["ok"] else "FAILED")
@@ -223,7 +216,8 @@ def cmd_catalog(args) -> int:
     rows = []
     for key in catalog.keys():
         entry = catalog.get(key)
-        rows.append({"key": key, "n": entry.spec.n, **_flags(entry.spec),
+        rows.append({"key": key, "n": entry.spec.n,
+                     **reports.spec_flags(entry.spec),
                      "provenance": entry.provenance})
     payload = {"engine_version": __version__, "entries": rows}
 

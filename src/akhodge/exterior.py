@@ -290,9 +290,10 @@ def basis_of(pq: Bidegree, n: int) -> list[BasisMonomial]:
     p, q = pq
     if not (0 <= p <= n and 0 <= q <= n):
         return []
+    holos = [_mask(holo) for holo in combinations(range(1, n + 1), p)]
     antis = [_mask(anti) for anti in combinations(range(1, n + 1), q)]
-    return [BasisMonomial.of_masks(_mask(holo), anti)
-            for holo in combinations(range(1, n + 1), p) for anti in antis]
+    return [BasisMonomial.of_masks(holo, anti)
+            for holo in holos for anti in antis]
 
 
 @functools.cache

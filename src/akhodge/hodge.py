@@ -30,10 +30,10 @@ only, and cor35 at (n-1,n-1), r in {n-2, n-1}.
 
 Three checks are one annihilation test, `_not_annihilated`, of a block on a
 subspace: lemma46 (del* and delbar* on ker delbar cap P and ker del cap P,
-k <= n), lemma47 (d* on H^{1,1}_delbar cap P), and lemma48 (Lambda d on
-the same space: the four components of d alpha lie in distinct bidegrees
-and Lambda keeps them apart, so they are all primitive exactly when
-Lambda d alpha = 0).
+k <= n), lemma47 (d* on H^{1,1}_delbar cap P), and lemma48 (Lambda D for
+each component D, stacked, on the same space: the four components of
+d alpha lie in distinct bidegrees and Lambda keeps them apart, so they are
+all primitive exactly when every Lambda D alpha = 0).
 
 A primitive decomposition alpha = sum_r (1/r!) L^r beta_r of a (p,q)-form
 solves no linear system.  `_decomposition_solver` peels the components off
@@ -54,7 +54,7 @@ from math import factorial
 from . import operators as ops
 from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, Vector, _over_lcm
+from .linalg import Matrix, _over_lcm
 from .scalars import Nonzeroness, NotConstantError, SymScalar, from_ints
 
 
@@ -476,15 +476,6 @@ def hodge_table(spec, D: str) -> list[list[int]]:
             for p in range(n + 1)]
 
 
-def change_of_basis(space: Subspace, generators: list[Form]
-                    ) -> list[Vector] | None:
-    """Coordinates of each generator in the echelon basis, or None if some
-    generator falls outside the subspace."""
-    coords = space.coordinates_of(
-        forms_to_rows(generators, space.ambient, space.n))
-    return None if coords is None else coords.data
-
-
 # ---------------------------------------------------------------------------
 # The theorem suite
 
@@ -656,9 +647,8 @@ def _check_lemma44(spec) -> VerificationReport:
 def _not_annihilated(block: Matrix, space: Subspace) -> Form | None:
     """The first basis form of space that block does not send to zero, or
     None when block vanishes on space."""
-    images = block.apply(space.basis)
-    for i in range(images.rows):
-        if images.entries(i):
+    for i, (_, row) in enumerate(block.apply(space.basis).sparse):
+        if row:
             return space.forms()[i]
     return None
 
@@ -699,14 +689,15 @@ def _check_lemma47(spec) -> VerificationReport:
 
 def _check_lemma48(spec) -> VerificationReport:
     # mu, del, delbar and mubar of alpha lie in distinct bidegrees, which
-    # Lambda keeps apart, so all four are primitive iff Lambda d alpha = 0
+    # Lambda keeps apart, so all four are primitive iff Lambda D alpha = 0
+    # for each component D
     pq = (1, 1)
     space = primitive_harmonic(spec, "delbar", pq)
-    d_block = ops.operator_block(spec, "d", pq)
     lambda_d = functools.reduce(Matrix.stack_below, [
         ops.operator_block(spec, "Lambda", target)
-        * d_block.row_slice(start, stop)
-        for target, start, stop in ops.target_rows("d", pq, spec.n)])
+        * ops.operator_block(spec, D, pq)
+        for D in ops.COMPONENT_SHIFTS
+        for target in ops.op_targets(D, pq, spec.n)])
     witness = _not_annihilated(lambda_d, space)
     if witness is not None:
         return _fails(spec, "lemma48", "d(alpha) is not primitive",

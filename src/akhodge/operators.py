@@ -71,8 +71,7 @@ from .exterior import (BasisMonomial, Bidegree, Form, _below, _bits,
                        _wedge_hits, _wedge_terms, basis_index, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, _ZERO_ROW, _lowest_terms
-from .scalars import (GaussianRational, I, SymScalar, collect, from_ints,
-                      i_power)
+from .scalars import I, SymScalar, collect, from_ints, i_power
 
 
 class OperatorError(Exception):
@@ -169,27 +168,21 @@ def _d_monomial(spec, mono: BasisMonomial) -> Form:
                         for holo, anti, c, odd in hits))
 
 
-def _laurent_power_rule(mono, coeff: GaussianRational) -> list:
-    """[(factor scalar, symbol name)] terms of d applied to one monomial."""
-    out = []
-    for idx, (name, k) in enumerate(mono):
-        rest = list(mono)
-        if k == 1:
-            del rest[idx]
-        else:
-            rest[idx] = (name, k - 1)
-        out.append((SymScalar({tuple(rest): coeff * k}), name))
-    return out
-
-
 def _d_scalar(spec, scalar: SymScalar) -> Form:
+    """d of a coefficient by the power rule: each factor name^k of a
+    monomial gives k name^(k-1) (times the rest) times d(name)."""
     terms = []
     for mono, coeff in scalar.terms():
-        for factor, name in _laurent_power_rule(mono, coeff):
+        for idx, (name, k) in enumerate(mono):
             sym = spec.symbols[name]
             if sym.derivative is None:
                 raise OpaqueDerivativeError(name)
-            terms.append(sym.derivative * factor)
+            rest = list(mono)
+            if k == 1:
+                del rest[idx]
+            else:
+                rest[idx] = (name, k - 1)
+            terms.append(sym.derivative * SymScalar({tuple(rest): coeff * k}))
     return Form.sum(terms)
 
 
@@ -322,7 +315,11 @@ def is_integrable(spec) -> bool:
 # ---------------------------------------------------------------------------
 # Matrices
 
-# The metric adjoints and the forward operator each is the adjoint of
+# The bidegree shift of each operator with one target
+_SHIFT: dict[str, Bidegree] = {**COMPONENT_SHIFTS, "L": (1, 1), "J": (0, 0)}
+
+# The metric adjoints and the forward operator each is the adjoint of; an
+# adjoint goes back along its forward operator's shift
 _ADJOINT_OF = {**{D + "_star": D for D in COMPONENT_SHIFTS}, "Lambda": "L"}
 
 
@@ -357,11 +354,11 @@ def require_work_bound(spec) -> None:
 def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
     """Target bidegrees of a (non-Laplacian) operator at (p,q), ascending."""
     p, q = pq
-    if op in COMPONENT_SHIFTS:
-        s, t = COMPONENT_SHIFTS[op]
+    if op in _SHIFT:
+        s, t = _SHIFT[op]
         cands = [(p + s, q + t)]
-    elif op.endswith("_star") and op != "d_star":
-        s, t = COMPONENT_SHIFTS[op[:-5]]
+    elif op in _ADJOINT_OF:
+        s, t = _SHIFT[_ADJOINT_OF[op]]
         cands = [(p - s, q - t)]
     elif op in ("d", "dc"):
         cands = [(p + s, q + t) for s, t in COMPONENT_SHIFTS.values()]
@@ -369,12 +366,6 @@ def op_targets(op: str, pq: Bidegree, n: int) -> list[Bidegree]:
         cands = [(p - s, q - t) for s, t in COMPONENT_SHIFTS.values()]
     elif op == "star":
         cands = [(n - q, n - p)]
-    elif op == "L":
-        cands = [(p + 1, q + 1)]
-    elif op == "Lambda":
-        cands = [(p - 1, q - 1)]
-    elif op == "J":
-        cands = [(p, q)]
     else:
         raise ValueError(f"unknown operator id {op!r}")
     return sorted(pq for pq in cands if _valid(pq, n))
@@ -509,21 +500,22 @@ def lefschetz_power_block(spec, pq: Bidegree, r: int) -> Matrix:
 
 @spec_memo
 def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
-    """Delta_D = D D* + D* D on Lambda^{p,q} for a bidegree-pure D."""
+    """Delta_D = D* D + D D* on Lambda^{p,q} for a bidegree-pure D: a sum
+    over the bidegrees next to (p,q) that D and D* reach, zero when there
+    are none.  The blocks of D and D* on (p,q) are built even then, so the
+    adjoint's unitary and unimodular guards always apply."""
     if D == "d":
         return laplacian_d_matrix(spec, pq)
-    s, t = COMPONENT_SHIFTS[D]
-    p, q = pq
-    up = (p + s, q + t)
-    down = (p - s, q - t)
     n = spec.n
-    A = operator_block(spec, D, pq)
-    A_star = (operator_block(spec, D + "_star", up) if _valid(up, n)
-              else Matrix.zeros(bidegree_dim(pq, n), 0))
-    B_star = operator_block(spec, D + "_star", pq)
-    B = (operator_block(spec, D, down) if _valid(down, n)
-         else Matrix.zeros(bidegree_dim(pq, n), 0))
-    return A_star * A + B * B_star
+    D_star = D + "_star"
+    forward = operator_block(spec, D, pq)
+    adjoint = operator_block(spec, D_star, pq)
+    out = Matrix.zeros(bidegree_dim(pq, n), bidegree_dim(pq, n))
+    for up in op_targets(D, pq, n):
+        out = out + operator_block(spec, D_star, up) * forward
+    for down in op_targets(D_star, pq, n):
+        out = out + operator_block(spec, D, down) * adjoint
+    return out
 
 
 @spec_memo

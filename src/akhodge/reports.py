@@ -14,6 +14,7 @@ from typing import Any
 
 from . import __version__, hodge, model, operators as ops
 from .exterior import Form
+from .scalars import decimal_text
 
 
 def form_to_json(form: Form) -> list[dict]:
@@ -32,6 +33,15 @@ def base_row(spec_name: str, check_id: str, status: str, **extra) -> dict:
     return row
 
 
+def spec_flags(spec) -> dict:
+    """The flags of a spec as its JSON reports them: unitary_scale as its
+    decimal text, or None."""
+    return {"constant_coefficient": spec.constant_coefficient,
+            "almost_kahler": spec.almost_kahler,
+            "unitary_scale": (None if spec.unitary_scale is None
+                              else decimal_text(spec.unitary_scale))}
+
+
 def _parse_in_spec(spec, text: str) -> Form:
     return model.parse_form(text, spec.n, spec.symbols)
 
@@ -43,12 +53,12 @@ def _span_certificate(spec, item: dict):
     pq = tuple(item["pq"])
     space = hodge.harmonic_space(spec, item["op"], pq)
     gens = [_parse_in_spec(spec, g) for g in item["generators"]]
-    cob = hodge.change_of_basis(space, gens)
+    coords = space.coordinates_of(hodge.forms_to_rows(gens, pq, spec.n))
     return space, gens, {
         "id": item["id"], "generators": item["generators"],
         "spans_space": hodge.Subspace.from_forms(spec.n, pq, gens) == space,
-        "change_of_basis": (None if cob is None else
-                            [[c.render() for c in row] for row in cob])}
+        "change_of_basis": (None if coords is None else [
+            [c.render() for c in row] for row in coords.data])}
 
 
 def reference_bases(entry, op: str, pq: tuple[int, int]) -> list[dict]:
@@ -65,18 +75,10 @@ def run_expected_item(entry, item: dict) -> dict:
     check_id = item.get("id", kind)
 
     if kind == "flags":
-        mismatches = []
-        for key in ("almost_kahler", "constant_coefficient"):
-            if key in item and getattr(spec, key) != item[key]:
-                mismatches.append(key)
-        if "unitary_scale" in item:
-            want = item["unitary_scale"]
-            have = spec.unitary_scale
-            if (want is None) != (have is None) or \
-                    (want is not None and str(have) != str(want)):
-                mismatches.append("unitary_scale")
-        if "integrable" in item and ops.is_integrable(spec) != item["integrable"]:
-            mismatches.append("integrable")
+        have = {**spec_flags(spec), "integrable": ops.is_integrable(spec)}
+        mismatches = [key for key in ("almost_kahler", "constant_coefficient",
+                                      "unitary_scale", "integrable")
+                      if key in item and have[key] != item[key]]
         status = "Holds" if not mismatches else "Fails"
         return base_row(spec.name, check_id, status,
                         detail="spec flags as declared" if not mismatches

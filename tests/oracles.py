@@ -23,7 +23,11 @@ none of the package's block code:
   of the cached blocks;
 - the crossing between constant forms and matrix rows, by the checked
   constructors `Form(...)`, `SymScalar.const` and `from_dicts` instead of
-  the unchecked `Form._of` and `SymScalar._of_const`.
+  the unchecked `Form._of` and `SymScalar._of_const`;
+- the target bidegrees of an operator by one branch per operator family
+  instead of the shift table of `op_targets`, and Delta_D as A* A + B B*
+  with explicit zero blocks at the edges instead of a sum over
+  `op_targets`.
 
 `from_dicts` builds an engine `Matrix` from rows given as column -> value
 dicts, and `dense` from dense rows, through it.
@@ -415,6 +419,55 @@ def inner_product(spec, a: Form, b: Form) -> SymScalar:
     vol_coeff = coeff_of(volume_form(spec), top).constant_value()
     wedge = a.wedge(ops.hodge_star(spec, b.conj(spec.symbols)))
     return coeff_of(wedge, top) * vol_coeff.inverse()
+
+
+def _valid(pq, n: int) -> bool:
+    return 0 <= pq[0] <= n and 0 <= pq[1] <= n
+
+
+def op_targets_chain(op: str, pq, n: int) -> list:
+    """Target bidegrees of a (non-Laplacian) operator at (p,q), ascending."""
+    p, q = pq
+    if op in ops.COMPONENT_SHIFTS:
+        s, t = ops.COMPONENT_SHIFTS[op]
+        cands = [(p + s, q + t)]
+    elif op.endswith("_star") and op != "d_star":
+        s, t = ops.COMPONENT_SHIFTS[op[:-5]]
+        cands = [(p - s, q - t)]
+    elif op in ("d", "dc"):
+        cands = [(p + s, q + t) for s, t in ops.COMPONENT_SHIFTS.values()]
+    elif op == "d_star":
+        cands = [(p - s, q - t) for s, t in ops.COMPONENT_SHIFTS.values()]
+    elif op == "star":
+        cands = [(n - q, n - p)]
+    elif op == "L":
+        cands = [(p + 1, q + 1)]
+    elif op == "Lambda":
+        cands = [(p - 1, q - 1)]
+    elif op == "J":
+        cands = [(p, q)]
+    else:
+        raise ValueError(f"unknown operator id {op!r}")
+    return sorted(pq for pq in cands if _valid(pq, n))
+
+
+def laplacian_two_products(spec, D: str, pq) -> linalg.Matrix:
+    """Delta_D = A* A + B B* on Lambda^{p,q} for a component D, A and B
+    the blocks of D from (p,q) and into it; an edge's missing block is a
+    zero matrix with no columns or no rows."""
+    s, t = ops.COMPONENT_SHIFTS[D]
+    p, q = pq
+    up = (p + s, q + t)
+    down = (p - s, q - t)
+    n = spec.n
+    dim = len(basis_of(pq, n))
+    A = ops.operator_block(spec, D, pq)
+    A_star = (ops.operator_block(spec, D + "_star", up) if _valid(up, n)
+              else linalg.Matrix.zeros(dim, 0))
+    B_star = ops.operator_block(spec, D + "_star", pq)
+    B = (ops.operator_block(spec, D, down) if _valid(down, n)
+         else linalg.Matrix.zeros(dim, 0))
+    return A_star * A + B * B_star
 
 
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:

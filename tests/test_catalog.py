@@ -88,6 +88,16 @@ def test_laplacian_diff_row_says_the_image_is_zero_when_it_fails(entries):
     assert row["witness"] == []
 
 
+def test_flags_row_names_each_mismatch(entries):
+    # kt4 has unitary scale 1 and is not integrable
+    item = {"kind": "flags", "almost_kahler": True,
+            "constant_coefficient": True, "unitary_scale": "2",
+            "integrable": True}
+    row = reports.run_expected_item(entries["kt4"], item)
+    assert row["status"] == "Fails"
+    assert row["detail"] == "flag mismatch: ['unitary_scale', 'integrable']"
+
+
 def test_dsl_source_available():
     text = catalog.dsl_source("torus6_g")
     assert "V3g" in text

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = ROOT / "perfbench" / "expected.json"
 HARMONIC_DIGESTS = (Path(__file__).resolve().parent / "data"
                     / "harmonic_basis_digests.json")
+CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_json_digests.json"
 
 
 def run(capsys, *argv):
@@ -166,6 +167,24 @@ def test_harmonic_bases_at_the_papers_bidegrees(capsys, tmp_path,
                 assert code == 0
                 digests[f"{name} {op} {p},{p}"] = hashlib.sha256(
                     out.encode("utf-8")).hexdigest()
+    assert digests == golden["sha256"]
+
+
+def test_catalog_and_validate_json_golden_digests(capsys):
+    # the JSON that renders spec flags, byte for byte as recorded: the
+    # catalog, and validate on every entry and every shipped spec file
+    golden = json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+    commands = {"catalog": ("catalog",)}
+    for key in catalog.keys():
+        commands[f"validate --entry {key}"] = ("validate", "--entry", key)
+    for path in sorted((ROOT / "specs").glob("*.akspec")):
+        commands[f"validate --spec specs/{path.name}"] = (
+            "validate", "--spec", str(path))
+    digests = {}
+    for name, argv in commands.items():
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, name
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digests == golden["sha256"]
 
 

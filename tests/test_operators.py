@@ -18,8 +18,9 @@ from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 import properties_util as props
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
                      dual_Lambda, from_dicts, full_degree_oracle,
-                     inner_product, j_action, leibniz_d, matrix_to_sympy,
-                     one_form, real_frame_norms, real_frame_star, sort_sign,
+                     inner_product, j_action, laplacian_two_products,
+                     leibniz_d, matrix_to_sympy, one_form, op_targets_chain,
+                     real_frame_norms, real_frame_star, sort_sign,
                      volume_form)
 
 
@@ -636,6 +637,15 @@ def test_adjoint_blocks_refuse_a_non_unitary_spec():
             with pytest.raises(ops.NotUnitaryModeError,
                                match="is not in unitary mode"):
                 ops.operator_block(spec, op, pq)
+    # the Laplacians of the components too, though Delta_mu on (1,1)
+    # reaches no other bidegree at n = 2
+    assert ops.op_targets("mu", (1, 1), 2) == ops.op_targets(
+        "mu_star", (1, 1), 2) == []
+    for D in ops.COMPONENT_SHIFTS:
+        for pq in ((0, 0), (1, 1), (2, 2)):
+            with pytest.raises(ops.NotUnitaryModeError,
+                               match="is not in unitary mode"):
+                ops.laplacian_matrix(spec, D, pq)
     # the forward blocks need no metric
     assert ops.operator_block(spec, "del", (1, 1)).is_zero()
 
@@ -716,6 +726,36 @@ def test_seven_d_squared_relations(cc_entries):
                 assert total.is_zero()
 
 
+def test_op_targets_match_the_branch_chain():
+    # every non-Laplacian operator, n = 1..6, and every (p,q) up to one step
+    # outside 0..n
+    block_ops = [op for op in ops.OPERATOR_IDS if not op.startswith("Delta_")]
+    cases = 0
+    for n in range(1, 7):
+        for p in range(-1, n + 2):
+            for q in range(-1, n + 2):
+                for op in block_ops:
+                    assert ops.op_targets(op, (p, q), n) == \
+                        op_targets_chain(op, (p, q), n), (op, p, q, n)
+                    cases += 1
+    assert cases == 15 * sum((n + 3) ** 2 for n in range(1, 7))
+    for targets in (ops.op_targets, op_targets_chain):
+        for op in ("Delta_delbar", "nabla"):
+            with pytest.raises(ValueError, match=f"unknown operator id '{op}'"):
+                targets(op, (1, 1), 3)
+
+
+def test_laplacian_matrix_matches_two_products(block_specs):
+    cases = 0
+    for spec in block_specs:
+        for pq in all_bidegrees(spec.n):
+            for D in ops.COMPONENT_SHIFTS:
+                assert ops.laplacian_matrix(spec, D, pq) == \
+                    laplacian_two_products(spec, D, pq), (spec.name, D, pq)
+                cases += 1
+    assert cases == 4 * (16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16 + 25)
+
+
 def test_flat_torus_laplacian_vanishes(cc_entries):
     flat = cc_entries["torus6_flat"].spec
     assert ops.laplacian_matrix(flat, "delbar", (1, 1)).is_zero()
@@ -773,6 +813,10 @@ def test_unimodularity_detector(cc_entries):
         ops.operator_block(aff2, "delbar_star", (1, 1))
     with pytest.raises(ops.OperatorError, match="not unimodular"):
         ops.laplacian_d_full(aff2, 2)
+    # Delta_mu on (1,1) reaches no other bidegree at n = 2
+    for D in ops.COMPONENT_SHIFTS:
+        with pytest.raises(ops.OperatorError, match="not unimodular"):
+            ops.laplacian_matrix(aff2, D, (1, 1))
     assert ops.operator_block(aff2, "Lambda", (1, 1)).rows == 1
 
 
