@@ -21,6 +21,18 @@ The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
 (ker A cap ker E = ker Delta_D) and `harmonic_membership`, which applies A
 to a form and E only when A alpha = 0.
 
+Each kernel and intersection comes from one elimination, before `Subspace`
+echelonizes its basis; a cross-check adds one of its own.  Two matrices on
+the same columns have the same kernel exactly when their reduced row
+echelon forms have the same pivots and nonzero rows (`_same_kernel`), so
+the mandatory cross-checks of `harmonic_space` (Delta_D against [A; E]) and
+`primitive_subspace` (Lambda against L^{n-k+1}) compare two `rref`s and
+build the space from the first with `linalg.kernel_of_reduced`.  A
+subspace is the common kernel of its `equations`, read off its echelon
+basis with no elimination, so `Subspace.intersect` and lemma46's
+ker D cap P each take the kernel of one matrix, with no kernel of the
+larger side.
+
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
 thm34 (delbar) and cor35 (del) at (1,1), hd_lefschetz (d) everywhere,
@@ -54,7 +66,7 @@ from math import factorial
 from . import operators as ops
 from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, _over_lcm
+from .linalg import Matrix, _over_lcm, kernel_of_reduced
 from .scalars import Nonzeroness, NotConstantError, SymScalar, from_ints
 
 
@@ -162,17 +174,24 @@ class Subspace:
         return Subspace(self.ambient, self.n,
                         self.basis.stack_below(other.basis))
 
+    def equations(self) -> Matrix:
+        """Rows whose common kernel, under the bilinear pairing of
+        `Matrix.apply`, is this subspace: the kernel of the echelon basis,
+        assembled from the basis and pivots with no elimination."""
+        return kernel_of_reduced(self.basis, self.pivots)
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """From one transposed stack: x.U = y.V exactly when (x, -y) lies in
-        the left kernel of [U; V], the nullspace of [U; V]^T; only x is
-        read, so the sign of y does not matter."""
+        """Through the equations of the larger side V: with U the smaller,
+        x.U lies in V exactly when x is in the left kernel of
+        V.equations() applied to U's basis, the nullspace of its transpose,
+        a matrix of dim U columns."""
         self._check_ambient(other)
-        a, b = self.basis.rows, other.basis.rows
-        if a == 0 or b == 0:
+        small, large = ((self, other) if self.dim <= other.dim
+                        else (other, self))
+        if small.dim == 0:
             return Subspace.zero(self.n, self.ambient)
-        kernel = self.basis.stack_below(other.basis).transpose().nullspace()
-        return Subspace(self.ambient, self.n,
-                        kernel.columns(range(a)) * self.basis)
+        kernel = large.equations().apply(small.basis).transpose().nullspace()
+        return Subspace(self.ambient, self.n, kernel * small.basis)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -238,19 +257,31 @@ def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
     return A, E
 
 
+def _same_kernel(first: tuple[Matrix, tuple[int, ...]],
+                 second: tuple[Matrix, tuple[int, ...]]) -> bool:
+    """Whether two matrices on the same columns, given as their `rref`
+    pairs, have the same kernel: exactly when the reduced forms have the
+    same pivots and the same nonzero rows, whatever their row counts."""
+    (reduced, pivots), (other, other_pivots) = first, second
+    return (pivots == other_pivots
+            and reduced.sparse[:len(pivots)] == other.sparse[:len(pivots)])
+
+
 @ops.spec_memo
 def harmonic_space(spec, D: str, pq: Bidegree) -> Subspace:
-    """Exact kernel of Delta_D on invariant (p,q)-forms, with ker A cap
-    ker E of the harmonic equations as a mandatory cross-check."""
+    """Exact kernel of Delta_D on invariant (p,q)-forms, built from its
+    reduced form, with ker A cap ker E of the harmonic equations as a
+    mandatory cross-check: the reduced forms of Delta_D and of A stacked
+    over E must agree."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
-    space = kernel_subspace(ops.laplacian_matrix(spec, D, pq), pq, spec.n)
+    laplacian = ops.laplacian_matrix(spec, D, pq).rref()
     A, E = harmonic_equations(spec, D, pq)
-    if space != kernel_subspace(A.stack_below(E), pq, spec.n):
+    if not _same_kernel(laplacian, A.stack_below(E).rref()):
         raise CrossCheckMismatchError(
             f"{spec.name}: ker Delta_{D} on {pq} disagrees with the "
             "closed-and-costar-closed characterization")
-    return space
+    return Subspace(pq, spec.n, kernel_of_reduced(*laplacian))
 
 
 @dataclass
@@ -338,21 +369,20 @@ def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
 
 @ops.spec_memo
 def primitive_subspace(spec, pq: Bidegree) -> Subspace:
-    """ker Lambda on (p,q), cross-checked against ker L^{n-k+1} for k <= n."""
+    """ker Lambda on (p,q), built from its reduced form; for k <= n it is
+    cross-checked against ker L^{n-k+1}, whose reduced form must agree."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
     n = spec.n
     k = pq[0] + pq[1]
-    lam = ops.operator_block(spec, "Lambda", pq)
-    space = kernel_subspace(lam, pq, n)
+    lam = ops.operator_block(spec, "Lambda", pq).rref()
     if k <= n:
         power = n - k + 1
-        alt = kernel_subspace(ops.lefschetz_power_block(spec, pq, power),
-                              pq, n)
-        if space != alt:
+        if not _same_kernel(
+                lam, ops.lefschetz_power_block(spec, pq, power).rref()):
             raise CrossCheckMismatchError(
                 f"{spec.name}: ker Lambda != ker L^{power} on {pq}")
-    return space
+    return Subspace(pq, n, kernel_of_reduced(*lam))
 
 
 @ops.spec_memo
@@ -658,11 +688,12 @@ def _check_lemma46(spec) -> VerificationReport:
     checked = 0
     for k in range(0, n + 1):
         for pq in bidegrees_of_degree(k, n):
-            P = primitive_subspace(spec, pq)
+            # ker D cap P as one kernel: the D block over P's equations
+            primitive = primitive_subspace(spec, pq).equations()
             for D, adj in (("delbar", "del_star"), ("del", "delbar_star")):
-                closed = kernel_subspace(ops.operator_block(spec, D, pq),
-                                         pq, n)
-                space = closed.intersect(P)
+                space = kernel_subspace(
+                    ops.operator_block(spec, D, pq).stack_below(primitive),
+                    pq, n)
                 witness = _not_annihilated(ops.operator_block(spec, adj, pq),
                                            space)
                 if witness is not None:

@@ -13,7 +13,7 @@ A row entry is in the number format of `scalars.GaussianRational`, the ints
 (a, b) over a denominator, so rows are built and read with no rational
 arithmetic.  One rule brings values to a common denominator: `_over_lcm`
 takes (column, den, a, b) entries and returns the row over the lcm of the
-dens, in lowest terms; `apply`, the transposes, `nullspace` and
+dens, in lowest terms; `apply`, the transposes, `kernel_of_reduced` and
 `hodge.forms_to_rows` build their rows through it (`__mul__` and sums keep
 their own loops, which add up repeated columns).  One rule divides out a
 common factor: `_lowest_terms`, of which `_primitive` is the den = 0 case.
@@ -31,7 +31,12 @@ gcd of its parts (the integer-preserving elimination of E. H. Bareiss, Math.
 Comp. 22, 1968, with the gcd in place of his exact division); only the final
 pass divides every pivot row by its pivot.  The result is the reduced row
 echelon form, which is unique, so every echelon basis is canonical and
-subspace equality is syntactic whatever order the rows are reduced in.
+subspace equality is syntactic whatever order the rows are reduced in.  The
+kernel is read off that form with no further elimination:
+`kernel_of_reduced` assembles one vector per free column from a (reduced,
+pivots) pair, and `nullspace` is it applied to `rref()`, so a caller that
+already holds a reduced form (`hodge.harmonic_space`, or a subspace's own
+echelon basis) takes its kernel without eliminating again.
 """
 
 from __future__ import annotations
@@ -345,21 +350,8 @@ class Matrix:
         return Matrix(self.rows, self.cols, out), tuple(pivots)
 
     def nullspace(self) -> "Matrix":
-        """Rows span ker(self): one vector per free column, with 1 there and
-        0 at the other free columns.  Not echelonized; `hodge.Subspace`
-        makes a basis canonical."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        # a reduced row is nonzero off its pivot at free columns only; each
-        # kernel vector is 1 at its free column and -row at each pivot
-        at_free: dict[int, list] = {c: [(c, 1, 1, 0)] for c in free}
-        for (den, row), pc in zip(reduced.sparse, pivots):
-            for j, (a, b) in row.items():
-                if j != pc:
-                    at_free[j].append((pc, den, -a, -b))
-        return Matrix(len(free), self.cols,
-                      [_over_lcm(hits) for hits in at_free.values()])
+        """Rows span ker(self): `kernel_of_reduced` of `rref()`."""
+        return kernel_of_reduced(*self.rref())
 
     def solve_map(self) -> tuple["Matrix", "Matrix"]:
         """For a full-column-rank matrix M, return (R, K) with R (cols x rows)
@@ -376,3 +368,21 @@ class Matrix:
         return (right.row_slice(0, self.cols),
                 right.row_slice(self.cols, len(pivots)))
 
+
+def kernel_of_reduced(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
+    """Rows span the kernel of a matrix whose reduced row echelon form is
+    reduced, with these pivots (`Matrix.rref`'s pair): one vector per free
+    column, with 1 there and 0 at the other free columns.  It runs no
+    elimination and is not echelonized; `hodge.Subspace` makes a basis
+    canonical."""
+    pivot_set = set(pivots)
+    free = [c for c in range(reduced.cols) if c not in pivot_set]
+    # a reduced row is nonzero off its pivot at free columns only; each
+    # kernel vector is 1 at its free column and -row at each pivot
+    at_free: dict[int, list] = {c: [(c, 1, 1, 0)] for c in free}
+    for (den, row), pc in zip(reduced.sparse, pivots):
+        for j, (a, b) in row.items():
+            if j != pc:
+                at_free[j].append((pc, den, -a, -b))
+    return Matrix(len(free), reduced.cols,
+                  [_over_lcm(hits) for hits in at_free.values()])

@@ -487,13 +487,15 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
 @spec_memo
 def lefschetz_power_block(spec, pq: Bidegree, r: int) -> Matrix:
     """Matrix of L^r from Lambda^{p,q} into Lambda^{p+r,q+r}: the product of
-    the "L" blocks, the identity when r = 0; it has no rows when p + r or
-    q + r exceeds n (cached)."""
+    the "L" blocks, starting from the one at (p,q), and the identity when
+    r = 0; it has no rows when p + r or q + r exceeds n (cached)."""
     p, q = pq
     if p + r > spec.n or q + r > spec.n:
         return Matrix.zeros(0, bidegree_dim(pq, spec.n))
-    power = Matrix.identity(bidegree_dim(pq, spec.n))
-    for s in range(r):
+    if r == 0:
+        return Matrix.identity(bidegree_dim(pq, spec.n))
+    power = operator_block(spec, "L", pq)
+    for s in range(1, r):
         power = operator_block(spec, "L", (p + s, q + s)) * power
     return power
 

@@ -27,7 +27,9 @@ none of the package's block code:
 - the target bidegrees of an operator by one branch per operator family
   instead of the shift table of `op_targets`, and Delta_D as A* A + B B*
   with explicit zero blocks at the edges instead of a sum over
-  `op_targets`.
+  `op_targets`;
+- the intersection of two subspaces by the nullspace of their transposed
+  stack instead of the equations of one side.
 
 `from_dicts` builds an engine `Matrix` from rows given as column -> value
 dicts, and `dense` from dense rows, through it.
@@ -403,6 +405,21 @@ def coeff_of(form: Form, mono: BasisMonomial) -> SymScalar:
 def full_subspace(n: int, pq) -> hodge.Subspace:
     """The whole of Lambda^{p,q} as a Subspace."""
     return hodge.Subspace(pq, n, linalg.Matrix.identity(len(basis_of(pq, n))))
+
+
+def transposed_stack_intersect(U: hodge.Subspace,
+                               V: hodge.Subspace) -> hodge.Subspace:
+    """U cap V from one transposed stack (the package's former
+    `Subspace.intersect`): x.U = y.V exactly when (x, -y) lies in the left
+    kernel of [U; V], the nullspace of [U; V]^T; only x is read, so the
+    sign of y does not matter."""
+    U._check_ambient(V)
+    a, b = U.basis.rows, V.basis.rows
+    if a == 0 or b == 0:
+        return hodge.Subspace.zero(U.n, U.ambient)
+    kernel = U.basis.stack_below(V.basis).transpose().nullspace()
+    return hodge.Subspace(U.ambient, U.n,
+                          kernel.columns(range(a)) * U.basis)
 
 
 def volume_form(spec) -> Form:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,13 +10,16 @@ import pytest
 import sympy
 
 from akhodge import catalog, hodge, operators as ops, reports
-from akhodge.exterior import Form, basis_of
+from akhodge.exterior import (Form, basis_of, bidegree_dim,
+                              bidegrees_of_degree)
+from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, Nonzeroness, SymScalar
 
 from oracles import (brute_component_matrix, dense, dual_Lambda,
                      full_subspace, matrix_to_sympy, one_form,
-                     pointwise_membership, same_row_space)
+                     pointwise_membership, same_row_space,
+                     transposed_stack_intersect)
 
 
 def F(text, spec):
@@ -281,6 +285,87 @@ def test_primitive_subspace_cross_check_runs(cc_entries):
             hodge.primitive_subspace(spec, pq)
 
 
+def _fresh(key):
+    return parse_spec(catalog.dsl_source(key))
+
+
+def _same_pivots_other_kernel(block):
+    """A matrix whose reduced form has block's pivots but another kernel:
+    a pivot row of that form gains 1 at a free column after its pivot (or
+    -1 where that would cancel the entry)."""
+    reduced, pivots = block.rref()
+    free = [c for c in range(block.cols) if c not in pivots]
+    i, f = next((i, f) for i, pc in enumerate(pivots) for f in free
+                if f > pc)
+    den, row = reduced.sparse[i]
+    rows = list(reduced.sparse[:len(pivots)])
+    a, b = row.get(f, (0, 0))
+    step = -den if (a + den, b) == (0, 0) else den
+    rows[i] = (den, {**row, f: (a + step, b)})
+    return Matrix(len(rows), block.cols, rows)
+
+
+# (patched function, its arguments, the call under test and its arguments,
+# the expected message): the Laplacian of harmonic_space, and the L^r block
+# of primitive_subspace's cross-check
+_CROSS_CHECKS = [
+    ("laplacian_matrix", ("delbar", (1, 1)), "harmonic_space",
+     ("delbar", (1, 1)),
+     "kt4: ker Delta_delbar on (1, 1) disagrees with the "
+     "closed-and-costar-closed characterization"),
+    ("laplacian_matrix", ("del", (2, 1)), "harmonic_space", ("del", (2, 1)),
+     "iwasawa_ak: ker Delta_del on (2, 1) disagrees with the "
+     "closed-and-costar-closed characterization"),
+    ("lefschetz_power_block", ((1, 1), 1), "primitive_subspace", ((1, 1),),
+     "kt4: ker Lambda != ker L^1 on (1, 1)"),
+    ("lefschetz_power_block", ((1, 1), 2), "primitive_subspace", ((1, 1),),
+     "iwasawa_ak: ker Lambda != ker L^2 on (1, 1)"),
+]
+
+
+def _patched(monkeypatch, target, args, replace):
+    original = getattr(ops, target)
+
+    def patched(spec, *call):
+        block = original(spec, *call)
+        return replace(block) if call == args else block
+
+    monkeypatch.setattr(ops, target, patched)
+
+
+@pytest.mark.parametrize("target, args, call, call_args, message",
+                         _CROSS_CHECKS)
+@pytest.mark.parametrize("kind", ["other_pivots", "same_pivots"])
+def test_cross_check_fires_on_another_kernel(monkeypatch, target, args, call,
+                                             call_args, message, kind):
+    # a matrix with another kernel in place of the Laplacian (or of L^r) at
+    # one bidegree: with other pivots, or with the same pivots and a row
+    # that differs
+    key = message.split(":")[0]
+    spec = _fresh(key)
+    replace = {"other_pivots": lambda block: Matrix.identity(block.cols),
+               "same_pivots": _same_pivots_other_kernel}[kind]
+    _patched(monkeypatch, target, args, replace)
+    with pytest.raises(hodge.CrossCheckMismatchError) as caught:
+        getattr(hodge, call)(spec, *call_args)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("target, args, call, call_args, message",
+                         _CROSS_CHECKS)
+@pytest.mark.parametrize("kind", ["repeated", "scaled"])
+def test_cross_check_accepts_the_same_kernel(monkeypatch, target, args, call,
+                                             call_args, message, kind):
+    # no false alarm: the same kernel with more rows, or with every row
+    # times 3, gives the unpatched space
+    key = message.split(":")[0]
+    want = getattr(hodge, call)(_fresh(key), *call_args)
+    replace = {"repeated": lambda block: block.stack_below(block),
+               "scaled": lambda block: block.scale(3)}[kind]
+    _patched(monkeypatch, target, args, replace)
+    assert getattr(hodge, call)(_fresh(key), *call_args) == want
+
+
 def test_high_degree_primitives_vanish(cc_entries):
     for entry in cc_entries.values():
         spec = entry.spec
@@ -384,6 +469,69 @@ def test_subspace_intersect_matches_dimension_formula():
         assert meet.dim == U.dim + V.dim - both.rank()
         assert U.contains(meet) and V.contains(meet)
         assert meet == V.intersect(U)
+
+
+def _random_subspace(rng, dim, rows, ambient=(1, 1), n=3):
+    return hodge.Subspace(ambient, n, dense(
+        [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+          for _ in range(dim)] for _ in range(rows)], dim))
+
+
+def test_equations_cut_out_the_subspace(cc_entries):
+    # the common kernel of a subspace's equations is the subspace, for the
+    # zero space, the full space, random ones and harmonic spaces
+    rng = random.Random(29)
+    spaces = [hodge.Subspace.zero(3, (1, 1)), full_subspace(3, (1, 1))]
+    spaces += [_random_subspace(rng, 9, k) for k in range(1, 9)]
+    spec = cc_entries["iwasawa_ak"].spec
+    spaces += [hodge.harmonic_space(spec, D, pq) for D in ("delbar", "del")
+               for pq in all_bidegrees(3)]
+    for U in spaces:
+        equations = U.equations()
+        assert equations.rows == bidegree_dim(U.ambient, U.n) - U.dim
+        assert equations.apply(U.basis).is_zero()
+        assert hodge.kernel_subspace(equations, U.ambient, U.n) == U
+
+
+def test_equations_run_no_elimination(monkeypatch):
+    U = _random_subspace(random.Random(3), 9, 4)
+
+    def refuse(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    assert U.equations().rows == 5
+
+
+def test_intersect_matches_transposed_stack_oracle():
+    # seeded random pairs in Lambda^{1,1} at n = 3 (dimension 9): dim U
+    # above and below dim V, U inside V, U = V, and the zero and full spaces
+    rng = random.Random(31)
+    zero, full = hodge.Subspace.zero(3, (1, 1)), full_subspace(3, (1, 1))
+    pairs = []
+    for trial in range(10):
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        shared = _random_subspace(rng, 9, trial % 4)
+        U = shared.sum(_random_subspace(rng, 9, a))
+        V = _random_subspace(rng, 9, b).sum(shared)
+        pairs += [(U, V), (V, U), (U, U.sum(V)), (U, U), (U, zero),
+                  (zero, U), (U, full), (full, U)]
+    pairs += [(zero, zero), (zero, full), (full, full)]
+    assert {(U.dim > V.dim, U.dim < V.dim) for U, V in pairs} == \
+        {(True, False), (False, True), (False, False)}
+    for U, V in pairs:
+        assert U.intersect(V) == transposed_stack_intersect(U, V)
+
+
+def test_intersect_matches_oracle_on_harmonic_primitive_pairs(cc_entries):
+    for entry in cc_entries.values():
+        spec = entry.spec
+        for D in ("d", "mu", "del", "delbar", "mubar"):
+            for pq in all_bidegrees(spec.n):
+                H = hodge.harmonic_space(spec, D, pq)
+                P = hodge.primitive_subspace(spec, pq)
+                assert H.intersect(P) == transposed_stack_intersect(H, P)
+                assert P.intersect(H) == H.intersect(P)
 
 
 def test_membership_criterion2_engine_value(entries):
@@ -565,6 +713,27 @@ def test_verify_prop41_inapplicable_high_dim(cc_entries):
 def test_verify_unknown_check(cc_entries):
     with pytest.raises(ValueError):
         hodge.verify(cc_entries["kt4"].spec, "nonsense")
+
+
+def test_lemma46_space_is_ker_D_cap_P(cc_entries, ladder, monkeypatch):
+    # the space each adjoint must vanish on, against ker D cap P by the
+    # transposed-stack intersection of the two kernels: every bidegree with
+    # k <= n and both D, on the constant-coefficient entries and the ladder
+    seen = []
+    original = hodge._not_annihilated
+    monkeypatch.setattr(hodge, "_not_annihilated", lambda block, space: (
+        seen.append(space), original(block, space))[1])
+    specs = [_fresh(key) for key in cc_entries] + [ladder(n) for n in (3, 4, 5)]
+    for spec in specs:
+        seen.clear()
+        assert hodge.verify(spec, "lemma46").status == "Holds", spec.name
+        n = spec.n
+        want = [transposed_stack_intersect(
+            hodge.kernel_subspace(ops.operator_block(spec, D, pq), pq, n),
+            hodge.primitive_subspace(spec, pq))
+            for k in range(n + 1) for pq in bidegrees_of_degree(k, n)
+            for D in ("delbar", "del")]
+        assert seen == want, spec.name
 
 
 def test_failing_check_carries_witness():
@@ -854,6 +1023,23 @@ LADDER_N6_DELBAR_TABLE = [[1, 4, 7, 8, 7, 4, 1],
 
 def test_ladder_n6_delbar_table_matches_recorded(ladder):
     assert hodge.hodge_table(ladder(6), "delbar") == LADDER_N6_DELBAR_TABLE
+
+
+LADDER_VERIFY_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "data"
+     / "ladder_verify_digests.json").read_text(encoding="utf-8"))
+
+
+def test_ladder_verify_all_golden_digests(ladder):
+    # the whole verify_all JSON of the n = 5 and n = 6 ladder, whose kernels
+    # are larger than any catalog entry's
+    digests = {}
+    for n in (5, 6):
+        payload = [r.to_dict() for r in hodge.verify_all(ladder(n))]
+        digests[str(n)] = hashlib.sha256(json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode(
+                "utf-8")).hexdigest()
+    assert digests == LADDER_VERIFY_DIGESTS["sha256"]
 
 
 def test_ladder_n4_verify_all_has_no_fails(ladder):
