@@ -243,15 +243,15 @@ def _require_theorem_mode(spec) -> None:
 @ops.spec_memo
 def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
     """(A, E) with H^{p,q}_D = ker A cap ker E.  A is the D block at (p,q).
-    For del and delbar, E is the partner block at (n-q, n-p) times the star
-    block at (p,q), so A alpha and E alpha are D alpha and partner(*alpha);
-    for d, mu and mubar, E is the D* block."""
+    For del and delbar, E is the partner block at (n-q, n-p) times star on
+    (p,q), written by `operators._times_star`, so A alpha and E alpha are
+    D alpha and partner(*alpha); for d, mu and mubar, E is the D* block."""
     n = spec.n
     p, q = pq
     A = ops.operator_block(spec, D, pq)
     if D in ("del", "delbar"):
-        E = (ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p))
-             * ops.operator_block(spec, "star", pq))
+        E = ops._times_star(spec, ops.operator_block(
+            spec, ops.STAR_PARTNERS[D], (n - q, n - p)), pq)
     else:
         E = ops.operator_block(spec, D + "_star", pq)
     return A, E

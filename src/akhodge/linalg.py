@@ -14,9 +14,10 @@ A row entry is in the number format of `scalars.GaussianRational`, the ints
 arithmetic.  One rule brings values to a common denominator: `_over_lcm`
 takes (column, den, a, b) entries and returns the row over the lcm of the
 dens, in lowest terms; `apply`, the transposes, `kernel_of_reduced` and
-`hodge.forms_to_rows` build their rows through it (`__mul__` and sums keep
-their own loops, which add up repeated columns).  One rule divides out a
-common factor: `_lowest_terms`, of which `_primitive` is the den = 0 case.
+`hodge.forms_to_rows` build their rows through it (`__mul__`, sums and
+`gram_sum` keep their own loops, which add up repeated columns).  One rule
+divides out a common factor: `_lowest_terms`, of which `_primitive` is the
+den = 0 case.
 `entries` divides each entry by its gcd with the row denominator, and
 `data` returns plain dense lists, built afresh on every read (for rendering
 and JSON).
@@ -367,6 +368,51 @@ class Matrix:
         right = reduced.columns(range(self.cols, self.cols + self.rows))
         return (right.row_slice(0, self.cols),
                 right.row_slice(self.cols, len(pivots)))
+
+
+def gram_sum(F: Matrix, G: Matrix, factor: Fraction) -> Matrix:
+    """factor (F^H F + G G^H) for a rational factor > 0: the square matrix
+    on F's columns (G's rows), as a sum of outer products v v^H over the
+    conjugated rows v of F and the columns v of G, in integers over the
+    square of the lcm of every row denominator.  The sum is Hermitian, so
+    only its upper triangle is accumulated and the lower one is its mirror;
+    each row is brought to lowest terms once."""
+    assert F.cols == G.rows, f"{F.cols} != {G.rows}"
+    dim = F.cols
+    common = lcm(*[den for den, row in F.sparse + G.sparse if row])
+    vectors = []
+    for den, row in F.sparse:
+        m = common // den
+        vectors.append([(j, a * m, -b * m)
+                        for j, (a, b) in sorted(row.items())])
+    columns: list[list] = [[] for _ in range(G.cols)]
+    for i, (den, row) in enumerate(G.sparse):
+        m = common // den
+        for j, (a, b) in row.items():
+            columns[j].append((i, a * m, b * m))
+    # v ascends in its indices: add v_i conj(v_j) at i <= j, its real and
+    # imaginary parts kept apart
+    upper_re: list[dict] = [{} for _ in range(dim)]
+    upper_im: list[dict] = [{} for _ in range(dim)]
+    for v in vectors + columns:
+        for x, (i, a, b) in enumerate(v):
+            acc_re, acc_im = upper_re[i], upper_im[i]
+            acc_re[i] = acc_re.get(i, 0) + a * a + b * b
+            for j, c, e in v[x + 1:]:
+                acc_re[j] = acc_re.get(j, 0) + a * c + b * e
+                acc_im[j] = acc_im.get(j, 0) + b * c - a * e
+    fn = factor.numerator
+    rows: list[SparseRow] = [{} for _ in range(dim)]
+    for i, (acc_re, acc_im) in enumerate(zip(upper_re, upper_im)):
+        row = rows[i]
+        for j, a in acc_re.items():
+            b = acc_im.get(j, 0)
+            if a or b:
+                row[j] = (a * fn, b * fn)
+                if j != i:
+                    rows[j][i] = (a * fn, -b * fn)
+    den = factor.denominator * common * common
+    return Matrix(dim, dim, [_lowest_terms(den, row) for row in rows])
 
 
 def kernel_of_reduced(reduced: Matrix, pivots: Sequence[int]) -> Matrix:

@@ -32,22 +32,26 @@ masks, so that every sign is a popcount parity:
   pairing is the product one, so <m, m> = (2/c)^k on every k-form monomial
   (`norm`).
 
-Matrices: the blocks of d, L and * are written straight from these closed
+Matrices: the blocks of d and L are written straight from these closed
 forms into integer rows, a hit finding its row by its target masks in
 `exterior.basis_index`, the map that `hodge` reads too; the
 same block writer writes the full-degree d, from every bidegree of degree
-k into every bidegree of degree k + 1.  Every other block derives from
-them: the four components of d are row slices of the cached "d" block,
-d^c = i (delbar - del + mu - mubar) is that block with each target's rows
-scaled by +-i, and J is i^{p-q} times the identity.  Since the Gram
-matrix is a scalar per degree, each metric adjoint is a scaled conjugate
-transpose of a cached forward block: [A*] = (2/c)^{deg tgt - deg src} [A]^H
-for A from src to tgt, for A in {mu, del, delbar, mubar} and for Lambda,
-the adjoint of L, built in one pass by `Matrix.conj_transpose(factor)`;
-d* is the four component adjoints stacked.  At full degree the same rule
-gives Delta_d = (2/c)(d^H d + d d^H) from the matrix of d alone.  The adjoint
-blocks of d and its components, and Delta_d, raise OperatorError on a spec
-that is not unimodular (`is_unimodular`), where they are not -*d*.
+k into every bidegree of degree k + 1.  `_times_star`, the one star
+writer, takes a block B to B [star] by moving each column *m of B to the
+column of m, scaled by its `_star_parts` factor; the star block is that of
+the identity.  The four components of d are row slices of the cached "d"
+block, d^c = i (delbar - del + mu - mubar) is that block with each
+target's rows scaled by +-i, and J is i^{p-q} times the identity.  Since
+the Gram matrix is a scalar per degree, each metric adjoint is a scaled
+conjugate transpose of a cached forward block: [A*] = (2/c)^{deg tgt -
+deg src} [A]^H for A from src to tgt, for A in {mu, del, delbar, mubar}
+and for Lambda, the adjoint of L, built in one pass by
+`Matrix.conj_transpose(factor)`; d* is the four component adjoints
+stacked.  So every Laplacian is one `linalg.gram_sum`, (2/c)(F^H F +
+G G^H) of the D blocks F out of and G into its space, with no adjoint
+block and no product.  The adjoint blocks of d and its components, and the
+Laplacians, raise OperatorError on a spec that is not unimodular
+(`is_unimodular`), where they are not -*d*.
 The pointwise `ext_d`, `component`, `hodge_star` and `lefschetz_L` serve
 single forms with symbolic coefficients (symbolic specs, `model.validate`, the
 reconstruction of a decomposition); theorem checks and constant membership
@@ -70,7 +74,7 @@ from typing import Callable
 from .exterior import (BasisMonomial, Bidegree, Form, _below, _bits,
                        _wedge_hits, _wedge_terms, basis_index, bidegree_dim,
                        bidegrees_of_degree)
-from .linalg import Matrix, _ZERO_ROW, _lowest_terms
+from .linalg import Matrix, _ZERO_ROW, _lowest_terms, gram_sum
 from .scalars import I, SymScalar, collect, from_ints, i_power
 
 
@@ -334,7 +338,7 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the cold delbar Hodge table of the H(1,2)-type nilmanifold
-# takes about 0.11-0.19 s; n = 7 has 1225, and its table 0.5-0.75 s (one
+# takes about 0.07-0.12 s; n = 7 has 1225, and its table 0.37-0.51 s (one
 # fresh process per run, 2-vCPU Linux VM, CPython 3.11.7).
 MAX_BIDEGREE_DIM = 400
 
@@ -406,16 +410,28 @@ def _wedge_block(spec, op: str, sources: list[Bidegree],
         if row else _ZERO_ROW for row in rows])
 
 
-def _star_block(spec, pq: Bidegree) -> Matrix:
-    """The star block of pq, one `_star_parts` entry per row and column."""
+def _times_star(spec, block: Matrix, pq: Bidegree) -> Matrix:
+    """block * [star] for star on Lambda^{p,q}, with no star block: star
+    sends each basis monomial m to one monomial *m times its `_star_parts`
+    factor, so column m of the product is column *m of block times that
+    factor."""
     n = spec.n
     scale = _star_scale(spec, pq[0] + pq[1])
-    row_of = basis_index((n - pq[1], n - pq[0]), n)
-    rows: list = [None] * len(row_of)
-    for col, mono in enumerate(basis_index(pq, n)):
-        re, im, den, target = _star_parts(n, scale, *mono)
-        rows[row_of[target]] = _lowest_terms(den, {col: (re, im)})
-    return Matrix(len(rows), len(rows), rows)
+    parts = [_star_parts(n, scale, *mono) for mono in basis_index(pq, n)]
+    common = lcm(*[den for _, _, den, _ in parts])
+    col_of = basis_index((n - pq[1], n - pq[0]), n)
+    moved: list = [None] * len(parts)
+    for m, (re, im, den, target) in enumerate(parts):
+        k = common // den
+        moved[col_of[target]] = (m, re * k, im * k)
+    out = []
+    for den, row in block.sparse:
+        entries = {}
+        for t, (a, b) in row.items():
+            m, re, im = moved[t]
+            entries[m] = (a * re - b * im, a * im + b * re)
+        out.append(_lowest_terms(den * common, entries))
+    return Matrix(block.rows, len(parts), out)
 
 
 def _component_block(spec, op: str, pq: Bidegree) -> Matrix:
@@ -462,8 +478,9 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
     """Matrix of a non-Laplacian operator from Lambda^{p,q} into the
     concatenation of its valid target bidegrees (cached).  A component of d
     is a row slice of the "d" block, an adjoint or Lambda the scaled
-    conjugate transpose of its forward block (`_adjoint_block`), and d* the
-    four component adjoints stacked."""
+    conjugate transpose of its forward block (`_adjoint_block`), d* the
+    four component adjoints stacked, and star `_times_star` of the
+    identity."""
     require_bidegree(spec, pq)
     require_constant_coefficient(spec)
     if op in COMPONENT_SHIFTS:
@@ -480,7 +497,8 @@ def operator_block(spec, op: str, pq: Bidegree) -> Matrix:
         return Matrix.identity(bidegree_dim(pq, spec.n)).scale(
             i_power(pq[0] - pq[1]))
     if op == "star":
-        return _star_block(spec, pq)
+        return _times_star(spec, Matrix.identity(bidegree_dim(pq, spec.n)),
+                           pq)
     return _wedge_block(spec, op, [pq], op_targets(op, pq, spec.n))
 
 
@@ -502,22 +520,20 @@ def lefschetz_power_block(spec, pq: Bidegree, r: int) -> Matrix:
 
 @spec_memo
 def laplacian_matrix(spec, D: str, pq: Bidegree) -> Matrix:
-    """Delta_D = D* D + D D* on Lambda^{p,q} for a bidegree-pure D: a sum
-    over the bidegrees next to (p,q) that D and D* reach, zero when there
-    are none.  The blocks of D and D* on (p,q) are built even then, so the
-    adjoint's unitary and unimodular guards always apply."""
+    """Delta_D = D* D + D D* on Lambda^{p,q} for a bidegree-pure D: by the
+    adjoint rule (2/c)(F^H F + G G^H), one `gram_sum` of the D blocks F
+    from (p,q) and G into it, G with no columns at an edge.  Its guards run
+    in a fixed order: the bidegree and constant coefficients (building F),
+    then unitary mode (the factor 2/c), then unimodularity."""
     if D == "d":
         return laplacian_d_matrix(spec, pq)
-    n = spec.n
-    D_star = D + "_star"
     forward = operator_block(spec, D, pq)
-    adjoint = operator_block(spec, D_star, pq)
-    out = Matrix.zeros(bidegree_dim(pq, n), bidegree_dim(pq, n))
-    for up in op_targets(D, pq, n):
-        out = out + operator_block(spec, D_star, up) * forward
-    for down in op_targets(D_star, pq, n):
-        out = out + operator_block(spec, D, down) * adjoint
-    return out
+    factor = norm(spec, 1)
+    require_unimodular(spec)
+    down = op_targets(D + "_star", pq, spec.n)
+    into = (operator_block(spec, D, down[0]) if down
+            else Matrix.zeros(forward.cols, 0))
+    return gram_sum(forward, into, factor)
 
 
 @spec_memo
@@ -535,19 +551,19 @@ def full_degree_matrix(spec, k: int) -> Matrix:
 def laplacian_d_full(spec, k: int) -> Matrix:
     """Delta_d = d* d + d d* as an endomorphism of the whole degree-k space:
     [d*] = (2/c) [d]^H by the adjoint rule, so Delta_d = (2/c)(d_k^H d_k +
-    d_{k-1} d_{k-1}^H); at k = 0 and k = 2n one factor has no rows or no
-    columns and its product is zero.  Needs a unitary, unimodular spec."""
-    require_unitary(spec)
-    require_unimodular(spec)
-    up = full_degree_matrix(spec, k)
-    down = full_degree_matrix(spec, k - 1)
+    d_{k-1} d_{k-1}^H), one `gram_sum`; at k = 0 and k = 2n one factor has
+    no rows or no columns and adds nothing.  Needs a unitary, unimodular
+    spec."""
     factor = norm(spec, 1)
-    return up.conj_transpose(factor) * up + down * down.conj_transpose(factor)
+    require_unimodular(spec)
+    return gram_sum(full_degree_matrix(spec, k),
+                    full_degree_matrix(spec, k - 1), factor)
 
 
 def laplacian_d_matrix(spec, pq: Bidegree) -> Matrix:
     """Delta_d restricted to (p,q)-sources; rows span the whole degree-k
     space since Delta_d does not preserve the bidegree."""
+    require_bidegree(spec, pq)
     n = spec.n
     k = pq[0] + pq[1]
     offset = sum(bidegree_dim(b, n) for b in bidegrees_of_degree(k, n)

@@ -21,6 +21,9 @@ none of the package's block code:
 - the degree-k matrices of d and d* taken one monomial at a time;
 - harmonic membership by the pointwise `component` and `hodge_star` instead
   of the cached blocks;
+- the equation E = partner * star of `hodge.harmonic_equations` as a
+  `Matrix` product of the partner block by the star block, instead of
+  `operators._times_star`;
 - the crossing between constant forms and matrix rows, by the checked
   constructors `Form(...)`, `SymScalar.const` and `from_dicts` instead of
   the unchecked `Form._of` and `SymScalar._of_const`;
@@ -485,6 +488,21 @@ def laplacian_two_products(spec, D: str, pq) -> linalg.Matrix:
     B = (ops.operator_block(spec, D, down) if _valid(down, n)
          else linalg.Matrix.zeros(dim, 0))
     return A_star * A + B * B_star
+
+
+def harmonic_equations_by_product(spec, D: str, pq):
+    """(A, E) of `hodge.harmonic_equations` by the product route: for del and
+    delbar, E is the partner block at (n-q, n-p) times the star block at
+    (p,q); for d, mu and mubar, E is the D* block."""
+    n = spec.n
+    p, q = pq
+    A = ops.operator_block(spec, D, pq)
+    if D in ("del", "delbar"):
+        E = (ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p))
+             * ops.operator_block(spec, "star", pq))
+    else:
+        E = ops.operator_block(spec, D + "_star", pq)
+    return A, E
 
 
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:

@@ -665,6 +665,19 @@ def test_star_duality(cc_entries):
         assert image == target
 
 
+def test_delbar_table_builds_no_star_or_adjoint_block(ladder):
+    # every Laplacian is one gram_sum of forward blocks and E = del * star
+    # is written by _times_star: a cold table caches no star, Lambda or
+    # adjoint block
+    spec = ladder(4)
+    assert hodge.hodge_table(spec, "delbar") == \
+        [[1, 2, 2, 2, 1], [2, 8, 10, 5, 1], [1, 9, 16, 9, 1],
+         [1, 5, 10, 8, 2], [1, 2, 2, 2, 1]]
+    ops_built = {key[1] for key in spec._cache
+                 if key[0] is ops.operator_block.__wrapped__}
+    assert ops_built == {"d", "del", "delbar"}
+
+
 def test_hodge_table(cc_entries):
     flat = cc_entries["torus6_flat"].spec
     table = hodge.hodge_table(flat, "delbar")

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from akhodge import catalog, hodge, model
+from akhodge import catalog, hodge, linalg, model
 from akhodge.linalg import Matrix
 from akhodge.scalars import GaussianRational, ONE, ZERO
 
@@ -410,6 +410,41 @@ def test_sparse_arithmetic_matches_sympy(density):
                 assert matrix_to_sympy(A.row_slice(1, rows)) == SA[1:, :]
                 assert matrix_to_sympy(A.columns(range(1, cols))) == \
                     SA[:, 1:]
+
+
+def from_sympy(S) -> Matrix:
+    """The engine matrix of a sympy matrix over Q(i)."""
+    def value(x):
+        re, im = (sympy.Rational(part) for part in x.as_real_imag())
+        return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
+    return dense([[value(S[i, j]) for j in range(S.cols)]
+                  for i in range(S.rows)], S.cols)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_gram_sum_matches_sympy(density):
+    # factor (F^H F + G G^H) equals sympy's as a Matrix, so its rows are
+    # the canonical ones and not only equal in value
+    rng = random.Random(int(density * 10) + 83)
+    cases = 0
+    for dim in (0, 1, 3, 6):
+        for f_rows, g_cols in ((0, 0), (0, 4), (3, 0), (1, 1), (5, 2), (4, 7)):
+            f_data = sparse_rows(rng, f_rows, dim, density)
+            g_data = sparse_rows(rng, dim, g_cols, density)
+            for data in (f_data, g_data):
+                if len(data) >= 2:
+                    data[1] = [ZERO] * len(data[1])
+            F, G = dense(f_data, dim), dense(g_data, g_cols)
+            factor = Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 7)))
+            SF, SG = matrix_to_sympy(F), matrix_to_sympy(G)
+            want = expanded((SF.H * SF + SG * SG.H)
+                            * sympy.Rational(factor.numerator,
+                                             factor.denominator))
+            got = linalg.gram_sum(F, G, factor)
+            assert (got.rows, got.cols) == (dim, dim)
+            assert got == from_sympy(want), (dim, f_rows, g_cols)
+            cases += 1
+    assert cases == 24
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])

@@ -18,10 +18,10 @@ from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 import properties_util as props
 from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
                      dual_Lambda, from_dicts, full_degree_oracle,
-                     inner_product, j_action, laplacian_two_products,
-                     leibniz_d, matrix_to_sympy, one_form, op_targets_chain,
-                     real_frame_norms, real_frame_star, sort_sign,
-                     volume_form)
+                     harmonic_equations_by_product, inner_product, j_action,
+                     laplacian_two_products, leibniz_d, matrix_to_sympy,
+                     one_form, op_targets_chain, real_frame_norms,
+                     real_frame_star, sort_sign, volume_form)
 
 
 def F(text, spec):
@@ -623,6 +623,11 @@ def test_gram_diagonal_matches_inner_product(cc_entries, ladder_dsl):
     assert {1, Fraction(1, 2)} <= scales
 
 
+# aff(R) x aff(R), which has no compact quotient: d is nonzero on 3-forms
+AFF2 = ("manifold aff2\ndim 4\ncoframe phi1 phi2\n"
+        "d phi1 = -1/2*phi{1,1}\nd phi2 = -1/2*phi{2,2}\n"
+        "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n")
+
 NON_UNITARY = ("manifold flat_skewed\n"
                "dim 4\n"
                "coframe phi1 phi2\n"
@@ -648,6 +653,57 @@ def test_adjoint_blocks_refuse_a_non_unitary_spec():
                 ops.laplacian_matrix(spec, D, pq)
     # the forward blocks need no metric
     assert ops.operator_block(spec, "del", (1, 1)).is_zero()
+
+
+def raised(fn, *args):
+    """(type, message) of the exception fn(*args) raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def test_laplacian_guards_run_in_a_fixed_order():
+    # the bidegree, then constant coefficients, then unitary mode, then
+    # unimodularity, each with its message, on every component Laplacian;
+    # Delta_d refuses an out-of-range bidegree first too
+    skewed = "omega = 1/2*i*phi{1,1} + i*phi{2,2} + 1/2*i*phi{3,3}\n"
+    symbolic = parse_spec(catalog.dsl_source("torus6_g").replace(
+        "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}\n",
+        skewed))
+    non_unitary = parse_spec(NON_UNITARY)
+    aff2 = parse_spec(AFF2)
+    aff2_skewed = parse_spec(AFF2.replace("aff2", "aff2_skewed").replace(
+        "+ 1/2*i*phi{2,2}", "+ i*phi{2,2}"))
+    assert not symbolic.constant_coefficient
+    assert symbolic.unitary_scale is None
+    assert aff2_skewed.unitary_scale is None
+    cases = [
+        (symbolic, ops.NotConstantCoefficientError,
+         "spec 'torus6_g' has symbolic coefficients; operator matrices need "
+         "constant coefficients"),
+        (non_unitary, ops.NotUnitaryModeError,
+         "spec 'flat_skewed' is not in unitary mode "
+         "(omega != (i c/2) sum phi^{j jbar})"),
+        (aff2_skewed, ops.NotUnitaryModeError,
+         "spec 'aff2_skewed' is not in unitary mode "
+         "(omega != (i c/2) sum phi^{j jbar})"),
+        (aff2, ops.OperatorError,
+         "spec 'aff2' is not unimodular (d of an invariant 3-form is "
+         "nonzero): the metric adjoints of d and its components differ "
+         "from -*d* there, and the theorems assume a compact quotient"),
+    ]
+    for spec, *want in cases:
+        n = spec.n
+        for D in ops.COMPONENT_SHIFTS:
+            for pq in all_bidegrees(n):
+                assert raised(ops.laplacian_matrix, spec, D, pq) == \
+                    tuple(want), (spec.name, D, pq)
+        for D in ("d", *ops.COMPONENT_SHIFTS):
+            for pq in ((-1, 0), (n + 1, 0), (0, n + 1)):
+                assert raised(ops.laplacian_matrix, spec, D, pq) == (
+                    ValueError, f"bidegree {pq} is outside 0..{n}")
+    assert not any(key[0] is ops.laplacian_matrix.__wrapped__
+                   for spec, *_ in cases for key in spec._cache)
 
 
 def test_membership_refuses_a_non_unitary_spec():
@@ -756,6 +812,20 @@ def test_laplacian_matrix_matches_two_products(block_specs):
     assert cases == 4 * (16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16 + 25)
 
 
+def test_harmonic_equations_match_the_star_block_product(block_specs):
+    # E = partner * star is written by _times_star, with no star block and
+    # no product; the oracle multiplies the two blocks
+    cases = 0
+    for spec in block_specs:
+        for pq in all_bidegrees(spec.n):
+            for D in ops.STAR_PARTNERS:
+                assert hodge.harmonic_equations(spec, D, pq) == \
+                    harmonic_equations_by_product(spec, D, pq), \
+                    (spec.name, D, pq)
+                cases += 1
+    assert cases == 5 * (16 + 9 + 25 + 16 + 9 + 16 + 25 + 16 + 16 + 25)
+
+
 def test_flat_torus_laplacian_vanishes(cc_entries):
     flat = cc_entries["torus6_flat"].spec
     assert ops.laplacian_matrix(flat, "delbar", (1, 1)).is_zero()
@@ -805,9 +875,7 @@ def test_unimodularity_detector(cc_entries):
     # aff(R) x aff(R), which has no compact quotient
     assert len(cc_entries) == 5
     assert all(ops.is_unimodular(entry.spec) for entry in cc_entries.values())
-    aff2 = parse_spec("manifold aff2\ndim 4\ncoframe phi1 phi2\n"
-                      "d phi1 = -1/2*phi{1,1}\nd phi2 = -1/2*phi{2,2}\n"
-                      "omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}\n")
+    aff2 = parse_spec(AFF2)
     assert not ops.is_unimodular(aff2)
     with pytest.raises(ops.OperatorError, match="not unimodular"):
         ops.operator_block(aff2, "delbar_star", (1, 1))
