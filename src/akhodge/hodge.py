@@ -8,10 +8,12 @@ this is sufficient (invariant decompositions of invariant forms), for the
 positive statements it is a consistency verification, not a re-proof.
 
 A constant (p,q)-form is a row over the basis_of((p, q), n) columns, in the
-sparse format of every `Matrix`; `forms_to_rows` and `rows_to_forms` are the
-only crossing between the two.  Subspace bases, block images and
+sparse format of every `Matrix`; `forms_to_rows`, `component_rows` and
+`rows_to_forms` are the only crossing between the two.  `component_rows`
+writes the row of every pure component of a mixed form in one pass over
+its terms, for the single-form queries.  Subspace bases, block images and
 coordinates are all matrices of such rows.  Both hold nonzero values in
-lowest terms, so neither crossing checks them again: `forms_to_rows` takes
+lowest terms, so no crossing checks them again: the first two take
 (column, d, a, b) entries through `linalg._over_lcm`, and `rows_to_forms`
 wraps `from_ints` of each entry by the unchecked `SymScalar._of_const` and
 `Form._of` (the only caller of either outside its module).
@@ -87,6 +89,16 @@ class SolveFailureError(AssertionError):
 # ---------------------------------------------------------------------------
 # Forms <-> matrix rows
 
+def _ambient_error(mono, pq: Bidegree, n: int) -> AmbientMismatchError:
+    """The error for a monomial outside basis_of(pq, n): an index outside
+    1..n, or else the wrong bidegree."""
+    full = (1 << n + 1) - 2
+    if (mono[0] | mono[1]) & ~full:
+        return AmbientMismatchError(
+            f"monomial {mono} has an index outside 1..{n}")
+    return AmbientMismatchError(f"monomial {mono} is not of bidegree {pq}")
+
+
 def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
     """One row per constant (p,q)-form, over the basis_of(pq, n) columns;
     NotConstantError (a ValueError) on a symbolic coefficient."""
@@ -96,9 +108,28 @@ def forms_to_rows(forms: list[Form], pq: Bidegree, n: int) -> Matrix:
                             x.a, x.b) for mono, coeff in form.items()])
                 for form in forms]
     except KeyError as exc:
-        raise AmbientMismatchError(
-            f"monomial {exc.args[0]} is not of bidegree {pq}") from None
+        raise _ambient_error(exc.args[0], pq, n) from None
     return Matrix(len(rows), len(index), rows)
+
+
+def component_rows(form: Form, n: int) -> list[tuple[Bidegree, Matrix]]:
+    """(pq, row) for each pure (p,q) component of a constant form, in
+    ascending (p,q) order, the row as `forms_to_rows` writes it, from one
+    pass over the form's terms; NotConstantError on a symbolic
+    coefficient."""
+    found: dict[Bidegree, tuple[dict, list]] = {}
+    for mono, coeff in form.items():
+        holo, anti = mono
+        pq = (holo.bit_count(), anti.bit_count())
+        index, entries = found.get(pq) or found.setdefault(
+            pq, (basis_index(pq, n), []))
+        col = index.get(mono)
+        if col is None:
+            raise _ambient_error(mono, pq, n)
+        x = coeff.constant_value()
+        entries.append((col, x.d, x.a, x.b))
+    return [(pq, Matrix(1, len(index), [_over_lcm(entries)]))
+            for pq, (index, entries) in sorted(found.items())]
 
 
 def rows_to_forms(rows: Matrix, pq: Bidegree, n: int) -> list[Form]:
@@ -312,16 +343,16 @@ def _equation_images(spec, D: str, form: Form):
     """[D alpha, partner(*alpha)] as thunks, for `harmonic_membership` to
     call in order.  A constant form on a constant-coefficient spec takes
     the blocks (A, E) of `harmonic_equations` to the row of each pure (p,q)
-    component, built once; any other form goes pointwise through
-    `component` and `hodge_star`.  The rows test each coefficient for
-    constancy once: a symbolic one sends the form pointwise."""
+    component, all written by one `component_rows` pass; any other form
+    goes pointwise through `component` and `hodge_star`.  The rows test
+    each coefficient for constancy once: a symbolic one sends the form
+    pointwise."""
     partner = ops.STAR_PARTNERS[D]
     n = spec.n
     rows = None
     if spec.constant_coefficient:
         try:
-            rows = [(p, q, forms_to_rows([comp], (p, q), n))
-                    for (p, q), comp in form.components().items()]
+            rows = component_rows(form, n)
         except NotConstantError:
             pass
     if rows is None:
@@ -330,7 +361,7 @@ def _equation_images(spec, D: str, form: Form):
                                       ops.hodge_star(spec, form))]
     s, t = ops.COMPONENT_SHIFTS[D]
     rows = [(p, q, row, harmonic_equations(spec, D, (p, q)))
-            for p, q, row in rows]
+            for (p, q), row in rows]
     # the partner's shift is D's, swapped
     return [lambda: Form.sum([apply_blocks(row, (p + s, q + t), n, A)
                               for p, q, row, (A, _) in rows]),
@@ -446,8 +477,7 @@ def primitive_decompose(spec, form: Form) -> PrimitiveDecomposition:
     _require_theorem_mode(spec)
     n = spec.n
     components: dict[int, Form] = {}
-    for pq, comp in form.components().items():
-        row = forms_to_rows([comp], pq, n)
+    for pq, row in component_rows(form, n):
         for r, block in _decomposition_solver(spec, pq).items():
             beta = apply_blocks(row, (pq[0] - r, pq[1] - r), n, block)
             if not beta.is_zero():

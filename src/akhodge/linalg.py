@@ -13,11 +13,11 @@ A row entry is in the number format of `scalars.GaussianRational`, the ints
 (a, b) over a denominator, so rows are built and read with no rational
 arithmetic.  One rule brings values to a common denominator: `_over_lcm`
 takes (column, den, a, b) entries and returns the row over the lcm of the
-dens, in lowest terms; `apply`, the transposes, `kernel_of_reduced` and
-`hodge.forms_to_rows` build their rows through it (`__mul__`, sums and
-`gram_sum` keep their own loops, which add up repeated columns).  One rule
-divides out a common factor: `_lowest_terms`, of which `_primitive` is the
-den = 0 case.
+dens, in lowest terms; `apply`, the transposes, `kernel_of_reduced`,
+`hodge.forms_to_rows` and `hodge.component_rows` build their rows through
+it (`__mul__`, sums and `gram_sum` keep their own loops, which add up
+repeated columns).  One rule divides out a common factor: `_lowest_terms`,
+of which `_primitive` is the den = 0 case.
 `entries` divides each entry by its gcd with the row denominator, and
 `data` returns plain dense lists, built afresh on every read (for rendering
 and JSON).

@@ -13,9 +13,11 @@ masks, so that every sign is a popcount parity:
 - d(m) = sum_i (-1)^i d(a_i) ^ (m without a_i), and L(m) = omega ^ m: 2-form
   terms of d(phi^j), d(phibar^j) and omega, memoized per spec, wedged onto
   a monomial.  The blocks take the terms as ints over one spec-wide
-  denominator; `ext_d` takes their Q(i) or symbolic coefficients through
-  the same enumeration, `_d_hits`, which skips the closed a_i but counts
-  their positions i.
+  denominator; the pointwise d takes their Q(i) or symbolic coefficients
+  through the same enumeration, `_d_hits`, which skips the closed a_i but
+  counts their positions i, and memoizes d(m) split by target bidegree
+  (`_d_monomial`): `ext_d` sums the parts, and `component` multiplies only
+  the one in its target bidegree by the coefficient.
 - The unitary metric is a product over the n complex lines, so the star
   follows the complement rule *(phi^I phibar^J) = +- i^a 2^b c^{n-k}
   phi^{~J} phibar^{~I} (~ the complement in 1..n): each line contributes
@@ -55,8 +57,11 @@ Laplacians, raise OperatorError on a spec that is not unimodular
 The pointwise `ext_d`, `component`, `hodge_star` and `lefschetz_L` serve
 single forms with symbolic coefficients (symbolic specs, `model.validate`, the
 reconstruction of a decomposition); theorem checks and constant membership
-queries use the blocks.  The pointwise adjoints, Lambda, J, d^c and
-pairing that the blocks are tested against live with the tests' oracles.
+queries use the blocks.  Of d of a symbolic coefficient f, `component`
+wedges on only the part it keeps: del f for del, delbar f for delbar, none
+for mu and mubar, though each still refuses an opaque derivative.  The
+pointwise adjoints, Lambda, J, d^c and pairing that the blocks are tested
+against live with the tests' oracles.
 
 Every per-spec cache of the engine, down to the theorem-check reports of
 `hodge.verify`, is one `spec_memo` layer on the spec.  Cached values are
@@ -166,27 +171,37 @@ def _d_hits(terms: dict, holo: int, anti: int) -> list:
 
 
 @spec_memo
-def _d_monomial(spec, mono: BasisMonomial) -> Form:
-    hits = _d_hits(_two_form_terms(spec, False)[1], *mono)
-    return Form(collect((BasisMonomial.of_masks(holo, anti), -c if odd else c)
-                        for holo, anti, c, odd in hits))
+def _d_monomial(spec, mono: BasisMonomial) -> dict[Bidegree, Form]:
+    """d(mono) split by target bidegree: {(p', q'): the (p', q') part}, its
+    nonzero parts only."""
+    parts: dict[Bidegree, list] = {}
+    for holo, anti, c, odd in _d_hits(_two_form_terms(spec, False)[1], *mono):
+        parts.setdefault((holo.bit_count(), anti.bit_count()), []).append(
+            (BasisMonomial.of_masks(holo, anti), -c if odd else c))
+    return {pq: form for pq, hits in parts.items()
+            if (form := Form(collect(hits)))}
 
 
-def _d_scalar(spec, scalar: SymScalar) -> Form:
+def _d_scalar(spec, scalar: SymScalar, part: Bidegree | None = None) -> Form:
     """d of a coefficient by the power rule: each factor name^k of a
-    monomial gives k name^(k-1) (times the rest) times d(name)."""
+    monomial gives k name^(k-1) (times the rest) times d(name).  With part,
+    only the part of that bidegree: del of the coefficient for (1, 0),
+    delbar for (0, 1), nothing for any other; every symbol it meets still
+    needs a declared derivative."""
     terms = []
     for mono, coeff in scalar.terms():
         for idx, (name, k) in enumerate(mono):
-            sym = spec.symbols[name]
-            if sym.derivative is None:
+            derivative = spec.symbols[name].derivative
+            if derivative is None:
                 raise OpaqueDerivativeError(name)
+            if part is not None:
+                derivative = derivative.project(part)
             rest = list(mono)
             if k == 1:
                 del rest[idx]
             else:
                 rest[idx] = (name, k - 1)
-            terms.append(sym.derivative * SymScalar({tuple(rest): coeff * k}))
+            terms.append(derivative * SymScalar({tuple(rest): coeff * k}))
     return Form.sum(terms)
 
 
@@ -194,22 +209,34 @@ def ext_d(spec, form: Form) -> Form:
     """Exterior derivative: structure equations on generators, declared
     derivatives on coefficients, extended by the Leibniz rule."""
     terms = []
-    # in term order, not items(): the first OpaqueDerivativeError names the
+    # in (I, J) term order over the whole form, not items() and not
+    # component by component: the first OpaqueDerivativeError names the
     # symbol of the first term that needs one, and Unknown reasons show it
     for mono, coeff in form.terms():
-        dm = _d_monomial(spec, mono)
-        if dm:
-            terms.append(dm * coeff)
+        terms += [part * coeff for part in _d_monomial(spec, mono).values()]
         if not coeff.is_constant():
             terms.append(_d_scalar(spec, coeff).wedge(Form.monomial(mono)))
     return Form.sum(terms)
 
 
 def component(spec, op: str, form: Form) -> Form:
-    """One of the four bidegree components mu, del, delbar, mubar of d."""
-    s, t = COMPONENT_SHIFTS[op]
-    return Form.sum(ext_d(spec, comp).project((pq[0] + s, pq[1] + t))
-                    for pq, comp in form.components().items())
+    """One of the four bidegree components mu, del, delbar, mubar of d: of
+    each term c m of bidegree (p,q), the (p+s, q+t) part of d(m) times c,
+    plus for del (delbar) del c (delbar c) wedge m, (s, t) being op's
+    shift, which is also the bidegree of the part of d(c) it keeps."""
+    shift = s, t = COMPONENT_SHIFTS[op]
+    terms = []
+    # in (I, J) term order over the whole form, as in ext_d
+    for mono, coeff in form.terms():
+        holo, anti = mono
+        part = _d_monomial(spec, mono).get(
+            (holo.bit_count() + s, anti.bit_count() + t))
+        if part:
+            terms.append(part * coeff)
+        if not coeff.is_constant():
+            terms.append(_d_scalar(spec, coeff, shift).wedge(
+                Form.monomial(mono)))
+    return Form.sum(terms)
 
 
 # ---------------------------------------------------------------------------

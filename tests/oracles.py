@@ -18,6 +18,9 @@ none of the package's block code:
   expansion), and on none of the package's star code;
 - d of a monomial by whole-`Form` wedges (the Leibniz rule on the package's
   `Form` algebra, none of its term lists);
+- a component of d of a single form as `ext_d` of each pure component,
+  projected on the target bidegree, instead of only the part of d that
+  lands there;
 - the degree-k matrices of d and d* taken one monomial at a time;
 - harmonic membership by the pointwise `component` and `hodge_star` instead
   of the cached blocks;
@@ -332,6 +335,15 @@ def leibniz_d(spec, mono: BasisMonomial) -> Form:
         term = pre.wedge(df).wedge(suf)
         total = total + (term if i % 2 == 0 else -term)
     return total
+
+
+def component_by_projection(spec, op: str, form: Form) -> Form:
+    """`ops.component` as the (p+s, q+t) part of `ext_d` of each (p,q)
+    component, (s, t) the shift of op.  Its OpaqueDerivativeError names the
+    first opaque term of the first component that has one."""
+    s, t = ops.COMPONENT_SHIFTS[op]
+    return Form.sum(ops.ext_d(spec, comp).project((pq[0] + s, pq[1] + t))
+                    for pq, comp in form.components().items())
 
 
 def real_frame_norms(spec) -> dict:

@@ -10,11 +10,12 @@ import pytest
 import sympy
 
 from akhodge import catalog, hodge, operators as ops, reports
-from akhodge.exterior import (Form, basis_of, bidegree_dim,
+from akhodge.exterior import (BasisMonomial, Form, basis_of, bidegree_dim,
                               bidegrees_of_degree)
 from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
-from akhodge.scalars import GaussianRational, Nonzeroness, SymScalar
+from akhodge.scalars import (GaussianRational, Nonzeroness, NotConstantError,
+                             SymScalar)
 
 from oracles import (brute_component_matrix, dense, dual_Lambda,
                      full_subspace, matrix_to_sympy, one_form,
@@ -45,6 +46,26 @@ def test_forms_to_rows_round_trip(n):
                  for _ in range(4)]
         rows = hodge.forms_to_rows(forms, pq, n)
         assert hodge.rows_to_forms(rows, pq, n) == forms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_component_rows_match_forms_to_rows_per_component(n):
+    # seeded mixed-bidegree forms, the zero form included: one (pq, row)
+    # per pure component, ascending, each row that of forms_to_rows
+    rng = random.Random(40 + n)
+    monos = [m for pq in all_bidegrees(n) for m in basis_of(pq, n)]
+    for size in [0] + [rng.randint(1, 12) for _ in range(30)]:
+        form = Form({m: GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+            for m in rng.sample(monos, size)})
+        assert hodge.component_rows(form, n) == [
+            (pq, hodge.forms_to_rows([comp], pq, n))
+            for pq, comp in form.components().items()]
+    symbolic = Form.monomial(monos[-1]) + Form.monomial(
+        monos[0], SymScalar.symbol("F"))
+    with pytest.raises(NotConstantError):
+        hodge.component_rows(symbolic, n)
 
 
 # -- harmonic spaces ------------------------------------------------------------
@@ -148,6 +169,14 @@ def test_membership_names_the_first_opaque_symbol_in_term_order(entries):
         spec, "delbar", F("V3g*phi{2,} + V3g_bar*phi{1,}", spec))
     assert (result.status, result.reason) == (
         "Unknown", "needs d(V3g_bar), declared opaque")
+    # over the whole form, not component by component: phi{12,...} comes
+    # before phi{2,...} whichever bidegree is lower
+    for text in ("V3g*phi{2,} + V3g_bar*phi{12,1}",
+                 "V3g_bar*phi{12,} + V3g*phi{2,1}"):
+        for D in ("del", "delbar"):
+            result = hodge.harmonic_membership(spec, D, F(text, spec))
+            assert (result.status, result.reason) == (
+                "Unknown", "needs d(V3g_bar), declared opaque"), (text, D)
 
 
 class _Unread:
@@ -625,6 +654,24 @@ def test_ambient_mismatch():
         a.intersect(b)
     with pytest.raises(hodge.AmbientMismatchError, match="not of bidegree"):
         a.member(b.forms()[0])
+
+
+def test_an_index_above_n_is_an_ambient_mismatch(entries):
+    # programmatic forms on kt4 (n = 2): a monomial whose bidegree exists
+    # and one whose bidegree does not, each beside a valid term
+    spec = entries["kt4"].spec
+    for mono in (BasisMonomial((1, 3), ()), BasisMonomial((1, 2, 3), (1,))):
+        form = Form.monomial(mono) + F("phi{1,1}", spec)
+        calls = [lambda: hodge.primitive_decompose(spec, form),
+                 lambda: hodge.component_rows(form, spec.n),
+                 lambda: hodge.forms_to_rows([Form.monomial(mono)],
+                                             mono.bidegree, spec.n)]
+        calls += [lambda D=D: hodge.harmonic_membership(spec, D, form)
+                  for D in ("del", "delbar")]
+        for call in calls:
+            with pytest.raises(hodge.AmbientMismatchError,
+                               match=r"has an index outside 1\.\.2$"):
+                call()
 
 
 def test_nullspace_correctness_property(cc_entries):

@@ -16,8 +16,9 @@ from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import GaussianRational, I, SymScalar, i_power
 
 import properties_util as props
-from oracles import (apply_adjoint, brute_component_matrix, dc, dense,
-                     dual_Lambda, from_dicts, full_degree_oracle,
+from oracles import (apply_adjoint, brute_component_matrix,
+                     component_by_projection, dc, dense, dual_Lambda,
+                     from_dicts, full_degree_oracle,
                      harmonic_equations_by_product, inner_product, j_action,
                      laplacian_two_products, leibniz_d, matrix_to_sympy,
                      one_form, op_targets_chain, real_frame_norms,
@@ -105,14 +106,75 @@ def test_closed_form_d_matches_leibniz_oracle(entries, ladder):
     # the n = 3, 4 ladder, on fresh specs
     specs = [parse_spec(catalog.dsl_source(key)) for key in entries]
     specs += [ladder(3), ladder(4)]
+    # the memo splits d(m) by target bidegree and keeps nonzero parts only
     symbolic = 0
     for spec in specs:
         for pq in all_bidegrees(spec.n):
             for m in basis_of(pq, spec.n):
-                dm = ops._d_monomial(spec, m)
-                assert dm == leibniz_d(spec, m), (spec.name, m)
-                symbolic += not dm.is_constant_coefficient()
+                parts = ops._d_monomial(spec, m)
+                want = leibniz_d(spec, m)
+                assert parts == want.components(), (spec.name, m)
+                symbolic += not want.is_constant_coefficient()
     assert len(specs) == 9 and symbolic > 0
+
+
+# declared derivatives with both a (1,0) and a (0,1) part, and symbolic
+# structure coefficients; parsed only, as d^2 = 0 plays no part here
+DECLARED = """
+manifold declared_mixed
+dim 6
+coframe phi1 phi2 phi3
+symbol F real d = phi{3,} + phi{,3}
+symbol G conj H d = 2*phi{1,} - i*F*phi{,2}
+symbol H conj G d = 2*phi{,1} + i*F*phi{2,}
+d phi1 = G*phi{2,3} + F*phi{,23} - 1/2*phi{3,2}
+d phi2 = H^2*phi{13,} + i*phi{1,1}
+omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}
+"""
+
+
+def test_component_matches_the_projection_oracle(entries, ladder):
+    # the four components of seeded mixed-bidegree forms, symbolic
+    # coefficients included, on every catalog entry, the n = 3, 4 ladder and
+    # a spec with declared derivatives; an opaque derivative raises on both
+    # routes, naming the same symbol when the form is pure
+    rng = random.Random(31)
+    specs = [e.spec for e in entries.values()] + [ladder(3), ladder(4),
+                                                  parse_spec(DECLARED)]
+    compared = {"constant": 0, "symbolic": 0, "opaque": 0}
+    for spec in specs:
+        n = spec.n
+        monos = [m for pq in all_bidegrees(n) for m in basis_of(pq, n)]
+        names = sorted(spec.symbols)
+
+        def coeff():
+            value = SymScalar.const(GaussianRational(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                rng.randint(-2, 2)))
+            if names and rng.random() < 0.4:
+                value = value + SymScalar.symbol(
+                    rng.choice(names), rng.choice((1, 2, -1)),
+                    rng.choice((1, -2, I)))
+            return value
+
+        for _ in range(16):
+            form = Form({rng.choice(monos): coeff()
+                         for _ in range(rng.randint(1, 5))})
+            for op in ops.COMPONENT_SHIFTS:
+                try:
+                    want = component_by_projection(spec, op, form)
+                except ops.OpaqueDerivativeError as exc:
+                    with pytest.raises(ops.OpaqueDerivativeError) as got:
+                        ops.component(spec, op, form)
+                    if form.pure_bidegree() is not None:
+                        assert got.value.symbol == exc.symbol
+                    compared["opaque"] += 1
+                    continue
+                assert ops.component(spec, op, form) == want, (spec.name,
+                                                               op, form)
+                compared["constant" if form.is_constant_coefficient()
+                         else "symbolic"] += 1
+    assert min(compared.values()) >= 20, compared
 
 
 def test_component_matrices_match_brute_force(cc_entries):
