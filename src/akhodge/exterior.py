@@ -20,8 +20,8 @@ Sums of forms and wedges and their signed-term text come from the one
 A form's coefficients are nonzero SymScalars of canonical values: `Form(...)`
 coerces and tests each one, and the private `Form._of(terms)` stores terms
 already so, unchecked.  Only `components` and `project` (terms of a checked
-form), `sum` and `+` (through `collect`, which drops zero sums), unary `-`
-and `hodge.rows_to_forms` call it.
+form), `sum`, `+` and the DSL parser (through `collect`, which drops zero
+sums), unary `-` and `hodge.rows_to_forms` call it.
 """
 
 from __future__ import annotations

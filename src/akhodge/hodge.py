@@ -346,7 +346,7 @@ def _equation_images(spec, D: str, form: Form):
     component, all written by one `component_rows` pass; any other form
     goes pointwise through `component` and `hodge_star`.  The rows test
     each coefficient for constancy once: a symbolic one sends the form
-    pointwise."""
+    pointwise.  Either route refuses an index outside 1..n."""
     partner = ops.STAR_PARTNERS[D]
     n = spec.n
     rows = None
@@ -356,6 +356,9 @@ def _equation_images(spec, D: str, form: Form):
         except NotConstantError:
             pass
     if rows is None:
+        for mono, _ in form.items():
+            if (mono[0] | mono[1]) & ~((1 << n + 1) - 2):  # not in 1..n
+                raise _ambient_error(mono, mono.bidegree, n)
         return [lambda: ops.component(spec, D, form),
                 lambda: ops.component(spec, partner,
                                       ops.hodge_star(spec, form))]

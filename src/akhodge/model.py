@@ -15,9 +15,10 @@ The DSL is line-oriented UTF-8 with `#` comments:
 A directive word ends at whitespace or at `=`, so `omega=...` reads as
 `omega = ...`.
 
-Monomials are written `phi{I,J}` with one digit per index (e.g. `phi{13,2}`
-for phi^13 wedge phibar^2, hence 2n <= 18).  A form is the text that
-`Form.render` writes, such as `(1/2-i)*phi{1,1} + (F + (1+i)*G^-1)*phi{2,2}`:
+Digits are ASCII `0-9`.  Monomials are written `phi{I,J}` with one digit
+per index (e.g. `phi{13,2}` for phi^13 wedge phibar^2, hence 2n <= 18).  A
+form is the text that `Form.render` writes, such as
+`(1/2-i)*phi{1,1} + (F + (1+i)*G^-1)*phi{2,2}`:
 
     form   := "0" | sum
     sum    := term (("+" | "-") term)*
@@ -44,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from itertools import combinations
 
 from . import operators
 from .exterior import (BasisMonomial, Form, Pairing, RealForm,
@@ -180,174 +181,160 @@ def _closedness_of_omega(spec: ManifoldSpec) -> tuple[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing
+# Expression parsing: tokens are (kind, text, col) tuples, an operator's
+# kind its own character; nothing keyed by the text is cached.
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<mono>phi\{(?P<holo>\d*),(?P<anti>\d*)\})"
-    r"|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<pow>\^-?\d+)"
+    r"\s*(?:(?P<mono>phi\{(?P<holo>[0-9]*),(?P<anti>[0-9]*)\})"
+    r"|(?P<number>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<pow>\^-?[0-9]+)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[+\-*()])")
+    r"|(?P<op>[+\-*()])"
+    r"|(?P<bad>\S))")
+
+# the mask of each of the 2^9 strictly ascending index strings
+_MASKS = {"".join(map(str, c)): sum(1 << j for j in c)
+          for k in range(10) for c in combinations(range(1, 10), k)}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    col: int
-    holo: str = ""
-    anti: str = ""
-
-
-def _tokenize(text: str, line: int | str, col_offset: int = 0) -> list[_Token]:
+def _tokenize(text: str, line: int | str, col_offset: int = 0) -> list[tuple]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SpecSyntaxError(f"unexpected character {text[pos]!r}",
-                                  line, col_offset + pos + 1)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tok = _Token(kind, m.group(), col_offset + m.start() + 1)
+        tok = m.group(kind)
+        col = col_offset + m.start(kind) + 1
         if kind == "mono":
-            tok.holo = m.group("holo")
-            tok.anti = m.group("anti")
-        tokens.append(tok)
+            tokens.append((kind, tok, col, *m.group("holo", "anti")))
+        elif kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {tok!r}", line, col)
+        else:
+            tokens.append((tok if kind == "op" else kind, tok, col))
     return tokens
 
 
-def _parse_indices(digits: str, n: int, line: int | str,
-                   col: int) -> tuple[int, ...]:
-    indices = tuple(int(ch) for ch in digits)
-    for idx in indices:
-        if not 1 <= idx <= n:
-            raise SpecSyntaxError(f"coframe index {idx} out of range 1..{n}",
-                                  line, col)
-    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
-        raise SpecSyntaxError(f"indices {digits!r} must be strictly ascending",
-                              line, col)
-    return indices
+def _index_error(tok: tuple, n: int, line: int | str) -> SpecSyntaxError:
+    """The error of a phi{I,J} token whose I, else J, is not a strictly
+    ascending string of indices 1..n."""
+    for digits in tok[3:]:
+        bad = [ch for ch in digits if not 1 <= int(ch) <= n]
+        if bad or digits not in _MASKS:
+            return SpecSyntaxError(
+                f"coframe index {bad[0]} out of range 1..{n}" if bad else
+                f"indices {digits!r} must be strictly ascending", line, tok[2])
 
 
-def _number(convert: Callable, text: str, line: int | str,
-            col: int | None = None):
-    """convert(text) for a digit literal; a literal longer than the
-    interpreter's int string-conversion limit raises SpecSyntaxError."""
+def _number(text: str, line: int | str, col: int) -> tuple[int, int]:
+    """The ints (a, b) of a literal `a` (b = 1) or `a/b`; SpecSyntaxError
+    past the interpreter's int string-conversion limit."""
+    num, _, den = text.partition("/")
     try:
-        return convert(text)
+        return int(num), int(den or 1)
     except ValueError:
         raise SpecSyntaxError(
             f"number literal of {len(text)} characters is too long",
             line, col) from None
 
 
-def _ratio(text: str) -> tuple[int, int]:
-    """The ints (a, b) of a number literal `a` or `a/b`."""
-    num, _, den = text.partition("/")
-    return int(num), int(den or 1)
-
-
-def _parse_terms(tokens: list[_Token], pos: int, n: int,
+def _parse_terms(tokens: list[tuple], pos: int, n: int,
                  symbols: dict[str, FunctionSymbol], line: int | str,
-                 groups: tuple[_Token, ...] = ()
-                 ) -> tuple[list[tuple[SymScalar, BasisMonomial | None]], int]:
-    """The signed terms from tokens[pos] on, as (coefficient, monomial)
-    pairs, and the position where they stop: the end of the expression, or
-    the ')' that closes groups[-1], the innermost open '('.  A term of the
-    expression has one monomial; a term in parentheses has none.
+                 groups: tuple[int, ...] = ()) -> tuple[list[tuple], int]:
+    """The signed (monomial, coefficient) terms from tokens[pos] on, and
+    where they stop: the end, or the ')' closing the '(' at column
+    groups[-1].  A term of the expression has one monomial; a term in
+    parentheses has none.
 
     A term's coefficient is built once: its numbers, `i` and sign multiply
     the Q(i) constant (re + im*i)/den, its symbols add their exponents, and
     its parenthesized sums multiply that product."""
+    end = len(tokens)
     terms = []
     while True:
         re, im, den = 1, 0, 1
-        while pos < len(tokens) and tokens[pos].text in ("+", "-"):
-            if tokens[pos].text == "-":
+        while pos < end and tokens[pos][0] in ("+", "-"):
+            if tokens[pos][0] == "-":
                 re = -re
             pos += 1
-        exponents: dict[str, int] = {}
-        sums: list[SymScalar] = []
-        monomial: BasisMonomial | None = None
+        exponents, sums, monomial = {}, [], None
         expect_factor = True
-        while pos < len(tokens):
+        while pos < end:
             tok = tokens[pos]
-            if tok.text in ("+", "-"):
+            kind = tok[0]
+            if kind in ("+", "-"):
                 break
-            if tok.text == ")":
+            if kind == ")":
                 if not groups:
-                    raise SpecSyntaxError("unmatched ')'", line, tok.col)
+                    raise SpecSyntaxError("unmatched ')'", line, tok[2])
                 break
-            if tok.text == "*":
+            if kind == "*":
                 if expect_factor:
-                    raise SpecSyntaxError("misplaced '*'", line, tok.col)
+                    raise SpecSyntaxError("misplaced '*'", line, tok[2])
                 expect_factor = True
                 pos += 1
                 continue
             if not expect_factor:
-                raise SpecSyntaxError(f"missing '*' before {tok.text!r}",
-                                      line, tok.col)
-            if tok.kind == "number":
-                num, div = _number(_ratio, tok.text, line, tok.col)
+                raise SpecSyntaxError(f"missing '*' before {tok[1]!r}",
+                                      line, tok[2])
+            if kind == "mono":
+                if monomial is not None:
+                    raise SpecSyntaxError("two monomials in one term",
+                                          line, tok[2])
+                holo, anti = _MASKS.get(tok[3]), _MASKS.get(tok[4])
+                if holo is None or anti is None or (holo | anti) >> n + 1:
+                    raise _index_error(tok, n, line)
+                monomial = BasisMonomial.of_masks(holo, anti)
+            elif kind == "number":
+                num, div = _number(tok[1], line, tok[2])
                 if not div:
-                    raise SpecSyntaxError(f"zero denominator in {tok.text!r}",
-                                          line, tok.col)
+                    raise SpecSyntaxError(f"zero denominator in {tok[1]!r}",
+                                          line, tok[2])
                 re, im, den = re * num, im * num, den * div
-            elif tok.kind == "name" and tok.text == "i":
-                re, im = -im, re
-            elif tok.kind == "name":
-                if tok.text not in symbols:
-                    raise UnknownSymbolError(f"unknown symbol {tok.text!r}",
-                                             line, tok.col)
-                exponent = 1
-                if pos + 1 < len(tokens) and tokens[pos + 1].kind == "pow":
-                    exponent = _number(int, tokens[pos + 1].text[1:], line,
-                                       tokens[pos + 1].col)
-                    pos += 1
-                exponents[tok.text] = exponents.get(tok.text, 0) + exponent
-            elif tok.text == "(":
-                if pos + 1 < len(tokens) and tokens[pos + 1].text == ")":
-                    raise SpecSyntaxError("empty parentheses", line, tok.col)
+            elif kind == "name":
+                name = tok[1]
+                if name == "i":
+                    re, im = -im, re
+                elif name not in symbols:
+                    raise UnknownSymbolError(f"unknown symbol {name!r}",
+                                             line, tok[2])
+                else:
+                    exponent = 1
+                    if pos + 1 < end and tokens[pos + 1][0] == "pow":
+                        pos += 1
+                        exponent = _number(tokens[pos][1][1:], line,
+                                           tokens[pos][2])[0]
+                    exponents[name] = exponents.get(name, 0) + exponent
+            elif kind == "(":
+                if pos + 1 < end and tokens[pos + 1][0] == ")":
+                    raise SpecSyntaxError("empty parentheses", line, tok[2])
                 if len(groups) == MAX_NESTING:
                     raise SpecSyntaxError(
                         f"parentheses nested deeper than {MAX_NESTING}",
-                        line, tok.col)
+                        line, tok[2])
                 inner, pos = _parse_terms(tokens, pos + 1, n, symbols, line,
-                                          groups + (tok,))
-                sums.append(sum((c for c, _ in inner), SymScalar.zero()))
-            elif tok.kind == "mono":
-                if monomial is not None:
-                    raise SpecSyntaxError("two monomials in one term",
-                                          line, tok.col)
-                monomial = BasisMonomial(
-                    _parse_indices(tok.holo, n, line, tok.col),
-                    _parse_indices(tok.anti, n, line, tok.col))
+                                          groups + (tok[2],))
+                sums.append(sum((c for _, c in inner), SymScalar.zero()))
             else:
-                raise SpecSyntaxError(f"unexpected token {tok.text!r}",
-                                      line, tok.col)
+                raise SpecSyntaxError(f"unexpected token {tok[1]!r}",
+                                      line, tok[2])
             expect_factor = False
             pos += 1
-        if groups and pos == len(tokens):
-            raise SpecSyntaxError("unclosed '('", line, groups[-1].col)
+        if groups and pos == end:
+            raise SpecSyntaxError("unclosed '('", line, groups[-1])
         if expect_factor:
             raise SpecSyntaxError("dangling operator", line)
         if groups and monomial is not None:
             raise SpecSyntaxError("a basis monomial inside parentheses",
-                                  line, groups[-1].col)
+                                  line, groups[-1])
         if not groups and monomial is None:
             raise SpecSyntaxError("term lacks a basis monomial phi{..,..}",
                                   line)
-        coeff = SymScalar({tuple(sorted((name, k) for name, k
-                                        in exponents.items() if k)):
-                           from_ints(re, im, den)})
+        value = from_ints(re, im, den)
+        coeff = (SymScalar._of_const(value) if value and not exponents else
+                 SymScalar({tuple(sorted((name, k) for name, k
+                                         in exponents.items() if k)): value}))
         for factor in sums:
             coeff = coeff * factor
-        terms.append((coeff, monomial))
-        if pos == len(tokens) or tokens[pos].text == ")":
+        terms.append((monomial, coeff))
+        if pos == end or tokens[pos][0] == ")":
             return terms, pos
 
 
@@ -366,11 +353,10 @@ def _parse_expr(text: str, col_offset: int, n: int,
     tokens = _tokenize(text, line, col_offset)
     if not tokens:
         raise SpecSyntaxError("empty expression", line)
-    if len(tokens) == 1 and tokens[0].text == "0":
+    if len(tokens) == 1 and tokens[0][1] == "0":
         return Form.zero()
     terms, _ = _parse_terms(tokens, 0, n, symbols, line)
-    return Form.sum([Form.monomial(monomial, coeff)
-                     for coeff, monomial in terms])
+    return Form._of(collect(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +390,9 @@ def parse_spec(text: str) -> ManifoldSpec:
                 raise SpecSyntaxError("expected: manifold <name>", line_no)
             name = words[1]
         elif head == "dim":
-            if len(words) != 2 or not words[1].isdecimal():
+            if len(words) != 2 or not re.fullmatch("[0-9]+", words[1]):
                 raise SpecSyntaxError("expected: dim <2n>", line_no)
-            dim = _number(int, words[1], line_no, raw.find(words[1]) + 1)
+            dim = _number(words[1], line_no, raw.find(words[1]) + 1)[0]
             if dim % 2 or dim < 2:
                 raise SpecSyntaxError(f"dim must be even and positive, got {dim}",
                                       line_no)
@@ -526,24 +512,20 @@ def _parse_symbol_line(line: str, line_no: int, lead: int,
         rest = rest[:dm.start()].strip()
     conj_name = sym_name
     nonzero = invertible = False
-    attrs = rest.split()
-    idx = 0
-    while idx < len(attrs):
-        word = attrs[idx]
+    attrs = iter(rest.split())
+    for word in attrs:
         if word == "real":
             conj_name = sym_name
         elif word == "conj":
-            idx += 1
-            if idx >= len(attrs):
+            conj_name = next(attrs, None)
+            if conj_name is None:
                 raise SpecSyntaxError("conj needs a partner name", line_no)
-            conj_name = attrs[idx]
         elif word == "nonzero":
             nonzero = True
         elif word == "invertible":
             invertible = True
         else:
             raise SpecSyntaxError(f"unknown symbol attribute {word!r}", line_no)
-        idx += 1
     if sym_name in symbols:
         raise SpecSyntaxError(f"symbol {sym_name!r} declared twice", line_no)
     symbols[sym_name] = FunctionSymbol(sym_name, conj_name, nonzero=nonzero,

@@ -333,8 +333,8 @@ class SymScalar:
 
     @staticmethod
     def _of_const(value: GaussianRational) -> "SymScalar":
-        """A nonzero canonical value stored unchecked, for the one caller
-        that holds such values, `hodge.rows_to_forms`."""
+        """A nonzero canonical value stored unchecked, for callers that
+        hold one: `hodge.rows_to_forms` and the DSL parser."""
         x = _new(SymScalar)
         _set_sym_terms(x, {_CONST: value})
         return x

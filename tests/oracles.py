@@ -35,7 +35,11 @@ none of the package's block code:
   with explicit zero blocks at the edges instead of a sum over
   `op_targets`;
 - the intersection of two subspaces by the nullspace of their transposed
-  stack instead of the equations of one side.
+  stack instead of the equations of one side;
+- the DSL expression parser, by the one it replaced: one `re.match` per
+  token into `_Token` records, indices read digit by digit into the
+  checking `BasisMonomial(...)`, and one `Form.monomial` per term summed by
+  `Form.sum`, with any Unicode decimal digit read as a digit.
 
 `from_dicts` builds an engine `Matrix` from rows given as column -> value
 dicts, and `dense` from dense rows, through it.
@@ -44,6 +48,8 @@ dicts, and `dense` from dense rows, through it.
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -52,7 +58,9 @@ from sympy import I, Matrix, Rational
 from akhodge import hodge, linalg, operators as ops
 from akhodge.exterior import (BasisMonomial, Form, basis_index, basis_of,
                               real_to_complex)
-from akhodge.scalars import GaussianRational, SymScalar, i_power
+from akhodge.model import (MAX_NESTING, SpecSyntaxError,
+                           UnknownSymbolError)
+from akhodge.scalars import GaussianRational, SymScalar, from_ints, i_power
 
 
 def sort_sign(seq):
@@ -559,3 +567,179 @@ def pointwise_membership(spec, D: str, form: Form) -> hodge.MembershipResult:
                 "NotHarmonic", witness,
                 hodge._form_nonzeroness(spec, witness), label)
     return hodge.MembershipResult("Harmonic")
+
+
+# -- the reference expression parser -------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<mono>phi\{(?P<holo>\d*),(?P<anti>\d*)\})"
+    r"|(?P<number>\d+(?:/\d+)?)"
+    r"|(?P<pow>\^-?\d+)"
+    r"|(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<op>[+\-*()])")
+
+
+@dataclass
+class _Token:
+    kind: str
+    text: str
+    col: int
+    holo: str = ""
+    anti: str = ""
+
+
+def _reference_tokenize(text: str, line, col_offset: int) -> list[_Token]:
+    """One `re.match` per token, whitespace included."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise SpecSyntaxError(f"unexpected character {text[pos]!r}",
+                                  line, col_offset + pos + 1)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        tok = _Token(kind, m.group(), col_offset + m.start() + 1)
+        if kind == "mono":
+            tok.holo = m.group("holo")
+            tok.anti = m.group("anti")
+        tokens.append(tok)
+    return tokens
+
+
+def _reference_indices(digits: str, n: int, line, col: int) -> tuple:
+    indices = tuple(int(ch) for ch in digits)
+    for idx in indices:
+        if not 1 <= idx <= n:
+            raise SpecSyntaxError(f"coframe index {idx} out of range 1..{n}",
+                                  line, col)
+    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
+        raise SpecSyntaxError(f"indices {digits!r} must be strictly ascending",
+                              line, col)
+    return indices
+
+
+def _reference_number(convert, text: str, line, col: int):
+    try:
+        return convert(text)
+    except ValueError:
+        raise SpecSyntaxError(
+            f"number literal of {len(text)} characters is too long",
+            line, col) from None
+
+
+def _reference_ratio(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
+
+
+def _reference_terms(tokens: list[_Token], pos: int, n: int, symbols: dict,
+                     line, groups: tuple = ()) -> tuple[list, int]:
+    """The signed (coefficient, monomial) terms from tokens[pos] on and the
+    position where they stop: the end, or the ')' closing groups[-1]."""
+    terms = []
+    while True:
+        re_, im, den = 1, 0, 1
+        while pos < len(tokens) and tokens[pos].text in ("+", "-"):
+            if tokens[pos].text == "-":
+                re_ = -re_
+            pos += 1
+        exponents: dict[str, int] = {}
+        sums: list[SymScalar] = []
+        monomial = None
+        expect_factor = True
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok.text in ("+", "-"):
+                break
+            if tok.text == ")":
+                if not groups:
+                    raise SpecSyntaxError("unmatched ')'", line, tok.col)
+                break
+            if tok.text == "*":
+                if expect_factor:
+                    raise SpecSyntaxError("misplaced '*'", line, tok.col)
+                expect_factor = True
+                pos += 1
+                continue
+            if not expect_factor:
+                raise SpecSyntaxError(f"missing '*' before {tok.text!r}",
+                                      line, tok.col)
+            if tok.kind == "number":
+                num, div = _reference_number(_reference_ratio, tok.text,
+                                             line, tok.col)
+                if not div:
+                    raise SpecSyntaxError(f"zero denominator in {tok.text!r}",
+                                          line, tok.col)
+                re_, im, den = re_ * num, im * num, den * div
+            elif tok.kind == "name" and tok.text == "i":
+                re_, im = -im, re_
+            elif tok.kind == "name":
+                if tok.text not in symbols:
+                    raise UnknownSymbolError(f"unknown symbol {tok.text!r}",
+                                             line, tok.col)
+                exponent = 1
+                if pos + 1 < len(tokens) and tokens[pos + 1].kind == "pow":
+                    exponent = _reference_number(int, tokens[pos + 1].text[1:],
+                                                 line, tokens[pos + 1].col)
+                    pos += 1
+                exponents[tok.text] = exponents.get(tok.text, 0) + exponent
+            elif tok.text == "(":
+                if pos + 1 < len(tokens) and tokens[pos + 1].text == ")":
+                    raise SpecSyntaxError("empty parentheses", line, tok.col)
+                if len(groups) == MAX_NESTING:
+                    raise SpecSyntaxError(
+                        f"parentheses nested deeper than {MAX_NESTING}",
+                        line, tok.col)
+                inner, pos = _reference_terms(tokens, pos + 1, n, symbols,
+                                              line, groups + (tok,))
+                sums.append(sum((c for c, _ in inner), SymScalar.zero()))
+            elif tok.kind == "mono":
+                if monomial is not None:
+                    raise SpecSyntaxError("two monomials in one term",
+                                          line, tok.col)
+                monomial = BasisMonomial(
+                    _reference_indices(tok.holo, n, line, tok.col),
+                    _reference_indices(tok.anti, n, line, tok.col))
+            else:
+                raise SpecSyntaxError(f"unexpected token {tok.text!r}",
+                                      line, tok.col)
+            expect_factor = False
+            pos += 1
+        if groups and pos == len(tokens):
+            raise SpecSyntaxError("unclosed '('", line, groups[-1].col)
+        if expect_factor:
+            raise SpecSyntaxError("dangling operator", line)
+        if groups and monomial is not None:
+            raise SpecSyntaxError("a basis monomial inside parentheses",
+                                  line, groups[-1].col)
+        if not groups and monomial is None:
+            raise SpecSyntaxError("term lacks a basis monomial phi{..,..}",
+                                  line)
+        coeff = SymScalar({tuple(sorted((name, k) for name, k
+                                        in exponents.items() if k)):
+                           from_ints(re_, im, den)})
+        for factor in sums:
+            coeff = coeff * factor
+        terms.append((coeff, monomial))
+        if pos == len(tokens) or tokens[pos].text == ")":
+            return terms, pos
+
+
+def reference_parse_form(text: str, n: int, symbols: dict | None = None,
+                         line="form", col_offset: int = 0) -> Form:
+    """`model.parse_form` by the tokenizer that matches one token at a time
+    into `_Token` records, indices read digit by digit through the checking
+    `BasisMonomial(...)`, and one `Form.monomial` per term summed by
+    `Form.sum`.  Its digits are any Unicode decimal digits."""
+    tokens = _reference_tokenize(text, line, col_offset)
+    if not tokens:
+        raise SpecSyntaxError("empty expression", line)
+    if len(tokens) == 1 and tokens[0].text == "0":
+        return Form.zero()
+    terms, _ = _reference_terms(tokens, 0, n, symbols or {}, line)
+    return Form.sum([Form.monomial(monomial, coeff)
+                     for coeff, monomial in terms])

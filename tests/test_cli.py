@@ -499,6 +499,22 @@ def test_malformed_symbols_and_coefficients_exit_2(capsys, tmp_path, body,
     assert err.startswith(f"error: line {line}") and message in err
 
 
+@pytest.mark.parametrize("text, error", [
+    # ARABIC-INDIC DIGITS FOUR and ONE, once read as 4 and 1
+    ("manifold t\ndim \u0664\ncoframe phi1 phi2\n" + UNITARY_OMEGA,
+     "line 2: expected: dim <2n>"),
+    (SPEC_HEAD + "omega = \u0661/2*i*phi{1,1} + 1/2*i*phi{2,2}\n",
+     "line 4, col 9: unexpected character '\u0661'"),
+    (SPEC_HEAD + "omega = 1/2*i*phi{\u0661,\u0661} + 1/2*i*phi{2,2}\n",
+     "line 4, col 18: unexpected character '{'"),
+])
+def test_validate_reads_ascii_digits_only(capsys, tmp_path, text, error):
+    path = tmp_path / "digits.akspec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--spec", str(path))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("omega", [
     "omega = 0",
     "omega = 1/2*i*phi{1,1}",  # rank 1

@@ -1,11 +1,13 @@
 """Property tests of the front door: generated DSL text always ends in a
-result or a SpecError (exit 2 from the CLI), and generated valid specs
-round-trip through render_spec; of the "d" block and the full-degree d,
-whose columns agree with the Leibniz-rule oracle on generated
-constant-coefficient specs; and of harmonic membership: the cached block
-route agrees with the pointwise one on random constant forms, and on every
-catalog entry, with constant and symbolic forms, the engine's short-circuit
-agrees with both equations taken eagerly."""
+result or a SpecError (exit 2 from the CLI), the parser agrees with the
+reference parser of `oracles` on generated text and on every form the
+catalog prints, and generated valid specs round-trip through render_spec;
+of the "d" block and the full-degree d, whose columns agree with the
+Leibniz-rule oracle on generated constant-coefficient specs; and of
+harmonic membership: the cached block route agrees with the pointwise one
+on random constant forms, and on every catalog entry, with constant and
+symbolic forms, the engine's short-circuit agrees with both equations
+taken eagerly."""
 
 import contextlib
 import io
@@ -19,10 +21,11 @@ from akhodge import catalog, hodge, operators as ops
 from akhodge.cli import main
 from akhodge.exterior import (BasisMonomial, Form, basis_of,
                               bidegrees_of_degree)
-from akhodge.model import SpecError, parse_form, parse_spec, render_spec
+from akhodge.model import (SpecError, SpecSyntaxError, _parse_expr,
+                           parse_form, parse_spec, render_spec)
 from akhodge.scalars import GaussianRational, SymScalar
 
-from oracles import leibniz_d, pointwise_membership
+from oracles import leibniz_d, pointwise_membership, reference_parse_form
 
 DSL_WORDS = (
     "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
@@ -174,6 +177,86 @@ def test_render_spec_round_trips_generated_specs(text):
     rendered = render_spec(spec)
     assert parse_spec(rendered) == spec
     assert render_spec(parse_spec(rendered)) == rendered
+
+
+# -- the parser against the reference parser ----------------------------------
+
+def _catalog_forms() -> list:
+    """(text, n, symbols) of every form `render_spec` prints for a catalog
+    entry: omega, the structure equations and the symbol derivatives."""
+    out = []
+    for key in sorted(catalog.keys()):
+        spec = catalog.get(key).spec
+        forms = [spec.omega, *spec.structure.values()]
+        forms += [sym.derivative for sym in spec.symbols.values()
+                  if sym.derivative is not None]
+        out += [(form.render(), spec.n, spec.symbols) for form in forms]
+    return out
+
+
+CATALOG_FORMS = _catalog_forms()
+# indices at and past the ends of 1..9, and out of order
+_EDGE_MONOMIALS = ("phi{0,}", "phi{,19}", "phi{123456789,9}", "phi{98,}")
+# ARABIC-INDIC ONE and FOUR, FULLWIDTH TWO, SUPERSCRIPT TWO (not decimal)
+_OTHER_DIGITS = ("\u0661", "\u0664", "\uff12", "phi{\u0661,}", "\u00b2")
+
+
+@st.composite
+def _parser_cases(draw):
+    """(text, n, symbols, column offset): DSL-token text at n = 1..9 with
+    torus6_f's symbols; a form the catalog prints, with its spec's n and
+    symbols; or a generated form at n = 1..9 with torus6_f's symbols, its
+    terms joined by `+` or by `-`.  A form may get a token spliced in, and
+    a quarter of the cases draw their tokens with non-ASCII digits among
+    them."""
+    token = st.one_of(_token, st.sampled_from(_EDGE_MONOMIALS))
+    if not draw(st.integers(0, 3)):
+        token = st.one_of(token, st.sampled_from(_OTHER_DIGITS))
+    symbols = catalog.get("torus6_f").spec.symbols
+    source = draw(st.sampled_from(("tokens", "catalog", "generated")))
+    if source == "tokens":
+        words = draw(st.lists(token, max_size=8))
+        text = draw(st.sampled_from((" ", "", "*"))).join(words)
+        n = draw(st.integers(1, 9))
+    elif source == "catalog":
+        text, n, symbols = draw(st.sampled_from(CATALOG_FORMS))
+    else:
+        n = draw(st.integers(1, 9))
+        text = draw(_form(n, draw(st.integers(0, 2 * n)), sorted(symbols)))
+        text = text.replace(" + ", draw(st.sampled_from((" + ", " - "))))
+    if source != "tokens" and draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(token) + text[at:]
+    return text, n, symbols, draw(st.integers(0, 20))
+
+
+def _parse_outcome(parse, *args):
+    try:
+        form = parse(*args)
+    except SpecError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+    return form, list(form.items())
+
+
+@given(_parser_cases())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_the_reference_parser(case):
+    # equal forms, with their terms in the same order, or the same error
+    # at the same line and column; only a non-ASCII digit, which the
+    # reference reads as a digit, may make the parser alone refuse a text
+    text, n, symbols, offset = case
+    new = _parse_outcome(_parse_expr, text, offset, n, symbols, 7)
+    ref = _parse_outcome(reference_parse_form, text, n, symbols, 7, offset)
+    if new != ref:
+        assert any(ch.isdecimal() and not ch.isascii() for ch in text)
+        assert new[0] is SpecSyntaxError
+        assert "unexpected character" in new[1]
+
+
+def test_parser_matches_the_reference_parser_on_every_catalog_form():
+    for text, n, symbols in CATALOG_FORMS:
+        assert _parse_outcome(parse_form, text, n, symbols) == \
+            _parse_outcome(reference_parse_form, text, n, symbols)
 
 
 # -- harmonic membership -------------------------------------------------------

@@ -674,6 +674,21 @@ def test_an_index_above_n_is_an_ambient_mismatch(entries):
                 call()
 
 
+def test_an_index_above_n_is_an_ambient_mismatch_on_the_pointwise_route(
+        entries):
+    # the symbolic torus6_g (n = 3) answers every membership pointwise,
+    # with constant and with symbolic coefficients
+    spec = entries["torus6_g"].spec
+    symbolic = SymScalar.symbol("V3g")
+    for mono in (BasisMonomial((4,), ()), BasisMonomial((), (2, 5))):
+        for coeff in (1, symbolic):
+            form = Form.monomial(mono, coeff)
+            for D in ("del", "delbar"):
+                with pytest.raises(hodge.AmbientMismatchError,
+                                   match=r"has an index outside 1\.\.3$"):
+                    hodge.harmonic_membership(spec, D, form)
+
+
 def test_nullspace_correctness_property(cc_entries):
     # for V = ker M: M v = 0 for all basis v and rank M + dim V = dim source
     for entry in cc_entries.values():

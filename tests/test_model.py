@@ -251,6 +251,22 @@ def test_dimension_of_non_decimal_digits_rejected():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, col, char", [
+    ("\u0661/2*phi{1,1}", 1, "\u0661"),       # ARABIC-INDIC DIGIT ONE
+    ("1/\u0662*phi{1,1}", 2, "/"),             # `1` is a number, `/` is not
+    ("phi{\u0661,1}", 4, "{"),                # `phi` is a name, `{` is not
+    ("F^\u0662*phi{1,1}", 2, "^"),
+    ("\uff11*phi{1,1}", 1, "\uff11"),         # FULLWIDTH DIGIT ONE
+])
+def test_parse_form_reads_ascii_digits_only(text, col, char):
+    symbols = catalog.get("torus6_f").spec.symbols
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_form(text, 2, symbols, line=3)
+    assert (err.value.line, err.value.col) == (3, col)
+    assert str(err.value) == \
+        f"line 3, col {col}: unexpected character {char!r}"
+
+
 def big_spec_text(n):
     coframe = " ".join(f"phi{j}" for j in range(1, n + 1))
     omega = " + ".join(f"1/2*i*phi{{{j},{j}}}" for j in range(1, min(n, 9) + 1))
