@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -50,9 +51,12 @@ def _load_matrix_spec(args) -> ManifoldSpec:
 
 
 def _parse_pq(text: str, n: int) -> tuple[int, int]:
+    # ASCII digits only: int() alone takes spaces, '+', '_' and every
+    # Unicode decimal digit
+    match = re.fullmatch(r"(-?[0-9]+),(-?[0-9]+)", text)
     try:
-        p, q = (int(x) for x in text.split(","))
-    except ValueError:
+        p, q = map(int, match.groups())
+    except (AttributeError, ValueError):  # no match, or past the digit limit
         raise SpecError(f"--pq expects 'p,q', got {text!r}")
     if not (0 <= p <= n and 0 <= q <= n):
         raise SpecError(f"--pq {p},{q} is out of range: p and q must lie in "

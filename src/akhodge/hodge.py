@@ -23,17 +23,20 @@ The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
 (ker A cap ker E = ker Delta_D) and `harmonic_membership`, which applies A
 to a form and E only when A alpha = 0.
 
-Each kernel and intersection comes from one elimination, before `Subspace`
-echelonizes its basis; a cross-check adds one of its own.  Two matrices on
-the same columns have the same kernel exactly when their reduced row
-echelon forms have the same pivots and nonzero rows (`_same_kernel`), so
-the mandatory cross-checks of `harmonic_space` (Delta_D against [A; E]) and
-`primitive_subspace` (Lambda against L^{n-k+1}) compare two `rref`s and
-build the space from the first with `linalg.kernel_of_reduced`.  A
-subspace is the common kernel of its `equations`, read off its echelon
-basis with no elimination, so `Subspace.intersect` and lemma46's
-ker D cap P each take the kernel of one matrix, with no kernel of the
-larger side.
+Each kernel and intersection comes from one elimination; a cross-check
+adds one of its own.  A kernel is a kernel-form `Subspace` that keeps the
+nonzero rows and pivots of the matrix's `rref` as its equations: its dim is
+the count of free columns, and its echelon basis is built from them
+(`linalg.kernel_of_reduced`, then `rref`) only when it is read, so
+`hodge_table` builds no basis.  Two matrices on the same columns have the
+same kernel exactly when their reduced row echelon forms have the same
+pivots and nonzero rows, so two kernel forms are equal when their
+equations are, and the mandatory cross-checks of `harmonic_space`
+(Delta_D against [A; E]) and `primitive_subspace` (Lambda against
+L^{n-k+1}) compare two kernel forms and keep the first.  Any other
+subspace is the common kernel of `equations` read off its echelon basis
+with no elimination, so `Subspace.intersect` and lemma46's ker D cap P
+each take the kernel of one matrix, with no kernel of the larger side.
 
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
@@ -154,16 +157,55 @@ class Subspace:
 
     Two subspaces are equal iff their reduced-echelon bases are identical,
     so equality is a syntactic check.  `pivots` holds the pivot column of
-    each basis row.
+    each basis row.  A kernel form (`Subspace.kernel`) holds instead the
+    nonzero reduced rows of a matrix and their pivots, its equations: its
+    dim is the count of free columns, two kernel forms are equal iff their
+    equations are, and the echelon basis is built from them on first read.
     """
 
-    __slots__ = ("ambient", "n", "basis", "pivots")
+    __slots__ = ("ambient", "n", "dim", "_basis", "_pivots", "_equations",
+                 "_equation_pivots")
 
     def __init__(self, ambient: Bidegree, n: int, basis: Matrix):
         self.ambient = ambient
         self.n = n
-        reduced, self.pivots = basis.rref()
-        self.basis = reduced.row_slice(0, len(self.pivots))
+        self._equations = None
+        self._echelonize(basis)
+        self.dim = len(self._pivots)
+
+    @classmethod
+    def kernel(cls, ambient: Bidegree, n: int, reduced: Matrix,
+               pivots: tuple[int, ...]) -> "Subspace":
+        """The kernel of a matrix on the basis_of(ambient, n) columns, from
+        its `rref` pair."""
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.n = n
+        space.dim = reduced.cols - len(pivots)
+        space._equations = reduced.row_slice(0, len(pivots))
+        space._equation_pivots = pivots
+        space._basis = None
+        return space
+
+    def _echelonize(self, rows: Matrix) -> None:
+        reduced, self._pivots = rows.rref()
+        self._basis = reduced.row_slice(0, len(self._pivots))
+
+    def _echelon(self) -> tuple[Matrix, tuple[int, ...]]:
+        """The echelon basis and its pivots; a kernel form builds them from
+        its equations on first read."""
+        if self._basis is None:
+            self._echelonize(kernel_of_reduced(self._equations,
+                                               self._equation_pivots))
+        return self._basis, self._pivots
+
+    @property
+    def basis(self) -> Matrix:
+        return self._echelon()[0]
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return self._echelon()[1]
 
     @classmethod
     def from_forms(cls, n: int, pq: Bidegree, forms: list[Form]) -> "Subspace":
@@ -172,10 +214,6 @@ class Subspace:
     @classmethod
     def zero(cls, n: int, pq: Bidegree) -> "Subspace":
         return cls(pq, n, Matrix.zeros(0, bidegree_dim(pq, n)))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
 
     def forms(self) -> list[Form]:
         return rows_to_forms(self.basis, self.ambient, self.n)
@@ -207,9 +245,12 @@ class Subspace:
 
     def equations(self) -> Matrix:
         """Rows whose common kernel, under the bilinear pairing of
-        `Matrix.apply`, is this subspace: the kernel of the echelon basis,
-        assembled from the basis and pivots with no elimination."""
-        return kernel_of_reduced(self.basis, self.pivots)
+        `Matrix.apply`, is this subspace: a kernel form's own, or else the
+        kernel of the echelon basis, assembled from the basis and pivots
+        with no elimination."""
+        if self._equations is not None:
+            return self._equations
+        return kernel_of_reduced(*self._echelon())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Through the equations of the larger side V: with U the smaller,
@@ -232,10 +273,18 @@ class Subspace:
         return Subspace(target, self.n, matrix.apply(self.basis))
 
     def __eq__(self, other):
+        """Two kernel forms compare their equations: matrices on the same
+        columns have the same kernel exactly when their reduced forms have
+        the same pivots and nonzero rows, whatever their row counts.  Any
+        other pair compares echelon bases."""
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.ambient == other.ambient and self.n == other.n
-                and self.basis == other.basis)
+        if self.ambient != other.ambient or self.n != other.n:
+            return False
+        if self._equations is not None and other._equations is not None:
+            return (self._equation_pivots == other._equation_pivots
+                    and self._equations == other._equations)
+        return self.basis == other.basis
 
     def __repr__(self):
         return (f"Subspace({self.ambient}, dim {self.dim} of "
@@ -243,7 +292,7 @@ class Subspace:
 
 
 def kernel_subspace(matrix: Matrix, pq: Bidegree, n: int) -> Subspace:
-    return Subspace(pq, n, matrix.nullspace())
+    return Subspace.kernel(pq, n, *matrix.rref())
 
 
 def L_power_image(spec, subspace: Subspace, r: int) -> Subspace:
@@ -288,31 +337,21 @@ def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
     return A, E
 
 
-def _same_kernel(first: tuple[Matrix, tuple[int, ...]],
-                 second: tuple[Matrix, tuple[int, ...]]) -> bool:
-    """Whether two matrices on the same columns, given as their `rref`
-    pairs, have the same kernel: exactly when the reduced forms have the
-    same pivots and the same nonzero rows, whatever their row counts."""
-    (reduced, pivots), (other, other_pivots) = first, second
-    return (pivots == other_pivots
-            and reduced.sparse[:len(pivots)] == other.sparse[:len(pivots)])
-
-
 @ops.spec_memo
 def harmonic_space(spec, D: str, pq: Bidegree) -> Subspace:
-    """Exact kernel of Delta_D on invariant (p,q)-forms, built from its
-    reduced form, with ker A cap ker E of the harmonic equations as a
-    mandatory cross-check: the reduced forms of Delta_D and of A stacked
-    over E must agree."""
+    """Exact kernel of Delta_D on invariant (p,q)-forms, a kernel form,
+    with ker A cap ker E of the harmonic equations as a mandatory
+    cross-check: the kernel forms of Delta_D and of A stacked over E must
+    be equal."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
-    laplacian = ops.laplacian_matrix(spec, D, pq).rref()
+    space = kernel_subspace(ops.laplacian_matrix(spec, D, pq), pq, spec.n)
     A, E = harmonic_equations(spec, D, pq)
-    if not _same_kernel(laplacian, A.stack_below(E).rref()):
+    if space != kernel_subspace(A.stack_below(E), pq, spec.n):
         raise CrossCheckMismatchError(
             f"{spec.name}: ker Delta_{D} on {pq} disagrees with the "
             "closed-and-costar-closed characterization")
-    return Subspace(pq, spec.n, kernel_of_reduced(*laplacian))
+    return space
 
 
 @dataclass
@@ -403,20 +442,20 @@ def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
 
 @ops.spec_memo
 def primitive_subspace(spec, pq: Bidegree) -> Subspace:
-    """ker Lambda on (p,q), built from its reduced form; for k <= n it is
-    cross-checked against ker L^{n-k+1}, whose reduced form must agree."""
+    """ker Lambda on (p,q), a kernel form; for k <= n it is cross-checked
+    against ker L^{n-k+1}, whose kernel form must be equal."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
     n = spec.n
     k = pq[0] + pq[1]
-    lam = ops.operator_block(spec, "Lambda", pq).rref()
+    space = kernel_subspace(ops.operator_block(spec, "Lambda", pq), pq, n)
     if k <= n:
         power = n - k + 1
-        if not _same_kernel(
-                lam, ops.lefschetz_power_block(spec, pq, power).rref()):
+        if space != kernel_subspace(
+                ops.lefschetz_power_block(spec, pq, power), pq, n):
             raise CrossCheckMismatchError(
                 f"{spec.name}: ker Lambda != ker L^{power} on {pq}")
-    return Subspace(pq, n, kernel_of_reduced(*lam))
+    return space
 
 
 @ops.spec_memo

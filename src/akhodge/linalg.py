@@ -36,8 +36,9 @@ subspace equality is syntactic whatever order the rows are reduced in.  The
 kernel is read off that form with no further elimination:
 `kernel_of_reduced` assembles one vector per free column from a (reduced,
 pivots) pair, and `nullspace` is it applied to `rref()`, so a caller that
-already holds a reduced form (`hodge.harmonic_space`, or a subspace's own
-echelon basis) takes its kernel without eliminating again.
+already holds a reduced form (a kernel-form `hodge.Subspace` building its
+basis, or a subspace's own echelon basis) takes its kernel without
+eliminating again.
 """
 
 from __future__ import annotations

@@ -365,8 +365,8 @@ def require_bidegree(spec, pq: Bidegree) -> None:
 
 # Largest bidegree space whose matrices the CLI builds: Lambda^{3,3} at
 # n = 6, where the cold delbar Hodge table of the H(1,2)-type nilmanifold
-# takes about 0.07-0.12 s; n = 7 has 1225, and its table 0.37-0.51 s (one
-# fresh process per run, 2-vCPU Linux VM, CPython 3.11.7).
+# takes about 0.08-0.14 s; n = 7 has 1225, and its table 0.37-0.58 s (12
+# fresh processes per n on a noisy 2-vCPU Linux VM, CPython 3.11.7).
 MAX_BIDEGREE_DIM = 400
 
 

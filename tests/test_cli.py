@@ -429,6 +429,17 @@ def test_out_of_range_bidegree_exit_2(capsys, argv):
     assert "0..2" in err
 
 
+@pytest.mark.parametrize("pq", [
+    "٠,٠", " 0 , 0 ", "0_0,0", "+0,0", "0,0,0", "1", "-,0",
+    "9" * 5000 + ",0"])
+def test_malformed_bidegree_exit_2(capsys, pq):
+    # only an optional '-' and ASCII digits on each side of the comma
+    code, out, err = run(capsys, "operators", "--entry", "kt4", "--op", "L",
+                         f"--pq={pq}")
+    assert (code, out) == (2, "")
+    assert f"--pq expects 'p,q', got {pq!r}" in err
+
+
 def test_validate_oversized_dimension_exit_2(capsys, tmp_path):
     big = tmp_path / "big.akspec"
     coframe = " ".join(f"phi{j}" for j in range(1, 13))

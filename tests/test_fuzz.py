@@ -3,11 +3,12 @@ result or a SpecError (exit 2 from the CLI), the parser agrees with the
 reference parser of `oracles` on generated text and on every form the
 catalog prints, and generated valid specs round-trip through render_spec;
 of the "d" block and the full-degree d, whose columns agree with the
-Leibniz-rule oracle on generated constant-coefficient specs; and of
+Leibniz-rule oracle on generated constant-coefficient specs; of
 harmonic membership: the cached block route agrees with the pointwise one
 on random constant forms, and on every catalog entry, with constant and
 symbolic forms, the engine's short-circuit agrees with both equations
-taken eagerly."""
+taken eagerly; and of kernel subspaces, whose lazily built basis is the
+eager one."""
 
 import contextlib
 import io
@@ -25,7 +26,8 @@ from akhodge.model import (SpecError, SpecSyntaxError, _parse_expr,
                            parse_form, parse_spec, render_spec)
 from akhodge.scalars import GaussianRational, SymScalar
 
-from oracles import leibniz_d, pointwise_membership, reference_parse_form
+from oracles import (dense, leibniz_d, pointwise_membership,
+                     reference_parse_form)
 
 DSL_WORDS = (
     "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
@@ -364,3 +366,25 @@ def test_d_block_columns_match_the_leibniz_oracle(case):
     source = [m for b in bidegrees_of_degree(k, n) for m in basis_of(b, n)]
     assert _column_form(ops.full_degree_matrix(spec, k), source.index(mono),
                         bidegrees_of_degree(k + 1, n), n) == expected
+
+
+# rows of Lambda^{1,1} at n = 3: nine columns, about a third of the entries 0
+_ENTRIES = [GaussianRational(0)] * 4 + [
+    GaussianRational(a, b) for a, b in ((1, 0), (-1, 0), (2, 0), (0, 1),
+                                        (Fraction(1, 2), 0), (-1, 1),
+                                        (Fraction(-3, 4), 2))]
+_rows_of_9 = st.lists(st.lists(st.sampled_from(_ENTRIES), min_size=9,
+                               max_size=9), max_size=8)
+
+
+@given(_rows_of_9)
+@settings(max_examples=150, deadline=None)
+def test_kernel_form_builds_the_eager_basis(rows):
+    # dim read before the basis is built, then the lazily built basis and
+    # pivots, against the subspace spanned by the eager nullspace
+    matrix = dense(rows, 9)
+    space = hodge.kernel_subspace(matrix, (1, 1), 3)
+    eager = hodge.Subspace((1, 1), 3, matrix.nullspace())
+    assert space.dim == eager.dim
+    assert (space.basis, space.pivots) == (eager.basis, eager.pivots)
+    assert space == eager

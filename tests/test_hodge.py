@@ -12,7 +12,8 @@ import sympy
 from akhodge import catalog, hodge, operators as ops, reports
 from akhodge.exterior import (BasisMonomial, Form, basis_of, bidegree_dim,
                               bidegrees_of_degree)
-from akhodge.linalg import Matrix
+from akhodge.cli import main
+from akhodge.linalg import Matrix, kernel_of_reduced
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import (GaussianRational, Nonzeroness, NotConstantError,
                              SymScalar)
@@ -393,6 +394,100 @@ def test_cross_check_accepts_the_same_kernel(monkeypatch, target, args, call,
                "scaled": lambda block: block.scale(3)}[kind]
     _patched(monkeypatch, target, args, replace)
     assert getattr(hodge, call)(_fresh(key), *call_args) == want
+
+
+def _record_kernel_forms(monkeypatch) -> list:
+    """(space, reduced, pivots) of every kernel form built from here on."""
+    built = []
+    original = hodge.Subspace.kernel.__func__
+
+    def kernel(cls, ambient, n, reduced, pivots):
+        space = original(cls, ambient, n, reduced, pivots)
+        built.append((space, reduced, pivots))
+        return space
+
+    monkeypatch.setattr(hodge.Subspace, "kernel", classmethod(kernel))
+    return built
+
+
+def _assert_kernel_forms_are_eager(built) -> None:
+    for space, reduced, pivots in built:
+        eager = hodge.Subspace(space.ambient, space.n,
+                               kernel_of_reduced(reduced, pivots))
+        assert space.dim == eager.dim  # before the basis is built
+        assert (space.basis, space.pivots, space.dim) == \
+            (eager.basis, eager.pivots, eager.dim)
+        assert space == eager and eager == space
+        equations = space.equations()
+        assert equations.rows == bidegree_dim(space.ambient, space.n) - \
+            space.dim
+        assert hodge.Subspace(space.ambient, space.n,
+                              equations.nullspace()) == eager
+
+
+def test_kernel_forms_of_report_and_ladder_equal_the_eager_spaces(
+        monkeypatch, capsys, ladder):
+    # every kernel form that report, the n = 3..5 ladder verify_all and a
+    # table per D build, on fresh specs, against the space of the same rref
+    # pair built eagerly
+    built = _record_kernel_forms(monkeypatch)
+    monkeypatch.setattr(catalog, "get", catalog.get.__wrapped__)
+    assert main(["report", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")
+                          ).hexdigest() == RECORDED["catalog_report_sha256"]
+    for n in (3, 4, 5):
+        hodge.verify_all(ladder(n))
+    spec = ladder(4)
+    for D in ("d", "mu", "del", "delbar", "mubar"):
+        hodge.hodge_table(spec, D)
+    assert len(built) > 1000
+    _assert_kernel_forms_are_eager(built)
+
+
+def test_kernel_form_equality_agrees_with_basis_equality():
+    # seeded pairs on 9 columns: a row combination of the first matrix
+    # (mostly the same kernel), the first with a row added, and another
+    # random matrix of as many rows (mostly the same pivots, another
+    # kernel); both outcomes must occur
+    rng = random.Random(41)
+
+    def rows(k):
+        return [[GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+                 if rng.random() < 0.6 else GaussianRational(0)
+                 for _ in range(9)] for _ in range(k)]
+
+    def combination(m):
+        # the same kernel unless the mixing matrix is singular
+        mix = [[GaussianRational(rng.randint(-2, 2)) for _ in m] for _ in m]
+        return [[sum((c * row[j] for c, row in zip(coeffs, m)),
+                     GaussianRational(0)) for j in range(9)]
+                for coeffs in mix]
+
+    seen = set()
+    for trial in range(60):
+        first = rows(rng.randint(0, 6))
+        second = [lambda: combination(first), lambda: first + rows(1),
+                  lambda: rows(len(first))][trial % 3]()
+        U, V = (hodge.kernel_subspace(dense(m, 9), (1, 1), 3)
+                for m in (first, second))
+        same = (hodge.Subspace((1, 1), 3, dense(first, 9).nullspace())
+                == hodge.Subspace((1, 1), 3, dense(second, 9).nullspace()))
+        assert (U == V) == same
+        assert (U == V) == (U.basis == V.basis)
+        seen.add(same)
+    assert seen == {True, False}
+
+
+def test_delbar_table_builds_no_kernel_basis(monkeypatch, ladder):
+    # a table reads dims off the reduced Laplacians: no kernel vector is
+    # ever assembled
+    def refuse(*args):
+        raise AssertionError("kernel_of_reduced called")
+
+    monkeypatch.setattr("akhodge.linalg.kernel_of_reduced", refuse)
+    monkeypatch.setattr(hodge, "kernel_of_reduced", refuse)
+    assert hodge.hodge_table(ladder(5), "delbar") == \
+        RECORDED["ladder_table"]["5"]
 
 
 def test_high_degree_primitives_vanish(cc_entries):
