@@ -23,20 +23,20 @@ The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
 (ker A cap ker E = ker Delta_D) and `harmonic_membership`, which applies A
 to a form and E only when A alpha = 0.
 
-Each kernel and intersection comes from one elimination; a cross-check
-adds one of its own.  A kernel is a kernel-form `Subspace` that keeps the
-nonzero rows and pivots of the matrix's `rref` as its equations: its dim is
-the count of free columns, and its echelon basis is built from them
-(`linalg.kernel_of_reduced`, then `rref`) only when it is read, so
-`hodge_table` builds no basis.  Two matrices on the same columns have the
-same kernel exactly when their reduced row echelon forms have the same
-pivots and nonzero rows, so two kernel forms are equal when their
-equations are, and the mandatory cross-checks of `harmonic_space`
-(Delta_D against [A; E]) and `primitive_subspace` (Lambda against
-L^{n-k+1}) compare two kernel forms and keep the first.  Any other
-subspace is the common kernel of `equations` read off its echelon basis
-with no elimination, so `Subspace.intersect` and lemma46's ker D cap P
-each take the kernel of one matrix, with no kernel of the larger side.
+A `Subspace` holds two unique reduced forms, each the nonzero rows of an
+`rref` with their pivots: its echelon basis, which spans it, and its
+equations, whose common kernel it is.  A span (`Subspace(ambient, n,
+rows)`) fills the basis, a kernel (`Subspace.kernel(ambient, n, matrix)`)
+the equations, and either is built from the other on first read, as the
+`rref` of `linalg.kernel_of_reduced` of the other.  A kernel's dim is the
+count of free columns, so `hodge_table` builds no basis.  Matrices on the
+same columns have the same kernel exactly when their reduced forms are
+equal, whatever their row counts, so equality compares equations, and the
+mandatory cross-checks of `harmonic_space` (Delta_D against [A; E]) and
+`primitive_subspace` (Lambda against L^{n-k+1}) compare two kernels and
+keep the first.  Membership applies the equations to the element, and an
+intersection is the kernel of both sides' equations, stacked, as lemma46
+takes ker D cap P: the D block over P's equations.
 
 Six checks are cells of `lefschetz_decomposition`, which compares H^{p,q}_D
 with sum_{r in rs} L^r(H^{p-r,q-r}_{D2} cap P). With D2 = D and all r:
@@ -45,12 +45,15 @@ inclusion21 (delbar) at (2,1), prop31 (delbar, del) at the edges, where
 r = 0 only. With D2 the partner of D: prop32 at (n,n-p) and (n-q,n), top r
 only, and cor35 at (n-1,n-1), r in {n-2, n-1}.
 
-Three checks are one annihilation test, `_not_annihilated`, of a block on a
-subspace: lemma46 (del* and delbar* on ker delbar cap P and ker del cap P,
-k <= n), lemma47 (d* on H^{1,1}_delbar cap P), and lemma48 (Lambda D for
-each component D, stacked, on the same space: the four components of
-d alpha lie in distinct bidegrees and Lambda keeps them apart, so they are
-all primitive exactly when every Lambda D alpha = 0).
+One helper, `_not_annihilated`, applies a block to a subspace's basis once
+and returns, in basis order, the basis forms it does not annihilate.  With
+the other side's equations as the block it gives the witnesses of
+`lefschetz_decomposition`, and three checks are one annihilation test of a
+block on a subspace: lemma46 (del* and delbar* on ker delbar cap P and
+ker del cap P, k <= n), lemma47 (d* on H^{1,1}_delbar cap P), and lemma48
+(Lambda D for each component D, stacked, on the same space: the four
+components of d alpha lie in distinct bidegrees and Lambda keeps them
+apart, so they are all primitive exactly when every Lambda D alpha = 0).
 
 A primitive decomposition alpha = sum_r (1/r!) L^r beta_r of a (p,q)-form
 solves no linear system.  `_decomposition_solver` peels the components off
@@ -152,68 +155,78 @@ def apply_blocks(row: Matrix, target: Bidegree, n: int,
     return Form.zero() if row.is_zero() else rows_to_forms(row, target, n)[0]
 
 
-class Subspace:
-    """A linear subspace of Lambda^{p,q} with a canonical echelon basis.
+Reduced = tuple[Matrix, tuple[int, ...]]
 
-    Two subspaces are equal iff their reduced-echelon bases are identical,
-    so equality is a syntactic check.  `pivots` holds the pivot column of
-    each basis row.  A kernel form (`Subspace.kernel`) holds instead the
-    nonzero reduced rows of a matrix and their pivots, its equations: its
-    dim is the count of free columns, two kernel forms are equal iff their
-    equations are, and the echelon basis is built from them on first read.
+
+def _reduced(rows: Matrix) -> Reduced:
+    """The nonzero rows of the `rref` of rows, and their pivots: the same
+    pair for any rows with the same row space."""
+    reduced, pivots = rows.rref()
+    return reduced.row_slice(0, len(pivots)), pivots
+
+
+def _dual(pair: Reduced) -> Reduced:
+    """The reduced form of the kernel of a reduced form's rows: a
+    subspace's echelon basis from its equations, or its equations from its
+    echelon basis."""
+    return _reduced(kernel_of_reduced(*pair))
+
+
+class Subspace:
+    """A linear subspace of Lambda^{p,q}, held as two unique reduced forms:
+    its echelon basis, which spans it, and its equations, whose common
+    kernel under the bilinear pairing of `Matrix.apply` it is.  Each is the
+    pair of nonzero rows of an `rref` and their pivots.  A subspace is built
+    from one of them, and `_dual` builds the other from it on first read.
+    Equality, membership and intersection read the equations, which are
+    equal exactly when the subspaces are.
     """
 
-    __slots__ = ("ambient", "n", "dim", "_basis", "_pivots", "_equations",
-                 "_equation_pivots")
+    __slots__ = ("ambient", "n", "dim", "_basis", "_equations")
 
-    def __init__(self, ambient: Bidegree, n: int, basis: Matrix):
+    def __init__(self, ambient: Bidegree, n: int, rows: Matrix):
+        """The span of rows on the basis_of(ambient, n) columns."""
         self.ambient = ambient
         self.n = n
+        self._basis = _reduced(rows)
         self._equations = None
-        self._echelonize(basis)
-        self.dim = len(self._pivots)
+        self.dim = len(self._basis[1])
 
     @classmethod
-    def kernel(cls, ambient: Bidegree, n: int, reduced: Matrix,
-               pivots: tuple[int, ...]) -> "Subspace":
-        """The kernel of a matrix on the basis_of(ambient, n) columns, from
-        its `rref` pair."""
+    def kernel(cls, ambient: Bidegree, n: int, matrix: Matrix) -> "Subspace":
+        """The kernel of matrix on the basis_of(ambient, n) columns: its dim
+        is the count of free columns, read with no basis built."""
         space = cls.__new__(cls)
         space.ambient = ambient
         space.n = n
-        space.dim = reduced.cols - len(pivots)
-        space._equations = reduced.row_slice(0, len(pivots))
-        space._equation_pivots = pivots
         space._basis = None
+        space._equations = _reduced(matrix)
+        space.dim = matrix.cols - len(space._equations[1])
         return space
 
-    def _echelonize(self, rows: Matrix) -> None:
-        reduced, self._pivots = rows.rref()
-        self._basis = reduced.row_slice(0, len(self._pivots))
-
-    def _echelon(self) -> tuple[Matrix, tuple[int, ...]]:
-        """The echelon basis and its pivots; a kernel form builds them from
-        its equations on first read."""
+    def _basis_form(self) -> Reduced:
         if self._basis is None:
-            self._echelonize(kernel_of_reduced(self._equations,
-                                               self._equation_pivots))
-        return self._basis, self._pivots
+            self._basis = _dual(self._equations)
+        return self._basis
 
     @property
     def basis(self) -> Matrix:
-        return self._echelon()[0]
+        return self._basis_form()[0]
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return self._echelon()[1]
+        """The pivot column of each basis row."""
+        return self._basis_form()[1]
+
+    def equations(self) -> Matrix:
+        """The reduced rows whose common kernel is this subspace."""
+        if self._equations is None:
+            self._equations = _dual(self._basis)
+        return self._equations[0]
 
     @classmethod
     def from_forms(cls, n: int, pq: Bidegree, forms: list[Form]) -> "Subspace":
         return cls(pq, n, forms_to_rows(forms, pq, n))
-
-    @classmethod
-    def zero(cls, n: int, pq: Bidegree) -> "Subspace":
-        return cls(pq, n, Matrix.zeros(0, bidegree_dim(pq, n)))
 
     def forms(self) -> list[Form]:
         return rows_to_forms(self.basis, self.ambient, self.n)
@@ -224,7 +237,11 @@ class Subspace:
                 f"ambient {self.ambient} != {other.ambient}")
 
     def member(self, element: Form | Matrix) -> bool:
-        return self.coordinates_of(element) is not None
+        """Whether the equations annihilate a form, or every row of a
+        matrix."""
+        if isinstance(element, Form):
+            element = forms_to_rows([element], self.ambient, self.n)
+        return self.equations().apply(element).is_zero()
 
     def coordinates_of(self, element: Form | Matrix) -> Matrix | None:
         """Coefficients w.r.t. the echelon basis of a form or of each row of
@@ -243,27 +260,11 @@ class Subspace:
         return Subspace(self.ambient, self.n,
                         self.basis.stack_below(other.basis))
 
-    def equations(self) -> Matrix:
-        """Rows whose common kernel, under the bilinear pairing of
-        `Matrix.apply`, is this subspace: a kernel form's own, or else the
-        kernel of the echelon basis, assembled from the basis and pivots
-        with no elimination."""
-        if self._equations is not None:
-            return self._equations
-        return kernel_of_reduced(*self._echelon())
-
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Through the equations of the larger side V: with U the smaller,
-        x.U lies in V exactly when x is in the left kernel of
-        V.equations() applied to U's basis, the nullspace of its transpose,
-        a matrix of dim U columns."""
+        """The kernel of both sides' equations, stacked."""
         self._check_ambient(other)
-        small, large = ((self, other) if self.dim <= other.dim
-                        else (other, self))
-        if small.dim == 0:
-            return Subspace.zero(self.n, self.ambient)
-        kernel = large.equations().apply(small.basis).transpose().nullspace()
-        return Subspace(self.ambient, self.n, kernel * small.basis)
+        return Subspace.kernel(self.ambient, self.n,
+                               self.equations().stack_below(other.equations()))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -273,26 +274,14 @@ class Subspace:
         return Subspace(target, self.n, matrix.apply(self.basis))
 
     def __eq__(self, other):
-        """Two kernel forms compare their equations: matrices on the same
-        columns have the same kernel exactly when their reduced forms have
-        the same pivots and nonzero rows, whatever their row counts.  Any
-        other pair compares echelon bases."""
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient != other.ambient or self.n != other.n:
-            return False
-        if self._equations is not None and other._equations is not None:
-            return (self._equation_pivots == other._equation_pivots
-                    and self._equations == other._equations)
-        return self.basis == other.basis
+        return (self.ambient == other.ambient and self.n == other.n
+                and self.equations() == other.equations())
 
     def __repr__(self):
         return (f"Subspace({self.ambient}, dim {self.dim} of "
                 f"{bidegree_dim(self.ambient, self.n)})")
-
-
-def kernel_subspace(matrix: Matrix, pq: Bidegree, n: int) -> Subspace:
-    return Subspace.kernel(pq, n, *matrix.rref())
 
 
 def L_power_image(spec, subspace: Subspace, r: int) -> Subspace:
@@ -339,15 +328,14 @@ def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
 
 @ops.spec_memo
 def harmonic_space(spec, D: str, pq: Bidegree) -> Subspace:
-    """Exact kernel of Delta_D on invariant (p,q)-forms, a kernel form,
-    with ker A cap ker E of the harmonic equations as a mandatory
-    cross-check: the kernel forms of Delta_D and of A stacked over E must
-    be equal."""
+    """Exact kernel of Delta_D on invariant (p,q)-forms, with ker A cap
+    ker E of the harmonic equations as a mandatory cross-check: the kernels
+    of Delta_D and of A stacked over E must be equal."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
-    space = kernel_subspace(ops.laplacian_matrix(spec, D, pq), pq, spec.n)
+    space = Subspace.kernel(pq, spec.n, ops.laplacian_matrix(spec, D, pq))
     A, E = harmonic_equations(spec, D, pq)
-    if space != kernel_subspace(A.stack_below(E), pq, spec.n):
+    if space != Subspace.kernel(pq, spec.n, A.stack_below(E)):
         raise CrossCheckMismatchError(
             f"{spec.name}: ker Delta_{D} on {pq} disagrees with the "
             "closed-and-costar-closed characterization")
@@ -442,17 +430,17 @@ def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
 
 @ops.spec_memo
 def primitive_subspace(spec, pq: Bidegree) -> Subspace:
-    """ker Lambda on (p,q), a kernel form; for k <= n it is cross-checked
-    against ker L^{n-k+1}, whose kernel form must be equal."""
+    """ker Lambda on (p,q); for k <= n it is cross-checked against
+    ker L^{n-k+1}, which must be equal."""
     ops.require_bidegree(spec, pq)
     _require_theorem_mode(spec)
     n = spec.n
     k = pq[0] + pq[1]
-    space = kernel_subspace(ops.operator_block(spec, "Lambda", pq), pq, n)
+    space = Subspace.kernel(pq, n, ops.operator_block(spec, "Lambda", pq))
     if k <= n:
         power = n - k + 1
-        if space != kernel_subspace(
-                ops.lefschetz_power_block(spec, pq, power), pq, n):
+        if space != Subspace.kernel(
+                pq, n, ops.lefschetz_power_block(spec, pq, power)):
             raise CrossCheckMismatchError(
                 f"{spec.name}: ker Lambda != ker L^{power} on {pq}")
     return space
@@ -545,6 +533,16 @@ class LefschetzDecomposition:
     witnesses: list[Form] = field(default_factory=list)
 
 
+def _not_annihilated(block: Matrix, space: Subspace) -> list[Form]:
+    """The basis forms of space that block does not send to zero, in
+    basis order, from one `apply` to the basis; only they become forms."""
+    basis = space.basis
+    rows = [row for row, (_, image)
+            in zip(basis.sparse, block.apply(basis).sparse) if image]
+    return rows_to_forms(Matrix(len(rows), basis.cols, rows),
+                         space.ambient, space.n)
+
+
 @ops.spec_memo
 def lefschetz_decomposition(spec, D: str, D2: str, pq: Bidegree,
                             rs: tuple[int, ...] | None = None
@@ -561,11 +559,11 @@ def lefschetz_decomposition(spec, D: str, D2: str, pq: Bidegree,
         return LefschetzDecomposition("NotDirect", H, parts, total)
     if total == H:
         return LefschetzDecomposition("Equal", H, parts, total)
-    extra = [f for f in total.forms() if not H.member(f)]
+    extra = _not_annihilated(H.equations(), total)
     if extra:
         return LefschetzDecomposition("NotContained", H, parts, total, extra)
-    missing = [f for f in H.forms() if not total.member(f)]
-    return LefschetzDecomposition("StrictInclusion", H, parts, total, missing)
+    return LefschetzDecomposition("StrictInclusion", H, parts, total,
+                                  _not_annihilated(total.equations(), H))
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +744,6 @@ def _check_lemma44(spec) -> VerificationReport:
                   f"both sides of the equivalence are {eq_full}", dims)
 
 
-def _not_annihilated(block: Matrix, space: Subspace) -> Form | None:
-    """The first basis form of space that block does not send to zero, or
-    None when block vanishes on space."""
-    for i, (_, row) in enumerate(block.apply(space.basis).sparse):
-        if row:
-            return space.forms()[i]
-    return None
-
-
 def _check_lemma46(spec) -> VerificationReport:
     n = spec.n
     checked = 0
@@ -763,15 +752,14 @@ def _check_lemma46(spec) -> VerificationReport:
             # ker D cap P as one kernel: the D block over P's equations
             primitive = primitive_subspace(spec, pq).equations()
             for D, adj in (("delbar", "del_star"), ("del", "delbar_star")):
-                space = kernel_subspace(
-                    ops.operator_block(spec, D, pq).stack_below(primitive),
-                    pq, n)
-                witness = _not_annihilated(ops.operator_block(spec, adj, pq),
-                                           space)
-                if witness is not None:
+                space = Subspace.kernel(pq, n, ops.operator_block(
+                    spec, D, pq).stack_below(primitive))
+                witnesses = _not_annihilated(
+                    ops.operator_block(spec, adj, pq), space)
+                if witnesses:
                     return _fails(spec, "lemma46",
                                   f"{D}-closed primitive {pq}-form with "
-                                  f"{adj} != 0", [witness.render()])
+                                  f"{adj} != 0", [witnesses[0].render()])
                 checked += space.dim
     return _holds(spec, "lemma46",
                   f"adjoint vanishing on {checked} primitive closed basis "
@@ -780,11 +768,11 @@ def _check_lemma46(spec) -> VerificationReport:
 
 def _check_lemma47(spec) -> VerificationReport:
     space = primitive_harmonic(spec, "delbar", (1, 1))
-    witness = _not_annihilated(ops.operator_block(spec, "d_star", (1, 1)),
-                               space)
-    if witness is not None:
+    witnesses = _not_annihilated(
+        ops.operator_block(spec, "d_star", (1, 1)), space)
+    if witnesses:
         return _fails(spec, "lemma47", "d* does not vanish",
-                      [witness.render()])
+                      [witnesses[0].render()])
     return _holds(spec, "lemma47",
                   "d* vanishes on primitive delbar-harmonic (1,1)-forms",
                   {"dim": space.dim})
@@ -801,10 +789,10 @@ def _check_lemma48(spec) -> VerificationReport:
         * ops.operator_block(spec, D, pq)
         for D in ops.COMPONENT_SHIFTS
         for target in ops.op_targets(D, pq, spec.n)])
-    witness = _not_annihilated(lambda_d, space)
-    if witness is not None:
+    witnesses = _not_annihilated(lambda_d, space)
+    if witnesses:
         return _fails(spec, "lemma48", "d(alpha) is not primitive",
-                      [witness.render()])
+                      [witnesses[0].render()])
     return _holds(spec, "lemma48",
                   "d, mu, del, delbar, mubar of primitive harmonic "
                   "(1,1)-forms stay primitive", {"dim": space.dim})

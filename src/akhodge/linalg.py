@@ -35,10 +35,10 @@ echelon form, which is unique, so every echelon basis is canonical and
 subspace equality is syntactic whatever order the rows are reduced in.  The
 kernel is read off that form with no further elimination:
 `kernel_of_reduced` assembles one vector per free column from a (reduced,
-pivots) pair, and `nullspace` is it applied to `rref()`, so a caller that
-already holds a reduced form (a kernel-form `hodge.Subspace` building its
-basis, or a subspace's own echelon basis) takes its kernel without
-eliminating again.
+pivots) pair.  `hodge.Subspace` builds a subspace's equations from its
+echelon basis, or its basis from its equations, as the `rref` of that
+kernel.  `nullspace`, `kernel_of_reduced` of `rref()`, is called by no
+engine code and stays for the benchmark's tracer, as `solve_map` does.
 """
 
 from __future__ import annotations

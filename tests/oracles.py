@@ -430,6 +430,11 @@ def full_subspace(n: int, pq) -> hodge.Subspace:
     return hodge.Subspace(pq, n, linalg.Matrix.identity(len(basis_of(pq, n))))
 
 
+def zero_subspace(n: int, pq) -> hodge.Subspace:
+    """The zero subspace of Lambda^{p,q}."""
+    return hodge.Subspace(pq, n, linalg.Matrix.zeros(0, len(basis_of(pq, n))))
+
+
 def transposed_stack_intersect(U: hodge.Subspace,
                                V: hodge.Subspace) -> hodge.Subspace:
     """U cap V from one transposed stack (the package's former
@@ -439,7 +444,7 @@ def transposed_stack_intersect(U: hodge.Subspace,
     U._check_ambient(V)
     a, b = U.basis.rows, V.basis.rows
     if a == 0 or b == 0:
-        return hodge.Subspace.zero(U.n, U.ambient)
+        return zero_subspace(U.n, U.ambient)
     kernel = U.basis.stack_below(V.basis).transpose().nullspace()
     return hodge.Subspace(U.ambient, U.n,
                           kernel.columns(range(a)) * U.basis)

@@ -7,8 +7,9 @@ Leibniz-rule oracle on generated constant-coefficient specs; of
 harmonic membership: the cached block route agrees with the pointwise one
 on random constant forms, and on every catalog entry, with constant and
 symbolic forms, the engine's short-circuit agrees with both equations
-taken eagerly; and of kernel subspaces, whose lazily built basis is the
-eager one."""
+taken eagerly; and of subspaces: a kernel's lazily built basis is the
+eager one, and spans and kernels agree with sympy on equality,
+membership, equations and intersection."""
 
 import contextlib
 import io
@@ -17,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from akhodge import catalog, hodge, operators as ops
 from akhodge.cli import main
@@ -26,8 +29,9 @@ from akhodge.model import (SpecError, SpecSyntaxError, _parse_expr,
                            parse_form, parse_spec, render_spec)
 from akhodge.scalars import GaussianRational, SymScalar
 
-from oracles import (dense, leibniz_d, pointwise_membership,
-                     reference_parse_form)
+from oracles import (dense, leibniz_d, matrix_to_sympy,
+                     pointwise_membership, reference_parse_form,
+                     transposed_stack_intersect)
 
 DSL_WORDS = (
     "manifold", "dim", "coframe", "symbol", "d", "omega", "=", "real", "conj",
@@ -383,8 +387,51 @@ def test_kernel_form_builds_the_eager_basis(rows):
     # dim read before the basis is built, then the lazily built basis and
     # pivots, against the subspace spanned by the eager nullspace
     matrix = dense(rows, 9)
-    space = hodge.kernel_subspace(matrix, (1, 1), 3)
+    space = hodge.Subspace.kernel((1, 1), 3, matrix)
     eager = hodge.Subspace((1, 1), 3, matrix.nullspace())
     assert space.dim == eager.dim
     assert (space.basis, space.pivots) == (eager.basis, eager.pivots)
     assert space == eager
+
+
+def _exact(matrix) -> DomainMatrix:
+    """An engine matrix as a sympy DomainMatrix over Q(i)."""
+    return DomainMatrix.from_Matrix(matrix_to_sympy(matrix)).convert_to(QQ_I)
+
+
+@given(_rows_of_9, _rows_of_9,
+       st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_subspace_rules_match_sympy_in_all_four_pairings(first, second,
+                                                         element):
+    # a span and a kernel of each random matrix of Lambda^{1,1} at n = 3,
+    # each with sympy rows spanning it, and every pairing of a space from
+    # the first matrix with one from the second
+    spaces = []
+    for rows in (first, second):
+        matrix = dense(rows, 9)
+        spaces.append([(hodge.Subspace((1, 1), 3, matrix), _exact(matrix)),
+                       (hodge.Subspace.kernel((1, 1), 3, matrix),
+                        _exact(matrix).nullspace())])
+    # members: the element, and up to two basis rows of each space
+    candidates = [dense([element], 9)] + [
+        U.basis.row_slice(i, i + 1)
+        for U, _ in spaces[0] + spaces[1] for i in range(min(U.dim, 2))]
+    candidates = [(vector, _exact(vector)) for vector in candidates]
+    for U, spanning in spaces[0] + spaces[1]:
+        rank = spanning.rank()
+        assert U.dim == rank
+        # the equations are the reduced kernel of the basis, and annihilate it
+        reduced, pivots = spanning.nullspace().rref()
+        assert _exact(U.equations()).to_Matrix() == \
+            reduced.to_Matrix()[:len(pivots), :]
+        assert U.equations().apply(U.basis).is_zero()
+        for vector, exact in candidates:
+            assert U.member(vector) == (spanning.vstack(exact).rank() == rank)
+    for U, u_span in spaces[0]:
+        for V, v_span in spaces[1]:
+            assert (U == V) == (u_span.rank() == v_span.rank()
+                                == u_span.vstack(v_span).rank())
+            assert (V == U) == (U == V)
+            assert U.intersect(V) == transposed_stack_intersect(U, V)
+            assert V.intersect(U) == U.intersect(V)

@@ -13,7 +13,7 @@ from akhodge import catalog, hodge, operators as ops, reports
 from akhodge.exterior import (BasisMonomial, Form, basis_of, bidegree_dim,
                               bidegrees_of_degree)
 from akhodge.cli import main
-from akhodge.linalg import Matrix, kernel_of_reduced
+from akhodge.linalg import Matrix
 from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import (GaussianRational, Nonzeroness, NotConstantError,
                              SymScalar)
@@ -21,7 +21,7 @@ from akhodge.scalars import (GaussianRational, Nonzeroness, NotConstantError,
 from oracles import (brute_component_matrix, dense, dual_Lambda,
                      full_subspace, matrix_to_sympy, one_form,
                      pointwise_membership, same_row_space,
-                     transposed_stack_intersect)
+                     transposed_stack_intersect, zero_subspace)
 
 
 def F(text, spec):
@@ -397,13 +397,13 @@ def test_cross_check_accepts_the_same_kernel(monkeypatch, target, args, call,
 
 
 def _record_kernel_forms(monkeypatch) -> list:
-    """(space, reduced, pivots) of every kernel form built from here on."""
+    """(space, matrix) of every kernel form built from here on."""
     built = []
     original = hodge.Subspace.kernel.__func__
 
-    def kernel(cls, ambient, n, reduced, pivots):
-        space = original(cls, ambient, n, reduced, pivots)
-        built.append((space, reduced, pivots))
+    def kernel(cls, ambient, n, matrix):
+        space = original(cls, ambient, n, matrix)
+        built.append((space, matrix))
         return space
 
     monkeypatch.setattr(hodge.Subspace, "kernel", classmethod(kernel))
@@ -411,9 +411,8 @@ def _record_kernel_forms(monkeypatch) -> list:
 
 
 def _assert_kernel_forms_are_eager(built) -> None:
-    for space, reduced, pivots in built:
-        eager = hodge.Subspace(space.ambient, space.n,
-                               kernel_of_reduced(reduced, pivots))
+    for space, matrix in built:
+        eager = hodge.Subspace(space.ambient, space.n, matrix.nullspace())
         assert space.dim == eager.dim  # before the basis is built
         assert (space.basis, space.pivots, space.dim) == \
             (eager.basis, eager.pivots, eager.dim)
@@ -428,8 +427,8 @@ def _assert_kernel_forms_are_eager(built) -> None:
 def test_kernel_forms_of_report_and_ladder_equal_the_eager_spaces(
         monkeypatch, capsys, ladder):
     # every kernel form that report, the n = 3..5 ladder verify_all and a
-    # table per D build, on fresh specs, against the space of the same rref
-    # pair built eagerly
+    # table per D build, on fresh specs, against the span of the nullspace
+    # of the same matrix
     built = _record_kernel_forms(monkeypatch)
     monkeypatch.setattr(catalog, "get", catalog.get.__wrapped__)
     assert main(["report", "--json"]) == 0
@@ -468,7 +467,7 @@ def test_kernel_form_equality_agrees_with_basis_equality():
         first = rows(rng.randint(0, 6))
         second = [lambda: combination(first), lambda: first + rows(1),
                   lambda: rows(len(first))][trial % 3]()
-        U, V = (hodge.kernel_subspace(dense(m, 9), (1, 1), 3)
+        U, V = (hodge.Subspace.kernel((1, 1), 3, dense(m, 9))
                 for m in (first, second))
         same = (hodge.Subspace((1, 1), 3, dense(first, 9).nullspace())
                 == hodge.Subspace((1, 1), 3, dense(second, 9).nullspace()))
@@ -605,7 +604,7 @@ def test_equations_cut_out_the_subspace(cc_entries):
     # the common kernel of a subspace's equations is the subspace, for the
     # zero space, the full space, random ones and harmonic spaces
     rng = random.Random(29)
-    spaces = [hodge.Subspace.zero(3, (1, 1)), full_subspace(3, (1, 1))]
+    spaces = [zero_subspace(3, (1, 1)), full_subspace(3, (1, 1))]
     spaces += [_random_subspace(rng, 9, k) for k in range(1, 9)]
     spec = cc_entries["iwasawa_ak"].spec
     spaces += [hodge.harmonic_space(spec, D, pq) for D in ("delbar", "del")
@@ -614,24 +613,30 @@ def test_equations_cut_out_the_subspace(cc_entries):
         equations = U.equations()
         assert equations.rows == bidegree_dim(U.ambient, U.n) - U.dim
         assert equations.apply(U.basis).is_zero()
-        assert hodge.kernel_subspace(equations, U.ambient, U.n) == U
+        assert hodge.Subspace.kernel(U.ambient, U.n, equations) == U
 
 
-def test_equations_run_no_elimination(monkeypatch):
+def test_equations_are_reduced_and_built_once(monkeypatch):
+    # a span's equations are the nonzero rows of their own rref, built on
+    # the first call; the second call runs no elimination
     U = _random_subspace(random.Random(3), 9, 4)
+    equations = U.equations()
+    reduced, pivots = equations.rref()
+    assert equations == reduced.row_slice(0, len(pivots))
+    assert equations.rows == len(pivots) == 5
 
     def refuse(self):
         raise AssertionError("rref called")
 
     monkeypatch.setattr(Matrix, "rref", refuse)
-    assert U.equations().rows == 5
+    assert U.equations() is equations
 
 
 def test_intersect_matches_transposed_stack_oracle():
     # seeded random pairs in Lambda^{1,1} at n = 3 (dimension 9): dim U
     # above and below dim V, U inside V, U = V, and the zero and full spaces
     rng = random.Random(31)
-    zero, full = hodge.Subspace.zero(3, (1, 1)), full_subspace(3, (1, 1))
+    zero, full = zero_subspace(3, (1, 1)), full_subspace(3, (1, 1))
     pairs = []
     for trial in range(10):
         a, b = rng.randint(1, 8), rng.randint(1, 8)
@@ -691,7 +696,7 @@ def test_L_power_image_out_of_range_is_zero_at_the_final_bidegree(entries):
     assert hodge.L_power_image(spec, h10, 2).dim == 1
     beyond = hodge.L_power_image(spec, h10, 3)
     assert beyond.ambient == (4, 3) and beyond.dim == 0
-    assert beyond == hodge.Subspace.zero(3, (4, 3))
+    assert beyond == zero_subspace(3, (4, 3))
 
 
 def test_primitive_harmonic_is_the_cached_intersection(cc_entries):
@@ -899,7 +904,7 @@ def test_lemma46_space_is_ker_D_cap_P(cc_entries, ladder, monkeypatch):
         assert hodge.verify(spec, "lemma46").status == "Holds", spec.name
         n = spec.n
         want = [transposed_stack_intersect(
-            hodge.kernel_subspace(ops.operator_block(spec, D, pq), pq, n),
+            hodge.Subspace.kernel(pq, n, ops.operator_block(spec, D, pq)),
             hodge.primitive_subspace(spec, pq))
             for k in range(n + 1) for pq in bidegrees_of_degree(k, n)
             for D in ("delbar", "del")]
@@ -927,7 +932,7 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2} + 1/2*i*phi{3,3}
 
         def wrong(s, *args, original=original, D=D, pq=pq, kind=kind):
             if args[-1] == pq and D in (None, args[0]):
-                return {"zero": hodge.Subspace.zero,
+                return {"zero": zero_subspace,
                         "full": full_subspace}[kind](s.n, pq)
             return original(s, *args)
 

@@ -123,6 +123,7 @@ def test_package_has_no_unused_imports():
 KEPT_FOR_OUTSIDE_CALLERS = {
     "catalog.dsl_source": "perfbench/workloads.py parses its oracle specs "
                           "from it",
+    "linalg.Matrix.nullspace": "the perfbench tracer wraps it",
     "linalg.Matrix.solve_map": "the perfbench tracer wraps it",
     "hodge.Subspace.contains": "the perfbench tracer wraps it",
 }
