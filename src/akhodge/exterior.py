@@ -21,7 +21,8 @@ A form's coefficients are nonzero SymScalars of canonical values: `Form(...)`
 coerces and tests each one, and the private `Form._of(terms)` stores terms
 already so, unchecked.  Only `components` and `project` (terms of a checked
 form), `sum`, `+` and the DSL parser (through `collect`, which drops zero
-sums), unary `-` and `hodge.rows_to_forms` call it.
+sums), unary `-`, `*` by a nonzero scalar (scalars have no zero divisors)
+and `hodge.rows_to_forms` call it.
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ class Form:
 
     def __mul__(self, scalar) -> "Form":
         scalar = _coerce_sym(scalar)
-        return Form({m: c * scalar for m, c in self._terms.items()})
+        if not scalar:
+            return _FORM_ZERO
+        # nonzero times nonzero is nonzero, as scalars have no zero divisors
+        return Form._of({m: c * scalar for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 

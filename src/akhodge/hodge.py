@@ -11,17 +11,19 @@ A constant (p,q)-form is a row over the basis_of((p, q), n) columns, in the
 sparse format of every `Matrix`; `forms_to_rows`, `component_rows` and
 `rows_to_forms` are the only crossing between the two.  `component_rows`
 writes the row of every pure component of a mixed form in one pass over
-its terms, for the single-form queries.  Subspace bases, block images and
+its terms, for `primitive_decompose`.  Subspace bases, block images and
 coordinates are all matrices of such rows.  Both hold nonzero values in
 lowest terms, so no crossing checks them again: the first two take
 (column, d, a, b) entries through `linalg._over_lcm`, and `rows_to_forms`
 wraps `from_ints` of each entry by the unchecked `SymScalar._of_const` and
 `Form._of` (the only caller of either outside its module).
 
-The two equations of H^{p,q}_D are built in one place, the blocks (A, E) of
-`harmonic_equations`, and read by both the cross-check of `harmonic_space`
-(ker A cap ker E = ker Delta_D) and `harmonic_membership`, which applies A
-to a form and E only when A alpha = 0.
+H^{p,q}_D is stated twice, each time as D alpha = 0 and partner(*alpha) =
+0.  The blocks (A, E) of `harmonic_equations` state it for the cross-check
+of `harmonic_space` (ker A cap ker E = ker Delta_D), and
+`harmonic_membership` states it pointwise for a single form, constant or
+symbolic, through `operators.component` and `operators.hodge_star`, the
+star taken only when D alpha = 0.  A test compares the two.
 
 A `Subspace` holds two unique reduced forms, each the nonzero rows of an
 `rref` with their pivots: its echelon basis, which spans it, and its
@@ -34,7 +36,8 @@ same columns have the same kernel exactly when their reduced forms are
 equal, whatever their row counts, so equality compares equations, and the
 mandatory cross-checks of `harmonic_space` (Delta_D against [A; E]) and
 `primitive_subspace` (Lambda against L^{n-k+1}) compare two kernels and
-keep the first.  Membership applies the equations to the element, and an
+keep the first.  Membership applies the equations to the element (a
+member's coordinates are its entries at the basis pivots), and an
 intersection is the kernel of both sides' equations, stacked, as lemma46
 takes ker D cap P: the D block over P's equations.
 
@@ -75,7 +78,7 @@ from . import operators as ops
 from .exterior import (Bidegree, Form, basis_index, bidegree_dim,
                        bidegrees_of_degree)
 from .linalg import Matrix, _over_lcm, kernel_of_reduced
-from .scalars import Nonzeroness, NotConstantError, SymScalar, from_ints
+from .scalars import Nonzeroness, SymScalar, from_ints
 
 
 class AmbientMismatchError(ValueError):
@@ -245,15 +248,11 @@ class Subspace:
 
     def coordinates_of(self, element: Form | Matrix) -> Matrix | None:
         """Coefficients w.r.t. the echelon basis of a form or of each row of
-        a matrix, or None unless every one is a member: a member's
-        coefficient on a basis row is its entry at that row's pivot, and a
-        non-member differs from that combination of rows."""
+        a matrix, or None unless every one is a `member`: a member's
+        coefficient on a basis row is its entry at that row's pivot."""
         if isinstance(element, Form):
             element = forms_to_rows([element], self.ambient, self.n)
-        coords = element.columns(self.pivots)
-        if coords * self.basis != element:
-            return None
-        return coords
+        return element.columns(self.pivots) if self.member(element) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -309,21 +308,17 @@ def _require_theorem_mode(spec) -> None:
     ops.require_unitary(spec)
 
 
-@ops.spec_memo
 def harmonic_equations(spec, D: str, pq: Bidegree) -> tuple[Matrix, Matrix]:
-    """(A, E) with H^{p,q}_D = ker A cap ker E.  A is the D block at (p,q).
-    For del and delbar, E is the partner block at (n-q, n-p) times star on
-    (p,q), written by `operators._times_star`, so A alpha and E alpha are
-    D alpha and partner(*alpha); for d, mu and mubar, E is the D* block."""
+    """(A, E) with H^{p,q}_D = ker A cap ker E.  A is the D block at (p,q),
+    and E the partner block at (n-q, n-p) times star on (p,q), written by
+    `operators._times_star`, so A alpha and E alpha are D alpha and
+    partner(*alpha).  ker E = ker D*, since D* = -*(partner)* on the
+    unimodular specs where `harmonic_space` runs."""
     n = spec.n
     p, q = pq
-    A = ops.operator_block(spec, D, pq)
-    if D in ("del", "delbar"):
-        E = ops._times_star(spec, ops.operator_block(
-            spec, ops.STAR_PARTNERS[D], (n - q, n - p)), pq)
-    else:
-        E = ops.operator_block(spec, D + "_star", pq)
-    return A, E
+    return ops.operator_block(spec, D, pq), ops._times_star(
+        spec, ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p)),
+        pq)
 
 
 @ops.spec_memo
@@ -366,63 +361,34 @@ def _form_nonzeroness(spec, form: Form) -> Nonzeroness:
     return best
 
 
-def _equation_images(spec, D: str, form: Form):
-    """[D alpha, partner(*alpha)] as thunks, for `harmonic_membership` to
-    call in order.  A constant form on a constant-coefficient spec takes
-    the blocks (A, E) of `harmonic_equations` to the row of each pure (p,q)
-    component, all written by one `component_rows` pass; any other form
-    goes pointwise through `component` and `hodge_star`.  The rows test
-    each coefficient for constancy once: a symbolic one sends the form
-    pointwise.  Either route refuses an index outside 1..n."""
-    partner = ops.STAR_PARTNERS[D]
-    n = spec.n
-    rows = None
-    if spec.constant_coefficient:
-        try:
-            rows = component_rows(form, n)
-        except NotConstantError:
-            pass
-    if rows is None:
-        for mono, _ in form.items():
-            if (mono[0] | mono[1]) & ~((1 << n + 1) - 2):  # not in 1..n
-                raise _ambient_error(mono, mono.bidegree, n)
-        return [lambda: ops.component(spec, D, form),
-                lambda: ops.component(spec, partner,
-                                      ops.hodge_star(spec, form))]
-    s, t = ops.COMPONENT_SHIFTS[D]
-    rows = [(p, q, row, harmonic_equations(spec, D, (p, q)))
-            for (p, q), row in rows]
-    # the partner's shift is D's, swapped
-    return [lambda: Form.sum([apply_blocks(row, (p + s, q + t), n, A)
-                              for p, q, row, (A, _) in rows]),
-            lambda: Form.sum([apply_blocks(row, (n - q + t, n - p + s), n, E)
-                              for p, q, row, (_, E) in rows])]
-
-
 def harmonic_membership(spec, D: str, form: Form) -> MembershipResult:
-    """Harmonicity of a single form: D alpha = 0, then conjugate-D *alpha
-    = 0, stopping at the first that fails, whose image is the witness.  The
-    blocks of `harmonic_equations` serve a constant form on a
-    constant-coefficient spec, and E is read only when A alpha = 0; any
-    other form goes pointwise, the star taken only when D alpha = 0, and is
-    Unknown when D alpha needs an opaque derivative.  A nonzero form on a
+    """Harmonicity of a single form, constant or symbolic, pointwise: D
+    alpha through `component`, then partner(*alpha) through `hodge_star`,
+    taken only when D alpha = 0; the first nonzero image is the witness.
+    Unknown when an image needs an opaque derivative.  A nonzero form on a
     non-unitary spec raises NotUnitaryModeError, also when D alpha != 0."""
     if D not in ("del", "delbar"):
         raise ValueError("membership is defined for del and delbar")
-    labels = (f"{D}(form) != 0", f"{ops.STAR_PARTNERS[D]}(*form) != 0")
-    for label, image in zip(labels, _equation_images(spec, D, form)):
-        try:
-            witness = image()
-        except ops.OpaqueDerivativeError as exc:
-            return MembershipResult(
-                "Unknown", reason=f"needs d({exc.symbol}), declared opaque")
-        if not witness.is_zero():
-            # the star of the second equation needs the metric, so a
-            # non-unitary spec refuses a form failing the first one too
-            ops.require_unitary(spec)
-            return MembershipResult("NotHarmonic", witness,
-                                    _form_nonzeroness(spec, witness), label)
-    return MembershipResult("Harmonic")
+    n = spec.n
+    for mono, _ in form.items():
+        if (mono[0] | mono[1]) & ~((1 << n + 1) - 2):  # not in 1..n
+            raise _ambient_error(mono, mono.bidegree, n)
+    partner = ops.STAR_PARTNERS[D]
+    try:
+        witness, label = ops.component(spec, D, form), f"{D}(form) != 0"
+        if witness.is_zero():
+            witness = ops.component(spec, partner, ops.hodge_star(spec, form))
+            label = f"{partner}(*form) != 0"
+    except ops.OpaqueDerivativeError as exc:
+        return MembershipResult(
+            "Unknown", reason=f"needs d({exc.symbol}), declared opaque")
+    if witness.is_zero():
+        return MembershipResult("Harmonic")
+    # the star of the second equation needs the metric, so a non-unitary
+    # spec refuses a form failing the first one too
+    ops.require_unitary(spec)
+    return MembershipResult("NotHarmonic", witness,
+                            _form_nonzeroness(spec, witness), label)
 
 
 # ---------------------------------------------------------------------------

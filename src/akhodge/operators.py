@@ -55,9 +55,9 @@ block and no product.  The adjoint blocks of d and its components, and the
 Laplacians, raise OperatorError on a spec that is not unimodular
 (`is_unimodular`), where they are not -*d*.
 The pointwise `ext_d`, `component`, `hodge_star` and `lefschetz_L` serve
-single forms with symbolic coefficients (symbolic specs, `model.validate`, the
-reconstruction of a decomposition); theorem checks and constant membership
-queries use the blocks.  Of d of a symbolic coefficient f, `component`
+single forms (symbolic specs, `model.validate`, every harmonic membership
+query, the reconstruction of a decomposition); theorem checks use the
+blocks.  Of d of a symbolic coefficient f, `component`
 wedges on only the part it keeps: del f for del, delbar f for delbar, none
 for mu and mubar, though each still refuses an opaque derivative.  The
 pointwise adjoints, Lambda, J, d^c and pairing that the blocks are tested

@@ -381,6 +381,13 @@ class SymScalar:
 
     def __mul__(self, other):
         other = _coerce_sym(other)
+        if len(self._terms) == 1 == len(other._terms):
+            # one term: Q(i)[symbols^+-1] has no zero divisors
+            (m1, c1), = self._terms.items()
+            (m2, c2), = other._terms.items()
+            product = _new(SymScalar)
+            _set_sym_terms(product, {_mul_monomials(m1, m2): c1 * c2})
+            return product
         return SymScalar(collect((_mul_monomials(m1, m2), c1 * c2)
                                  for m1, c1 in self._terms.items()
                                  for m2, c2 in other._terms.items()))

@@ -22,8 +22,11 @@ none of the package's block code:
   projected on the target bidegree, instead of only the part of d that
   lands there;
 - the degree-k matrices of d and d* taken one monomial at a time;
-- harmonic membership by the pointwise `component` and `hodge_star` instead
-  of the cached blocks;
+- harmonic membership of a constant form by the blocks (A, E) of
+  `hodge.harmonic_equations` applied to its component rows, instead of
+  pointwise, and of any form by the pointwise `component` and `hodge_star`
+  with both equations taken eagerly, instead of stopping at the first that
+  fails;
 - the equation E = partner * star of `hodge.harmonic_equations` as a
   `Matrix` product of the partner block by the star block, instead of
   `operators._times_star`;
@@ -516,18 +519,13 @@ def laplacian_two_products(spec, D: str, pq) -> linalg.Matrix:
 
 
 def harmonic_equations_by_product(spec, D: str, pq):
-    """(A, E) of `hodge.harmonic_equations` by the product route: for del and
-    delbar, E is the partner block at (n-q, n-p) times the star block at
-    (p,q); for d, mu and mubar, E is the D* block."""
+    """(A, E) of `hodge.harmonic_equations` by the product route: E is the
+    partner block at (n-q, n-p) times the star block at (p,q)."""
     n = spec.n
     p, q = pq
-    A = ops.operator_block(spec, D, pq)
-    if D in ("del", "delbar"):
-        E = (ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p))
-             * ops.operator_block(spec, "star", pq))
-    else:
-        E = ops.operator_block(spec, D + "_star", pq)
-    return A, E
+    return (ops.operator_block(spec, D, pq),
+            ops.operator_block(spec, ops.STAR_PARTNERS[D], (n - q, n - p))
+            * ops.operator_block(spec, "star", pq))
 
 
 def full_degree_oracle(spec, op: str, k: int) -> Matrix:
@@ -549,6 +547,33 @@ def full_degree_oracle(spec, op: str, k: int) -> Matrix:
         for m, c in image.terms():
             M[index[m], col] = gr_to_sympy(c.constant_value())
     return M
+
+
+def block_membership(spec, D: str, form: Form) -> hodge.MembershipResult:
+    """harmonic_membership of a constant form on a constant-coefficient spec
+    by the blocks (A, E) of `hodge.harmonic_equations`, applied to the row
+    of each pure component (`hodge.component_rows`): D alpha is the sum of
+    the A images, and the E images, read only when D alpha = 0, give
+    partner(*alpha).  Either image is summed from the target bidegrees of
+    its block; the first nonzero one is the witness."""
+    partner = ops.STAR_PARTNERS[D]
+    n = spec.n
+    s, t = ops.COMPONENT_SHIFTS[D]
+    blocks = [(p, q, row, *hodge.harmonic_equations(spec, D, (p, q)))
+              for (p, q), row in hodge.component_rows(form, n)]
+    witness = Form.sum([hodge.apply_blocks(row, (p + s, q + t), n, A)
+                        for p, q, row, A, _ in blocks])
+    label = f"{D}(form) != 0"
+    if witness.is_zero():
+        # the partner's shift is D's, swapped
+        witness = Form.sum([hodge.apply_blocks(
+            row, (n - q + t, n - p + s), n, E) for p, q, row, _, E in blocks])
+        label = f"{partner}(*form) != 0"
+    if witness.is_zero():
+        return hodge.MembershipResult("Harmonic")
+    ops.require_unitary(spec)
+    return hodge.MembershipResult(
+        "NotHarmonic", witness, hodge._form_nonzeroness(spec, witness), label)
 
 
 def pointwise_membership(spec, D: str, form: Form) -> hodge.MembershipResult:

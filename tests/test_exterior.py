@@ -325,6 +325,62 @@ def test_form_operations_equal_their_checked_rebuild(a, b, c):
         assert got == want == Form(dict(got.items()))
 
 
+# -- the single-term product rule against the collect route --------------------
+#
+# `SymScalar.__mul__` writes the product of two single-term scalars as one
+# term, and `Form.__mul__` stores its products through `Form._of`; both
+# skip `collect` and the zero test, since Q(i)[symbols^+-1] has no zero
+# divisors.
+
+def collect_product(x, y):
+    """x * y by collecting every product of terms, exponents and all."""
+    return SymScalar(collect(
+        (tuple(sorted(collect(m1 + m2).items())), c1 * c2)
+        for m1, c1 in x.terms() for m2, c2 in y.terms()))
+
+
+@st.composite
+def single_terms(draw):
+    """(monomial, nonzero value) of a one-term Laurent scalar in F, G, H."""
+    exps = draw(st.dictionaries(st.sampled_from(("F", "G", "H")),
+                                st.integers(-3, 3).filter(bool), max_size=3))
+    return tuple(sorted(exps.items())), draw(_values.filter(bool))
+
+
+@given(single_terms(), single_terms(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_single_term_products_equal_the_collect_route(a, b, inverse):
+    (m1, c1), (m2, c2) = a, b
+    if inverse:  # F * F^-1: the exponents cancel to the constant monomial
+        m2 = tuple((name, -k) for name, k in m1)
+    x, y = SymScalar({m1: c1}), SymScalar({m2: c2})
+    got = x * y
+    assert got == collect_product(x, y)
+    (mono, value), = got.terms()
+    assert list(mono) == sorted(mono) and all(k for _, k in mono)
+    assert type(value) is GaussianRational and value
+    if inverse:
+        assert mono == () and got.is_constant()
+
+
+_scalars = st.one_of(
+    st.sampled_from([0, Fraction(0), SymScalar.zero(), 1, Fraction(-2, 3)]),
+    st.builds(lambda term: SymScalar({term[0]: term[1]}), single_terms()),
+    st.builds(lambda c, f: SymScalar.const(c) + SymScalar.symbol("F", -1, f),
+              _sym_coeffs, _sym_coeffs))
+
+
+@given(symbolic_forms(), _scalars)
+@settings(max_examples=150, deadline=None)
+def test_form_times_scalar_equals_the_checked_constructor(form, scalar):
+    got = form * scalar
+    assert_canonical(got)
+    sym = scalar if isinstance(scalar, SymScalar) else SymScalar.const(scalar)
+    assert got == Form({m: collect_product(c, sym) for m, c in form.items()})
+    if not scalar:
+        assert got.is_zero()
+
+
 def test_form_constructor_checks_each_coefficient():
     m = BasisMonomial((1,), (2,))
     assert Form({m: 0}).is_zero()

@@ -4,10 +4,11 @@ reference parser of `oracles` on generated text and on every form the
 catalog prints, and generated valid specs round-trip through render_spec;
 of the "d" block and the full-degree d, whose columns agree with the
 Leibniz-rule oracle on generated constant-coefficient specs; of
-harmonic membership: the cached block route agrees with the pointwise one
-on random constant forms, and on every catalog entry, with constant and
-symbolic forms, the engine's short-circuit agrees with both equations
-taken eagerly; and of subspaces: a kernel's lazily built basis is the
+harmonic membership: the engine's pointwise route agrees with the block
+oracle on random constant forms, and on every catalog entry, with constant
+and symbolic forms, the engine's short-circuit agrees with both equations
+taken eagerly, by the blocks where the form and spec are constant and
+pointwise otherwise; and of subspaces: a kernel's lazily built basis is the
 eager one, and spans and kernels agree with sympy on equality,
 membership, equations and intersection."""
 
@@ -29,7 +30,7 @@ from akhodge.model import (SpecError, SpecSyntaxError, _parse_expr,
                            parse_form, parse_spec, render_spec)
 from akhodge.scalars import GaussianRational, SymScalar
 
-from oracles import (dense, leibniz_d, matrix_to_sympy,
+from oracles import (block_membership, dense, leibniz_d, matrix_to_sympy,
                      pointwise_membership, reference_parse_form,
                      transposed_stack_intersect)
 
@@ -290,7 +291,7 @@ def _membership_cases(draw):
 def test_membership_block_route_matches_the_pointwise_route(case):
     spec, D, form = case
     assert hodge.harmonic_membership(spec, D, form) == \
-        pointwise_membership(spec, D, form)
+        block_membership(spec, D, form)
 
 
 @st.composite
@@ -324,11 +325,16 @@ def _outcome(membership, spec, D, form):
 @given(_catalog_membership_cases())
 @settings(max_examples=200, deadline=None)
 def test_membership_matches_the_eager_route_on_every_catalog_entry(case):
-    # the engine stops at the first failing equation; the eager oracle
-    # computes both, so Unknown reasons, witnesses and the refusal of
-    # non-unitary specs must come out the same either way
+    # the engine stops at the first failing equation; the oracles compute
+    # both, so Unknown reasons, witnesses and the refusal of non-unitary
+    # specs must come out the same either way: the block oracle for a
+    # constant form on a constant-coefficient spec, else the eager
+    # pointwise one
+    spec, _, form = case
+    oracle = (block_membership if spec.constant_coefficient
+              and form.is_constant_coefficient() else pointwise_membership)
     assert _outcome(hodge.harmonic_membership, *case) == \
-        _outcome(pointwise_membership, *case)
+        _outcome(oracle, *case)
 
 
 # -- the "d" block ------------------------------------------------------------

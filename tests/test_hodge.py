@@ -18,10 +18,10 @@ from akhodge.model import parse_form, parse_spec
 from akhodge.scalars import (GaussianRational, Nonzeroness, NotConstantError,
                              SymScalar)
 
-from oracles import (brute_component_matrix, dense, dual_Lambda,
-                     full_subspace, matrix_to_sympy, one_form,
-                     pointwise_membership, same_row_space,
-                     transposed_stack_intersect, zero_subspace)
+from oracles import (block_membership, brute_component_matrix, dense,
+                     dual_Lambda, full_subspace, matrix_to_sympy, one_form,
+                     same_row_space, transposed_stack_intersect,
+                     zero_subspace)
 
 
 def F(text, spec):
@@ -188,26 +188,41 @@ class _Unread:
 
 
 def test_membership_failing_A_never_reads_E(entries, monkeypatch):
+    # kt4, where A alpha != 0 for del of phi^2: the block oracle never reads
+    # E, and the engine reads no block at all and never takes the star
     spec = entries["kt4"].spec
     form = F("phi{2,}", spec)
     A, _ = hodge.harmonic_equations(spec, "del", (1, 0))
     assert not A.apply(hodge.forms_to_rows([form], (1, 0), spec.n)).is_zero()
+    want = ("NotHarmonic", "del(form) != 0")
     equations = hodge.harmonic_equations
-    monkeypatch.setattr(hodge, "harmonic_equations",
-                        lambda *args: (equations(*args)[0], _Unread()))
+    with monkeypatch.context() as patch:
+        patch.setattr(hodge, "harmonic_equations",
+                      lambda *args: (equations(*args)[0], _Unread()))
+        result = block_membership(spec, "del", form)
+    assert (result.status, result.reason) == want
+
+    def refuse(spec, form):
+        raise AssertionError("hodge_star taken after A alpha != 0")
+
+    monkeypatch.setattr(hodge, "harmonic_equations", None)
+    monkeypatch.setattr(ops, "hodge_star", refuse)
     result = hodge.harmonic_membership(spec, "del", form)
-    assert (result.status, result.reason) == ("NotHarmonic", "del(form) != 0")
+    assert (result.status, result.reason) == want
 
 
 def test_membership_failing_D_never_takes_the_star(entries, monkeypatch):
     def refuse(spec, form):
         raise AssertionError("hodge_star taken after D alpha != 0")
 
-    spec = entries["torus6_g"].spec
     monkeypatch.setattr(ops, "hodge_star", refuse)
-    result = hodge.harmonic_membership(spec, "delbar", F("phi{1,2}", spec))
-    assert (result.status, result.reason) == ("NotHarmonic",
-                                              "delbar(form) != 0")
+    # a symbolic spec, and the constant kt4, where del(phi^2) != 0
+    for key, D, text in (("torus6_g", "delbar", "phi{1,2}"),
+                         ("kt4", "del", "phi{2,}")):
+        spec = entries[key].spec
+        result = hodge.harmonic_membership(spec, D, F(text, spec))
+        assert (result.status, result.reason) == ("NotHarmonic",
+                                                  f"{D}(form) != 0"), key
 
 
 def test_membership_failing_D_on_a_non_unitary_spec_still_raises(entries):
@@ -224,7 +239,8 @@ def test_membership_failing_D_on_a_non_unitary_spec_still_raises(entries):
 def test_membership_block_route_matches_pointwise_oracle(cc_entries, ladder,
                                                          monkeypatch):
     # every basis monomial, a seeded form per bidegree, their mixed sum, the
-    # zero form and omega; the block route must not touch the pointwise one
+    # zero form and omega: the engine's pointwise route against the blocks
+    # of the block oracle, which the engine must not touch
     rng = random.Random(23)
     for spec in [e.spec for e in cc_entries.values()] + [ladder(3), ladder(4)]:
         n = spec.n
@@ -235,10 +251,12 @@ def test_membership_block_route_matches_pointwise_oracle(cc_entries, ladder,
                  for m in basis_of(pq, n)]
         forms += pure + [sum(pure, Form.zero()), Form.zero(), spec.omega]
         cases = [(D, form) for D in ("del", "delbar") for form in forms]
-        want = [pointwise_membership(spec, D, form) for D, form in cases]
+        want = [block_membership(spec, D, form) for D, form in cases]
         with monkeypatch.context() as patch:
-            for name in ("component", "hodge_star", "ext_d"):
-                patch.setattr(ops, name, None)
+            for name in ("harmonic_equations", "component_rows",
+                         "apply_blocks"):
+                patch.setattr(hodge, name, None)
+            patch.setattr(ops, "operator_block", None)
             got = [hodge.harmonic_membership(spec, D, form)
                    for D, form in cases]
         for case, g, w in zip(cases, got, want):
@@ -294,6 +312,47 @@ omega = 1/2*i*phi{1,1} + 1/2*i*phi{2,2}
     assert (result.status, result.reason) == ("NotHarmonic",
                                               "delbar(form) != 0")
     assert result.witness == F("-phi{1,1}", spec)
+
+
+def _memo_kinds(spec) -> set:
+    return {key[0].__name__ for key in spec._cache}
+
+
+def _query(spec, forms, decompose: bool) -> None:
+    for form in forms:
+        for D in ("del", "delbar"):
+            hodge.harmonic_membership(spec, D, form)
+        if decompose:
+            hodge.primitive_decompose(spec, form)
+
+
+def test_single_form_queries_hit_their_memos_and_build_no_block():
+    # the memo kinds that single-form queries read again, on fixed forms
+    cases = []
+    for key in ("kt4", "torus6_g"):
+        spec = _fresh(key)
+        n = spec.n
+        forms = [Form.monomial(m) for p in range(n + 1) for q in range(n + 1)
+                 for m in basis_of((p, q), n)]
+        forms += [spec.omega, F("phi{1,2} + 3*phi{12,1}", spec)]
+        if not spec.constant_coefficient:
+            forms += [F("V3g*phi{1,2}", spec), F("V3g_bar*phi{12,}", spec)]
+        cases.append((spec, forms, spec.constant_coefficient))
+        # membership alone, on a fresh spec, builds no block
+        _query(spec, forms, False)
+        assert not _memo_kinds(spec) & {"operator_block",
+                                        "harmonic_equations"}, key
+    # two passes of both queries: the second adds no cache entry
+    sizes = []
+    for _ in range(2):
+        for case in cases:
+            _query(*case)
+        sizes.append([len(spec._cache) for spec, _, _ in cases])
+    assert sizes[0] == sizes[1]
+    (kt4, _, _), (torus, _, _) = cases
+    assert {"_d_monomial", "_star_monomial",
+            "_decomposition_solver"} <= _memo_kinds(kt4)
+    assert {"_d_monomial", "_star_monomial"} <= _memo_kinds(torus)
 
 
 # -- primitive subspaces and decomposition -----------------------------------------
@@ -394,6 +453,32 @@ def test_cross_check_accepts_the_same_kernel(monkeypatch, target, args, call,
                "scaled": lambda block: block.scale(3)}[kind]
     _patched(monkeypatch, target, args, replace)
     assert getattr(hodge, call)(_fresh(key), *call_args) == want
+
+
+def test_d_cross_check_fires_on_a_star_rule_fault(monkeypatch):
+    # E of d is the partner block times star, as for del and delbar: drop
+    # column 0 of E at kt4's (1,2), where phi{1,12} is d-closed but not
+    # d*-closed, and [A; E] gains that monomial in its kernel
+    spec = _fresh("kt4")
+    A, E = hodge.harmonic_equations(spec, "d", (1, 2))
+    assert A.columns([0]).is_zero() and not E.columns([0]).is_zero()
+    original = ops._times_star
+
+    def dropped(spec, block, pq):
+        product = original(spec, block, pq)
+        if pq != (1, 2):
+            return product
+        keep = dense([[GaussianRational(int(i == j != 0))
+                       for j in range(product.cols)]
+                      for i in range(product.cols)])
+        return product * keep
+
+    monkeypatch.setattr(ops, "_times_star", dropped)
+    with pytest.raises(hodge.CrossCheckMismatchError) as caught:
+        hodge.harmonic_space(spec, "d", (1, 2))
+    assert str(caught.value) == (
+        "kt4: ker Delta_d on (1, 2) disagrees with the "
+        "closed-and-costar-closed characterization")
 
 
 def _record_kernel_forms(monkeypatch) -> list:
